@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import tolerances
 from .errors import SameReservoir
-from .gas import GasModel, GasState, add_ideal_gas, type2, type3
+from .gas import GasModel, GasState, add_ideal_gas, type1, type2, type3
 from .processes import (
     AtomState,
     Process,
@@ -67,6 +67,23 @@ class CarnotRun:
             "segments": [f.tag for f in self.segments],
             "n": self.n,
         }
+
+
+def _assemble(
+    r1: Reservoir, r2: Reservoir, machine: System, segments: tuple[QuasistaticFamily, ...], n: float
+) -> CarnotRun:
+    """Run the legs in order and read each reservoir's heat off the footprint."""
+    process = segments[0].slice(0.0, 1.0)
+    for fam in segments[1:]:
+        process = concatenate(process, fam.slice(0.0, 1.0))
+
+    def reservoir_heat(res: Reservoir) -> float:
+        entry = process.entries[res.atom]
+        return (entry.final.value - entry.initial.value) - entry.work
+
+    q1, q2 = reservoir_heat(r1), reservoir_heat(r2)
+    w = work_of(machine, process)
+    return CarnotRun(r1, r2, machine, process, q1, q2, w, is_reversible(process), segments, n)
 
 
 def build_carnot(
@@ -130,30 +147,7 @@ def build_carnot(
     seg3 = type3(gas, r2, c, v_start * hop)
     d = seg3.curve(1.0)[gas.atom]
     seg4 = type2(gas, d, v_start)
-    segments = (seg1, seg2, seg3, seg4)
-    process = segments[0].slice(0.0, 1.0)
-    for fam in segments[1:]:
-        process = concatenate(process, fam.slice(0.0, 1.0))
-
-    def reservoir_heat(res: Reservoir) -> float:
-        entry = process.entries[res.atom]
-        return (entry.final.value - entry.initial.value) - entry.work
-
-    q1 = reservoir_heat(r1)
-    q2 = reservoir_heat(r2)
-    w = work_of(gas.system, process)
-    return CarnotRun(
-        r1=r1,
-        r2=r2,
-        machine=gas.system,
-        process=process,
-        q1=q1,
-        q2=q2,
-        w=w,
-        reversible=is_reversible(process),
-        segments=segments,
-        n=n,
-    )
+    return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
 
 
 def temperature_ratio(r1: Reservoir, r2: Reservoir) -> float:
@@ -217,8 +211,6 @@ def build_degraded_carnot(
         raise ValueError("need an expansion ratio > 1 and positive gas amount")
     gas = add_ideal_gas(r1.world, GasModel(n=n, R=R, gamma=gamma))
     g = gas.model
-    from .gas import type1  # friction closing leg
-
     a = GasState(g.nR * th1 / v_start, v_start)
     hop = (th1 / th2) ** (1.0 / (g.gamma - 1.0))
     seg1 = type3(gas, r1, a, v_start * volume_ratio)
@@ -228,27 +220,7 @@ def build_degraded_carnot(
     seg3 = type3(gas, r2, c, v_start)
     d = seg3.curve(1.0)[gas.atom]
     seg4 = type1(gas, d, a.p)
-    segments = (seg1, seg2, seg3, seg4)
-    process = segments[0].slice(0.0, 1.0)
-    for fam in segments[1:]:
-        process = concatenate(process, fam.slice(0.0, 1.0))
-
-    def reservoir_heat(res: Reservoir) -> float:
-        entry = process.entries[res.atom]
-        return (entry.final.value - entry.initial.value) - entry.work
-
-    return CarnotRun(
-        r1=r1,
-        r2=r2,
-        machine=gas.system,
-        process=process,
-        q1=reservoir_heat(r1),
-        q2=reservoir_heat(r2),
-        w=work_of(gas.system, process),
-        reversible=is_reversible(process),
-        segments=segments,
-        n=n,
-    )
+    return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
 
 
 def machine_cyclic(run: CarnotRun) -> bool:

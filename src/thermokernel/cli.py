@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-``thermokernel run <file.json> [--out DIR] [--seed N] [--parallel]`` executes
-a scenario; ``thermokernel verify <suite> [--seed N]`` runs one of the
-randomized invariant suites (or ``all``).  The THERMOKERNEL_TOL environment
-variable overrides the default tolerance tiers.
+``thermokernel run <file.json> [--out DIR] [--seed N]`` executes a scenario:
+exit 0 when every assertion passes, 1 when one fails (a NaN never passes),
+2 on a read or parse error, 3 on a validation or engine error.
+``thermokernel verify <suite> [--seed N]`` runs one of the randomized
+invariant suites (or ``all``).  The THERMOKERNEL_TOL environment variable
+overrides the default tolerance tiers.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", default=None, help="artifact output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    run_p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run script commands concurrently when they share no atoms",
-    )
 
     verify_p = sub.add_parser("verify", help="run an invariant suite")
     verify_p.add_argument("suite", help=f"one of: {', '.join(SUITES)}, all")
@@ -39,9 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
-        result = run_scenario(
-            args.scenario, out_dir=args.out, seed=args.seed, parallel=args.parallel
-        )
+        result = run_scenario(args.scenario, out_dir=args.out, seed=args.seed)
         for line in result.messages:
             print(line)
         for path in result.artifacts:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import tolerances
 from .errors import (
@@ -367,14 +367,24 @@ def _slice_all(families: Sequence[QuasistaticFamily]) -> Process:
     return out
 
 
+def connect_forward(g: GasModel, s1: GasState, s2: GasState) -> bool:
+    """Whether ``connect`` runs from ``s1`` to ``s2`` rather than back.
+
+    It runs the way the adiabat invariant does not decrease; invariants
+    equal to 1e-12 relative count as equal and run forward.
+    """
+    inv1, inv2 = adiabat_invariant(g, s1), adiabat_invariant(g, s2)
+    return inv1 - inv2 <= 1e-12 * max(abs(inv1), abs(inv2))
+
+
 def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     """A work process on the gas between the two states.
 
-    Orients the pair so the adiabat invariant does not decrease, then runs
-    an isolated leg to the target volume followed by a friction leg up to
-    the target pressure.  The returned footprint may therefore run from
-    ``s2`` to ``s1``; both directions determine the same energy difference.
-    Equal invariants degenerate to a single isolated leg.
+    Orients the pair by ``connect_forward``, then runs an isolated leg to
+    the target volume followed by a friction leg up to the target pressure.
+    The returned footprint may therefore run from ``s2`` to ``s1``; both
+    directions determine the same energy difference.  Equal invariants
+    degenerate to a single isolated leg.
     """
     g = gas.model
     if s1 == s2:
@@ -383,7 +393,7 @@ def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     scale = max(abs(inv1), abs(inv2))
     if abs(inv1 - inv2) <= 1e-12 * scale:
         return type2(gas, s1, s2.V).slice(0.0, 1.0)
-    lo, hi = (s1, s2) if inv1 < inv2 else (s2, s1)
+    lo, hi = (s1, s2) if connect_forward(g, s1, s2) else (s2, s1)
     families = []
     leg = type2(gas, lo, hi.V)
     if hi.V != lo.V:
@@ -419,27 +429,43 @@ def connect_reversible(
     return [first, middle, last]
 
 
-def run_segments(gas: GasAtom, start: GasState, specs: Sequence[dict]) -> Process:
-    """Execute a declarative list of segments from ``start``.
+def _type3_minting(gas: GasAtom, start: GasState, theta: float, V2: float) -> QuasistaticFamily:
+    return type3(gas, add_reservoir(gas.world, theta), start, V2)
 
-    Each spec is ``{"type": "type1", "p2": ...}`` or ``{"type": "type2",
-    "V2": ...}``; isothermal legs take ``{"type": "type3", "theta": ...,
-    "V2": ...}`` and mint their reservoir.
+
+@dataclass(frozen=True)
+class SegmentKind:
+    """A segment kind: its numeric spec keys, in the order ``build`` takes
+    them after ``(gas, start)``.  ``gas_only`` kinds are work processes on
+    the gas alone; the other mints the reservoir it couples to.
     """
+
+    keys: tuple[str, ...]
+    build: Callable[..., QuasistaticFamily]
+    gas_only: bool
+
+
+SEGMENT_KINDS: dict[str, SegmentKind] = {
+    "type1": SegmentKind(("p2",), type1, gas_only=True),
+    "type2": SegmentKind(("V2",), type2, gas_only=True),
+    "type3": SegmentKind(("theta", "V2"), _type3_minting, gas_only=False),
+}
+
+
+def segment_family(gas: GasAtom, start: GasState, spec: dict) -> QuasistaticFamily:
+    """The family of one segment spec ``{"type": kind, **keys}`` from ``start``."""
+    kind = SEGMENT_KINDS.get(spec["type"])
+    if kind is None:
+        raise ValueError(f"unknown segment type {spec['type']!r}")
+    return kind.build(gas, start, *(float(spec[k]) for k in kind.keys))
+
+
+def run_segments(gas: GasAtom, start: GasState, specs: Sequence[dict]) -> Process:
+    """Execute a declarative list of segment specs from ``start``."""
     state = start
     process: Process | None = None
     for spec in specs:
-        kind = spec["type"]
-        if kind == "type1":
-            fam = type1(gas, state, float(spec["p2"]))
-        elif kind == "type2":
-            fam = type2(gas, state, float(spec["V2"]))
-        elif kind == "type3":
-            res = add_reservoir(gas.world, float(spec["theta"]))
-            fam = type3(gas, res, state, float(spec["V2"]))
-        else:
-            raise ValueError(f"unknown segment type {kind!r}")
-        piece = fam.slice(0.0, 1.0)
+        piece = segment_family(gas, state, spec).slice(0.0, 1.0)
         process = piece if process is None else concatenate(process, piece)
         state = piece.final_of(gas.atom).value
     if process is None:

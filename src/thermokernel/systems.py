@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .errors import NotProperSubsystem, SizeLimit
 
@@ -120,13 +120,6 @@ class World:
 def compose(a: System, b: System) -> System:
     """Union of the two atom sets; commutative, associative, idempotent."""
     return System(a.atoms | b.atoms)
-
-
-def compose_all(parts: Iterable[System]) -> System:
-    atoms: frozenset[AtomId] = frozenset()
-    for part in parts:
-        atoms |= part.atoms
-    return System(atoms)
 
 
 def intersect(a: System, b: System):

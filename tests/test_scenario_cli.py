@@ -103,16 +103,6 @@ def test_determinism_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_parallel_matches_serial(tmp_path):
-    path = write_scenario(tmp_path, GOOD)
-    serial = run_scenario(path, out_dir=str(tmp_path / "s"))
-    par = run_scenario(path, out_dir=str(tmp_path / "p"), parallel=True)
-    assert serial.exit_code == par.exit_code == 0
-    assert (tmp_path / "s" / "table.csv").read_bytes() == (
-        tmp_path / "p" / "table.csv"
-    ).read_bytes()
-
-
 def test_segments_and_polyline_ops(tmp_path):
     payload = {
         "version": 1,
@@ -152,6 +142,75 @@ def test_verify_op_runs_suite(tmp_path):
     result = run_scenario(path, out_dir=str(tmp_path / "out"))
     assert result.exit_code == 0
     assert any("clausius" in m for m in result.messages)
+
+
+def test_expect_on_nan_fails(tmp_path):
+    zero_heat = {
+        "version": 1,
+        "atoms": [
+            {"name": "hot", "kind": "reservoir", "theta": 2.0},
+            {"name": "cold", "kind": "reservoir", "theta": 1.0},
+        ],
+        "script": [
+            {"op": "carnot", "hot": "hot", "cold": "cold", "q_hot": 0,
+             "expect": {"ratio": 2.0, "tol": 1e-6}}
+        ],
+    }
+    result = run_scenario(write_scenario(tmp_path, zero_heat))
+    assert result.exit_code == 1
+    assert "ratio=nan" in result.messages[0]
+
+
+def test_connect_reports_forward_from_lower_invariant(tmp_path):
+    payload = {
+        "version": 1,
+        "atoms": [{"name": "g", "kind": "gas"}],
+        "script": [
+            {"op": "connect", "gas": "g", "from": [0.7, 1.3], "to": [1.1, 1.9],
+             "expect": {"delta_u": 1.77, "tol": 1e-6}}
+        ],
+    }
+    result = run_scenario(write_scenario(tmp_path, payload))
+    assert result.exit_code == 0
+    assert result.messages == ["connect g: dU=1.77 (forward)"]
+
+
+GAS = {"name": "g", "kind": "gas"}
+HOT = {"name": "hot", "kind": "reservoir", "theta": 2.0}
+CARNOT = {"op": "carnot", "hot": "hot", "cold": "hot"}
+CONNECT = {"op": "connect", "gas": "g", "from": [1, 1], "to": [2, 3]}
+SEGMENTS = {"op": "segments", "gas": "g", "from": [1.0, 1.0]}
+POLYLINE = {"op": "polyline", "gas": "g", "save": "poly.csv",
+            "segment": {"type": "type2", "from": [1, 1], "V2": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "atoms, cmd",
+    [
+        pytest.param([{"name": "hot", "kind": "reservoir"}], CARNOT, id="no-theta"),
+        pytest.param([dict(HOT, theta="x")], CARNOT, id="theta-text"),
+        pytest.param([dict(HOT, theta=-1)], CARNOT, id="theta-negative"),
+        pytest.param([GAS], {"op": "entropy-table", "gas": "g"}, id="table-no-save"),
+        pytest.param([GAS], dict(POLYLINE, samples=0), id="samples-0"),
+        pytest.param([GAS], dict(CONNECT, **{"from": [-1, 1]}), id="state-off-domain"),
+        pytest.param([GAS], dict(CONNECT, **{"from": [1e300, 1e300]}), id="overflow"),
+        pytest.param([GAS], {k: v for k, v in CONNECT.items() if k != "to"}, id="connect-no-to"),
+        pytest.param([GAS], dict(SEGMENTS, segments=[{"type": "type9", "V2": 2.0}]), id="type9"),
+        pytest.param([HOT], CARNOT, id="hot-is-cold"),
+        pytest.param([], {"op": "verify", "suite": "clausius", "cycles": "x"}, id="cycles-text"),
+        pytest.param([HOT, dict(HOT, name="cold", theta=1.0)],
+                     dict(CARNOT, cold="cold", expect={"ratio": "abc"}), id="expect-text"),
+        pytest.param([GAS], dict(SEGMENTS, segments=[{"type": "type3", "theta": 2.0, "V2": 2.0}]),
+                     id="off-isotherm"),
+        pytest.param([GAS], dict(POLYLINE, segment={"type": "type1", "from": [2, 1], "p2": 1}),
+                     id="pressure-drop"),
+    ],
+)
+def test_bad_scenario_exits_3_without_traceback(tmp_path, capsys, atoms, cmd):
+    path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and "Traceback" not in out
 
 
 def test_scenario_parse_validates_types():
