@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-``thermokernel run <file.json> [--out DIR] [--seed N]`` executes a scenario:
-exit 0 when every assertion passes, 1 when one fails (a NaN never passes),
-2 on a read or parse error, 3 on a validation or engine error.
+``thermokernel run <file.json> [--out DIR] [--seed N]`` executes a scenario
+and writes each ``save`` artifact under DIR, so a ``save`` must be a relative
+path without ``..``: exit 0 when every assertion passes, 1 when one fails (a
+NaN never passes), 2 on a read, write or parse error, 3 on a validation or
+engine error.
 ``thermokernel verify <suite> [--seed N]`` runs one of the randomized
 invariant suites (or ``all``).  The THERMOKERNEL_TOL environment variable
 overrides the default tolerance tiers.

@@ -107,6 +107,10 @@ class ParseError(ThermoError):
     """Scenario file could not be parsed."""
 
 
+class ArtifactWriteError(ThermoError):
+    """A scenario artifact could not be written."""
+
+
 class ValidationError(ThermoError):
     """Scenario file parsed but violates the schema or references unknown atoms."""
 

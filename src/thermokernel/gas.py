@@ -137,6 +137,11 @@ def gas_T(g: GasModel, s: GasState) -> float:
     return s.p * s.V / g.nR
 
 
+# Read as a reservoir parameter, pV/(nR) is the theta of the reservoir a
+# state couples to along its isotherm.
+isotherm_theta = gas_T
+
+
 def gas_U_sv(g: GasModel, s_value: float, V: float) -> float:
     """Internal energy as a function of entropy and volume."""
     p = (
@@ -150,11 +155,6 @@ def gas_U_sv(g: GasModel, s_value: float, V: float) -> float:
 def adiabat_invariant(g: GasModel, s: GasState) -> float:
     """p V^gamma, conserved on isolated segments and raised by friction."""
     return s.p * s.V**g.gamma
-
-
-def isotherm_theta(g: GasModel, s: GasState) -> float:
-    """pV/(nR): the parameter of the reservoir this state couples to."""
-    return s.p * s.V / g.nR
 
 
 # --- segment constructors ---------------------------------------------------

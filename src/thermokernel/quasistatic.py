@@ -11,7 +11,7 @@ hands every slice a reverse witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from .config import tolerances
 from .errors import OutOfDomain, StateMismatch
@@ -192,15 +192,6 @@ def concat_families(
         tag=tag,
         meta={"parts": (f, g)},
     )
-
-
-def chain_families(parts: Sequence[QuasistaticFamily]) -> QuasistaticFamily:
-    if not parts:
-        raise ValueError("need at least one family")
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = concat_families(out, nxt)
-    return out
 
 
 def integrate_form(

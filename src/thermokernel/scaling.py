@@ -5,8 +5,9 @@ volume-like quantities and the additive reference constants; pressure and
 temperature are untouched.  In the extensive variables (U, V) the entropy
 of a pair of scaled parts is maximized exactly at the proportional split,
 and the unconstrained entropy is concave; both facts are checked here
-numerically, the optimizer cross-checked against a plain grid search in the
-test suite.
+numerically.  The maximizer comes from a small damped Newton iteration on
+finite differences of the entropy, cross-checked against a plain grid
+search in the test suite.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
-from scipy import optimize
 
 from .errors import IncompatibleBases, NonPositiveScale, OptimizerFailed
 from .gas import GasModel, GasState, gas_S, gas_U
@@ -164,6 +162,18 @@ def remove_constraint(
     return p, total
 
 
+# Settings of max_entropy_split.  The central-difference step is eps**(1/3)
+# of each variable's scale, which balances truncation against rounding.  A
+# trial step counts as not descending when S drops by less than _ROUNDING
+# relative to max(1, |S|): near the maximum the gain of a Newton step is
+# below the rounding of S, so a strict test would stall there.
+XATOL = 1e-10
+_DIFF_STEP = 6e-6
+_ROUNDING = 1e-14
+_MAX_ITER = 50
+_MAX_HALVINGS = 60
+
+
 @dataclass(frozen=True)
 class MaxEntropyResult:
     split: tuple[UVState, UVState]
@@ -178,18 +188,19 @@ class MaxEntropyResult:
         }
 
 
-def max_entropy_split(
-    base: GasModel,
-    lam: float,
-    total: UVState,
-    xatol: float = 1e-10,
-    fatol: float = 1e-13,
-) -> MaxEntropyResult:
+def max_entropy_split(base: GasModel, lam: float, total: UVState) -> MaxEntropyResult:
     """Maximize the joint entropy of a lam / (1-lam) pair over all splits.
 
-    The objective is strictly concave on the open rectangle, so Nelder-Mead
-    from a generic interior point converges to the unique maximizer, which
-    is the proportional split.
+    Damped Newton ascent on the split (U1, V1), with central-difference
+    gradient and Hessian of ``entropy_uv``, from the middle of the
+    rectangle where both parts keep U above their offset and V above a
+    small floor.  Each step is halved until it does not descend and stays
+    inside that rectangle.
+    The objective is strictly concave there, so the iteration converges to
+    the unique maximizer, the proportional split; it stops once the Newton
+    step is at most ``XATOL`` times max(|U|, V).  ``OptimizerFailed`` is
+    raised when the Hessian is not negative definite, the line search
+    stalls, or the iterations run out.
     """
     if not 0.0 < lam < 1.0:
         raise NonPositiveScale("the split fraction must lie strictly inside (0, 1)")
@@ -198,8 +209,7 @@ def max_entropy_split(
     floor_u = 1e-9 * abs(total.U)
     floor_v = 1e-9 * total.V
 
-    def objective(x: np.ndarray) -> float:
-        u1, v1 = float(x[0]), float(x[1])
+    def objective(u1: float, v1: float) -> float:
         u2, v2 = total.U - u1, total.V - v1
         if (
             u1 - lam * base.U0 <= floor_u
@@ -207,27 +217,44 @@ def max_entropy_split(
             or v1 <= floor_v
             or v2 <= floor_v
         ):
-            return math.inf
-        return -(entropy_uv(m1, u1, v1) + entropy_uv(m2, u2, v2))
+            return -math.inf
+        return entropy_uv(m1, u1, v1) + entropy_uv(m2, u2, v2)
 
-    x0 = np.array([0.5 * total.U, 0.5 * total.V])
-    result = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": xatol * max(abs(total.U), total.V),
-            "fatol": fatol,
-            "maxiter": 5000,
-            "maxfev": 5000,
-        },
-    )
-    if not result.success or not np.isfinite(result.fun):
-        raise OptimizerFailed(str(result.message))
-    u1, v1 = float(result.x[0]), float(result.x[1])
-    split = (UVState(u1, v1), UVState(total.U - u1, total.V - v1))
-    return MaxEntropyResult(split=split, s_max=-float(result.fun),
-                            iterations=int(result.nit))
+    # Start at the middle of the rectangle; with U0 = 0 that is half the totals.
+    u, v = 0.5 * (total.U + (2.0 * lam - 1.0) * base.U0), 0.5 * total.V
+    f = objective(u, v)
+    if not math.isfinite(f):
+        raise OptimizerFailed(f"no split of {total} lies inside the domain")
+    hu, hv = _DIFF_STEP * (total.U - base.U0), _DIFF_STEP * total.V
+    tol = XATOL * max(abs(total.U), total.V)
+    for iteration in range(1, _MAX_ITER + 1):
+        fu_hi, fu_lo = objective(u + hu, v), objective(u - hu, v)
+        fv_hi, fv_lo = objective(u, v + hv), objective(u, v - hv)
+        gu, gv = (fu_hi - fu_lo) / (2 * hu), (fv_hi - fv_lo) / (2 * hv)
+        huu = (fu_hi - 2 * f + fu_lo) / (hu * hu)
+        hvv = (fv_hi - 2 * f + fv_lo) / (hv * hv)
+        huv = (
+            objective(u + hu, v + hv) - objective(u + hu, v - hv)
+            - objective(u - hu, v + hv) + objective(u - hu, v - hv)
+        ) / (4 * hu * hv)
+        det = huu * hvv - huv * huv
+        if not (huu < 0 and det > 0):
+            raise OptimizerFailed(f"Hessian not negative definite at ({u!r}, {v!r})")
+        du = (huv * gv - hvv * gu) / det
+        dv = (huv * gu - huu * gv) / det
+        if max(abs(du), abs(dv)) <= tol:
+            split = (UVState(u, v), UVState(total.U - u, total.V - v))
+            return MaxEntropyResult(split=split, s_max=f, iterations=iteration)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new = objective(u + t * du, v + t * dv)
+            if f_new >= f - _ROUNDING * max(1.0, abs(f)):
+                break
+            t *= 0.5
+        else:
+            raise OptimizerFailed(f"line search stalled at ({u!r}, {v!r})")
+        u, v, f = u + t * du, v + t * dv, f_new
+    raise OptimizerFailed(f"no convergence in {_MAX_ITER} Newton iterations")
 
 
 @dataclass

@@ -3,18 +3,19 @@
 A scenario declares a world (atoms with their model parameters) and an
 ordered script of commands over those atoms, run one after another.
 Commands may embed assertions (``expect`` blocks) and request artifacts
-(``save``).  Numeric CSV output is fixed at nine significant digits and,
-together with the seeded suites, is byte-identical across runs of the same
-scenario and seed.
+(``save``), each a relative path inside the output directory.  Numeric CSV
+output is fixed at nine significant digits and, together with the seeded
+suites, is byte-identical across runs of the same scenario and seed.
 
 ``ATOM_KINDS`` and ``OPS`` are the schema.  ``Scenario.validate`` checks a
 file against them before anything runs; each op ``name`` runs as
 ``_Runner.op_<name>`` with dashes as underscores.
 
 Exit codes: 0 all assertions pass; 1 an assertion failed, a NaN included;
-2 the file cannot be read or parsed; 3 the scenario is invalid, or the
-engine rejected it: a ``ThermoError``, a model's ``ValueError``, or float
-arithmetic that overflowed.
+2 the file cannot be read or parsed, or an artifact cannot be written; 3 the
+scenario is invalid (an absolute ``save`` or one with a ``..`` part
+included), or the engine rejected it: a ``ThermoError``, a model's
+``ValueError``, or float arithmetic that overflowed.
 """
 
 from __future__ import annotations
@@ -25,12 +26,15 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from pathlib import PurePath
 from typing import Any, Callable
 
 from .carnot import build_carnot
 from .energy import EnergyLedger, internal_energy
 from .entropy import EntropyLedger, entropy
-from .errors import ParseError, ScenarioAssertionFailed, ThermoError, ValidationError
+from .errors import (
+    ArtifactWriteError, ParseError, ScenarioAssertionFailed, ThermoError, ValidationError,
+)
 from .gas import (
     SEGMENT_KINDS, GasAtom, GasModel, GasState, add_ideal_gas, connect, connect_forward, gas_T,
     run_segments, segment_family,
@@ -71,6 +75,12 @@ def _grid(v: Any) -> bool:
     return isinstance(v, list) and len(v) == 3 and _state(v[:2]) and min(v[:2]) > 0 and _count(v[2])
 
 
+def _save_path(v: Any) -> bool:
+    """A non-empty relative path with no ``..`` part: it stays inside ``--out``."""
+    path = PurePath(v) if isinstance(v, str) and v else None
+    return path is not None and not path.anchor and ".." not in path.parts
+
+
 def _segment(v: Any, gas_only: bool = False) -> bool:
     if not isinstance(v, dict) or not isinstance(v.get("type"), str):
         return False
@@ -84,7 +94,7 @@ _Key = tuple[str, Callable[[Any], bool]]
 
 NUMBER: _Key = ("a number", _number)
 COUNT: _Key = ("an integer >= 1", _count)
-TEXT: _Key = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+SAVE: _Key = ("a relative path inside --out, without '..'", _save_path)
 STATE: _Key = ("a [p, V] pair of numbers", _state)
 GRID: _Key = ("[lo, hi, count] with lo, hi > 0", _grid)
 EXPECT: _Key = (
@@ -172,8 +182,8 @@ def _suite_sizes(cmd: dict) -> list[str]:
     return [k for k in inspect.signature(SUITES[cmd["suite"]]).parameters if k != "seed"]
 
 
-_SAVE_EXPECT: dict[str, _Key] = {"save": TEXT, "expect": EXPECT}
-_SAVE: dict[str, _Key] = {"save": TEXT}
+_SAVE_EXPECT: dict[str, _Key] = {"save": SAVE, "expect": EXPECT}
+_SAVE: dict[str, _Key] = {"save": SAVE}
 _GAS = {"gas": "gas"}
 
 OPS: dict[str, _Schema] = {
@@ -266,9 +276,12 @@ def _expect(cmd: dict, label: str, got: float, key: str) -> None:
 
 def _write(out_dir: str, name: str, text: str, artifacts: list[str]) -> None:
     path = os.path.join(out_dir, name)
-    os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ArtifactWriteError(f"cannot write {path}: {exc}") from exc
     artifacts.append(path)
 
 
@@ -429,13 +442,19 @@ def run_scenario(path: str, out_dir: str | None = None, seed: int | None = None)
     except ValidationError as exc:
         return ScenarioResult(exit_code=3, messages=[str(exc)])
     out_dir = out_dir or os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return ScenarioResult(exit_code=2, messages=[f"cannot write {out_dir}: {exc}"])
     runner = _Runner(scenario, out_dir, seed)
     try:
         runner.run()
     except ScenarioAssertionFailed as exc:
         runner.messages.append(f"ASSERTION FAILED: {exc}")
         return ScenarioResult(1, runner.messages, runner.artifacts)
+    except ArtifactWriteError as exc:
+        runner.messages.append(str(exc))
+        return ScenarioResult(2, runner.messages, runner.artifacts)
     except (ThermoError, ValueError, ArithmeticError) as exc:
         runner.messages.append(f"ENGINE ERROR: {type(exc).__name__}: {exc}")
         return ScenarioResult(3, runner.messages, runner.artifacts)

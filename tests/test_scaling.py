@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from thermokernel.errors import IncompatibleBases, NonPositiveScale
+import thermokernel
+from thermokernel import scaling
+from thermokernel.errors import IncompatibleBases, NonPositiveScale, OptimizerFailed
 from thermokernel.gas import GasModel, GasState, gas_S, gas_T, gas_U
 from thermokernel.processes import is_reversible
 from thermokernel.scaling import (
@@ -156,6 +161,26 @@ class TestMaxEntropy:
     def test_rejects_degenerate_fraction(self):
         with pytest.raises(NonPositiveScale):
             max_entropy_split(BASE, 0.0, UVState(1, 1))
+
+    def test_offset_energy_with_midpoint_outside_the_domain(self):
+        # U0 = 1: half the total energy leaves the 0.9 part below its offset.
+        res = max_entropy_split(GasModel(U0=1.0), 0.9, UVState(1.5, 2.0))
+        assert res.split[0].as_tuple() == pytest.approx((1.35, 1.8), abs=1e-6)
+
+    def test_convex_objective_fails(self, monkeypatch):
+        monkeypatch.setattr(scaling, "entropy_uv", lambda m, u, v: u * u + v * v)
+        with pytest.raises(OptimizerFailed):
+            max_entropy_split(BASE, 0.25, UVState(4.0, 8.0))
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    src = os.path.dirname(os.path.dirname(thermokernel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, thermokernel; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 class TestConcavity:

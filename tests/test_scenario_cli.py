@@ -213,6 +213,39 @@ def test_bad_scenario_exits_3_without_traceback(tmp_path, capsys, atoms, cmd):
     assert len(out.splitlines()) == 1 and "Traceback" not in out
 
 
+@pytest.mark.parametrize(
+    "save, code",
+    [
+        pytest.param("ABSOLUTE", 3, id="absolute"),
+        pytest.param("../escaped.csv", 3, id="dotdot"),
+        pytest.param("sub/x.csv", 0, id="nested"),
+    ],
+)
+def test_save_stays_inside_out(tmp_path, capsys, save, code):
+    if save == "ABSOLUTE":
+        save = str(tmp_path / "escaped.csv")
+    cmd = {"op": "entropy-table", "gas": "g", "save": save}
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    out = capsys.readouterr().out
+    assert "Traceback" not in out
+    outside = [p for p in tmp_path.rglob("*")
+               if p != tmp_path / "scenario.json" and tmp_path / "out" not in (p, *p.parents)]
+    assert outside == []
+    if code == 0:
+        assert (tmp_path / "out" / "sub" / "x.csv").is_file()
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    table = {"op": "entropy-table", "gas": "g", "p": [0.5, 2.0, 2], "V": [0.5, 2.0, 2]}
+    script = [dict(table, save="a.json"), dict(table, save="a.json/b.json")]
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": script})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith(f"cannot write {tmp_path / 'out' / 'a.json' / 'b.json'}: ")
+    assert lines[-1] == f"wrote {tmp_path / 'out' / 'a.json'}"
+
+
 def test_scenario_parse_validates_types():
     with pytest.raises(ValidationError):
         Scenario.parse(json.dumps({"version": 1, "atoms": {}, "script": []})).validate()
