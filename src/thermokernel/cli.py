@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 ``thermokernel run <file.json> [--out DIR] [--seed N]`` executes a scenario
-and writes each ``save`` artifact under DIR, so a ``save`` must be a relative
-path without ``..``: exit 0 when every assertion passes, 1 when one fails (a
-NaN never passes), 2 on a read, write or parse error, 3 on a validation or
-engine error.
+and writes each ``save`` artifact under DIR (by default the scenario's own
+directory), so a ``save`` must be a relative path without ``..`` that does
+not name the scenario file: exit 0 when every assertion passes, 1 when one
+fails (a NaN never passes), 2 on a read, write or parse error, 3 on a
+validation or engine error.
 ``thermokernel verify <suite> [--seed N]`` runs one of the randomized
 invariant suites (or ``all``).  The THERMOKERNEL_TOL environment variable
-overrides the default tolerance tiers.
+overrides the default tolerance tiers; when it is malformed, either command
+exits 2 with one ``bad THERMOKERNEL_TOL: <reason>`` line before it runs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import tolerances
 from .scenario import run_scenario
 from .suites import SUITES, run_suites
 
@@ -37,6 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        tolerances()
+    except ValueError as exc:
+        print(f"bad THERMOKERNEL_TOL: {exc}")
+        return 2
     if args.command == "run":
         result = run_scenario(args.scenario, out_dir=args.out, seed=args.seed)
         for line in result.messages:

@@ -3,11 +3,16 @@
 The environment variable THERMOKERNEL_TOL overrides the defaults.  It accepts
 either a single float, applied as a multiplier to every tier, or a
 comma-separated list of ``name=value`` pairs naming individual tiers, e.g.
-``THERMOKERNEL_TOL="quad_tol=1e-12,state_atol=1e-13"``.
+``THERMOKERNEL_TOL="quad_tol=1e-12,state_atol=1e-13"``.  Every tier must be
+finite and > 0, and ``quad_max_depth`` a positive integer.  The variable is
+read on the first ``tolerances()`` call, which raises ``ValueError`` when it
+is malformed.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -18,12 +23,25 @@ class Tolerances:
     work_atol: float = 1e-12           # zero-work tests (catalytic, identity)
     first_law_rtol: float = 1e-9       # path-independence of total work
     first_law_atol: float = 1e-12
-    quad_tol: float = 1e-10            # adaptive quadrature target, absolute
-    quad_max_depth: int = 30
+    quad_tol: float = 1e-10            # absolute quadrature target, floored at rounding
+    quad_max_depth: int = 30           # bisections of one quadrature panel
     tangent_det_min: float = 1e-8      # normalized 2x2 determinant threshold
     same_temperature: float = 1e-6     # |tau - 1| bound for thermal equilibrium
     isotherm_rtol: float = 1e-9        # "gas sits on the reservoir isotherm" check
     numeric_floor: float = 1e-12       # open-quadrant floor for p and V
+
+
+def _value(name: str, text: str) -> float:
+    """``text`` as the value of tier ``name``; ``ValueError`` if out of range."""
+    depth = name == "quad_max_depth"
+    try:
+        value = int(text) if depth else float(text)
+    except ValueError:
+        value = math.nan
+    if not (value >= 1 if depth else 0 < value < math.inf):
+        kind = "a positive integer" if depth else "a finite number > 0"
+        raise ValueError(f"{name} must be {kind}, got {text.strip()!r}")
+    return value
 
 
 def _from_env(raw: str | None) -> Tolerances:
@@ -31,27 +49,28 @@ def _from_env(raw: str | None) -> Tolerances:
     if not raw:
         return base
     raw = raw.strip()
-    names = {f.name: f.type for f in fields(Tolerances)}
+    names = {f.name for f in fields(Tolerances)}
     if "=" in raw:
         updates = {}
         for piece in raw.split(","):
             name, _, value = piece.partition("=")
             name = name.strip()
             if name not in names:
-                raise ValueError(f"unknown tolerance tier {name!r} in THERMOKERNEL_TOL")
-            updates[name] = int(value) if name == "quad_max_depth" else float(value)
+                raise ValueError(f"unknown tolerance tier {name!r}")
+            updates[name] = _value(name, value)
         return replace(base, **updates)
-    factor = float(raw)
+    factor = _value("the multiplier", raw)
     scaled = {
         f.name: f.default * factor
         for f in fields(Tolerances)
         if f.name != "quad_max_depth"
     }
+    if not all(0 < v < math.inf for v in scaled.values()):
+        raise ValueError(f"the multiplier {raw!r} takes a tier to 0 or infinity")
     return replace(base, **scaled)
 
 
-TOL = _from_env(os.environ.get("THERMOKERNEL_TOL"))
-
-
+@functools.cache
 def tolerances() -> Tolerances:
-    return TOL
+    """The tiers, with THERMOKERNEL_TOL applied; read once, on the first call."""
+    return _from_env(os.environ.get("THERMOKERNEL_TOL"))

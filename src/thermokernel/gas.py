@@ -17,7 +17,7 @@ calls them as shortcuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .config import tolerances
@@ -68,7 +68,8 @@ class GasModel:
     n: float = 1.0
     R: float = 1.0
     gamma: float = 5.0 / 3.0
-    sigma0: GasState = GasState(1.0, 1.0)
+    # built per model, so that importing the package reads no tolerance
+    sigma0: GasState = field(default_factory=lambda: GasState(1.0, 1.0))
     U0: float = 0.0
     S0: float = 0.0
 

@@ -13,9 +13,10 @@ file against them before anything runs; each op ``name`` runs as
 
 Exit codes: 0 all assertions pass; 1 an assertion failed, a NaN included;
 2 the file cannot be read or parsed, or an artifact cannot be written; 3 the
-scenario is invalid (an absolute ``save`` or one with a ``..`` part
-included), or the engine rejected it: a ``ThermoError``, a model's
-``ValueError``, or float arithmetic that overflowed.
+scenario is invalid (an absolute ``save``, one with a ``..`` part, or one
+that would overwrite the scenario file included), or the engine rejected
+it: a ``ThermoError``, a model's ``ValueError``, or float arithmetic that
+overflowed.
 """
 
 from __future__ import annotations
@@ -427,11 +428,20 @@ class _Runner:
             raise ScenarioAssertionFailed("concavity violated")
 
 
+def _same_file(source: os.stat_result, path: str) -> bool:
+    """Whether ``path`` names the file ``source`` describes, by any link."""
+    try:
+        return os.path.samestat(source, os.stat(path))
+    except OSError:
+        return False
+
+
 def run_scenario(path: str, out_dir: str | None = None, seed: int | None = None) -> ScenarioResult:
     """Load, validate and execute a scenario file; see the module for exit codes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+            source = os.fstat(fh.fileno())
     except OSError as exc:
         return ScenarioResult(exit_code=2, messages=[f"cannot read {path}: {exc}"])
     try:
@@ -442,6 +452,11 @@ def run_scenario(path: str, out_dir: str | None = None, seed: int | None = None)
     except ValidationError as exc:
         return ScenarioResult(exit_code=3, messages=[str(exc)])
     out_dir = out_dir or os.path.dirname(os.path.abspath(path)) or "."
+    for cmd in scenario.script:
+        if "save" in cmd and _same_file(source, os.path.join(out_dir, cmd["save"])):
+            return ScenarioResult(exit_code=3, messages=[
+                f"op {cmd['op']!r}: save {cmd['save']!r} would overwrite the scenario file"
+            ])
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

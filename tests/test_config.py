@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import thermokernel
 from thermokernel.config import Tolerances, _from_env
 
 
@@ -27,3 +32,25 @@ def test_global_multiplier():
 def test_unknown_tier_rejected():
     with pytest.raises(ValueError):
         _from_env("bogus=1")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["quad_tol=abc", "quad_tol=-1", "quad_tol=0", "quad_tol=nan", "quad_tol=inf",
+     "quad_max_depth=x", "quad_max_depth=0", "quad_max_depth=2.5", "abc", "-1", "1e-320"],
+)
+def test_bad_values_rejected(raw):
+    with pytest.raises(ValueError):
+        _from_env(raw)
+
+
+@pytest.mark.parametrize("raw", ["quad_tol=abc", "quad_max_depth=x", "bogus=1", "quad_tol=-1", "abc"])
+def test_cli_reports_bad_env_in_one_line(raw):
+    src = os.path.dirname(os.path.dirname(thermokernel.__file__))
+    env = dict(os.environ, THERMOKERNEL_TOL=raw, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "thermokernel.cli", "verify", "scaling"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout.startswith("bad THERMOKERNEL_TOL: ") and len(out.stdout.splitlines()) == 1
+    assert out.stderr == ""

@@ -236,6 +236,26 @@ def test_save_stays_inside_out(tmp_path, capsys, save, code):
         assert (tmp_path / "out" / "sub" / "x.csv").is_file()
 
 
+@pytest.mark.parametrize("out", [None, "same", "symlinked-out", "hard-link"])
+def test_save_may_not_overwrite_the_scenario(tmp_path, capsys, out):
+    save = "alias.json" if out == "hard-link" else "scenario.json"
+    cmd = {"op": "entropy-table", "gas": "g", "save": save}
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": [cmd]})
+    before = (tmp_path / "scenario.json").read_bytes()
+    argv = ["run", path]
+    if out == "same":
+        argv += ["--out", str(tmp_path)]
+    elif out == "symlinked-out":
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        argv += ["--out", str(tmp_path / "link")]
+    elif out == "hard-link":
+        (tmp_path / "alias.json").hardlink_to(tmp_path / "scenario.json")
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "would overwrite the scenario file" in lines[0]
+    assert (tmp_path / "scenario.json").read_bytes() == before
+
+
 def test_failed_write_exits_2(tmp_path, capsys):
     table = {"op": "entropy-table", "gas": "g", "p": [0.5, 2.0, 2], "V": [0.5, 2.0, 2]}
     script = [dict(table, save="a.json"), dict(table, save="a.json/b.json")]
