@@ -32,7 +32,6 @@ from .processes import (
     joint,
     make_identity,
     make_process,
-    restrict,
     reverse_of,
     work_of,
 )
@@ -62,7 +61,6 @@ from .gas import (
     gas_T,
     gas_U,
     gas_U_sv,
-    isotherm_theta,
     reservoir_contact,
     run_segments,
     type1,

@@ -141,11 +141,11 @@ def build_carnot(
     v_b = v_start * math.exp(log_r)
     hop = (th1 / th2) ** (1.0 / (g.gamma - 1.0))
     seg1 = type3(gas, r1, a, v_b)
-    b = seg1.curve(1.0)[gas.atom]
+    b = seg1.state_at(1.0)[gas.atom]
     seg2 = type2(gas, b, v_b * hop)
-    c = seg2.curve(1.0)[gas.atom]
+    c = seg2.state_at(1.0)[gas.atom]
     seg3 = type3(gas, r2, c, v_start * hop)
-    d = seg3.curve(1.0)[gas.atom]
+    d = seg3.state_at(1.0)[gas.atom]
     seg4 = type2(gas, d, v_start)
     return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
 
@@ -214,11 +214,11 @@ def build_degraded_carnot(
     a = GasState(g.nR * th1 / v_start, v_start)
     hop = (th1 / th2) ** (1.0 / (g.gamma - 1.0))
     seg1 = type3(gas, r1, a, v_start * volume_ratio)
-    b = seg1.curve(1.0)[gas.atom]
+    b = seg1.state_at(1.0)[gas.atom]
     seg2 = type2(gas, b, b.V * hop)
-    c = seg2.curve(1.0)[gas.atom]
+    c = seg2.state_at(1.0)[gas.atom]
     seg3 = type3(gas, r2, c, v_start)
-    d = seg3.curve(1.0)[gas.atom]
+    d = seg3.state_at(1.0)[gas.atom]
     seg4 = type1(gas, d, a.p)
     return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
 

@@ -7,7 +7,9 @@ not name the scenario file: exit 0 when every assertion passes, 1 when one
 fails (a NaN never passes), 2 on a read, write or parse error, 3 on a
 validation or engine error.
 ``thermokernel verify <suite> [--seed N]`` runs one of the randomized
-invariant suites (or ``all``).  The THERMOKERNEL_TOL environment variable
+invariant suites (or ``all``): exit 0 when every check passes, 1 when one
+fails, 3 with one ``ENGINE ERROR: <type>: <message>`` line when the engine
+rejects a state or value.  The THERMOKERNEL_TOL environment variable
 overrides the default tolerance tiers; when it is malformed, either command
 exits 2 with one ``bad THERMOKERNEL_TOL: <reason>`` line before it runs.
 """
@@ -18,6 +20,7 @@ import argparse
 import sys
 
 from .config import tolerances
+from .errors import ThermoError
 from .scenario import run_scenario
 from .suites import SUITES, run_suites
 
@@ -55,7 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.suite != "all" and args.suite not in SUITES:
             parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}, all")
-        reports = run_suites(args.suite, seed=args.seed)
+        try:
+            reports = run_suites(args.suite, seed=args.seed)
+        except (ThermoError, ValueError, ArithmeticError) as exc:
+            print(f"ENGINE ERROR: {type(exc).__name__}: {exc}")
+            return 3
         ok = True
         for report in reports:
             for line in report.lines():

@@ -27,8 +27,7 @@ class EnergyLedger:
     """Per-atom reference states/energies plus memoized state energies.
 
     Queries are pure given a frozen catalog; memo writes are the only
-    mutation and callers sharing a ledger across threads must serialize
-    them (or accept recomputation).
+    mutation.
     """
 
     world: World

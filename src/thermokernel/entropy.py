@@ -30,7 +30,6 @@ from .gas import (
     connect_reversible,
     gas_T,
     gas_handle,
-    isotherm_theta,
 )
 from .processes import (
     JointState,
@@ -242,7 +241,7 @@ class EntropyLedger:
             return 0.0
         if theta is None:
             theta = math.sqrt(
-                isotherm_theta(gas.model, start) * isotherm_theta(gas.model, end)
+                gas_T(gas.model, start) * gas_T(gas.model, end)
             )
         legs = connect_reversible(gas, start, end, theta)
         q = legs[1].heat_between(gas.atom, 0.0, 1.0)

@@ -7,6 +7,9 @@ generate its processes:
 * isolated compression/expansion along p V^gamma = const (reversible),
 * isothermal reservoir contact along p V = const (reversible, on gas + bath).
 
+``type1``, ``type2`` and ``type3`` validate a leg and build it as a slotted
+``QuasistaticFamily`` subclass that computes states and rates in methods
+from its precomputed parameters; ``SEGMENT_KINDS`` maps each name to its class.
 Work processes on the gas alone are finite alternating sequences of the
 first two kinds; adjacent same-kind segments merge, degenerate legs drop.
 The closed forms for internal energy, entropy and gas temperature are the
@@ -17,6 +20,7 @@ calls them as shortcuts.
 from __future__ import annotations
 
 import math
+from math import exp
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,7 +33,7 @@ from .errors import (
     PressureDecrease,
 )
 from .processes import Process, concatenate, make_identity, make_process, joint, AtomState
-from .quasistatic import Curve, QuasistaticFamily, identity_family
+from .quasistatic import Curve, QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
 
@@ -134,13 +138,12 @@ def gas_S(g: GasModel, s: GasState) -> float:
 
 
 def gas_T(g: GasModel, s: GasState) -> float:
-    """Gas temperature pV/(nR); the equation of state."""
+    """Gas temperature pV/(nR); the equation of state.
+
+    Read as a reservoir parameter, it is the theta of the reservoir a state
+    couples to along its isotherm.
+    """
     return s.p * s.V / g.nR
-
-
-# Read as a reservoir parameter, pV/(nR) is the theta of the reservoir a
-# state couples to along its isotherm.
-isotherm_theta = gas_T
 
 
 def gas_U_sv(g: GasModel, s_value: float, V: float) -> float:
@@ -158,88 +161,31 @@ def adiabat_invariant(g: GasModel, s: GasState) -> float:
     return s.p * s.V**g.gamma
 
 
-# --- segment constructors ---------------------------------------------------
+# --- segment kinds -----------------------------------------------------------
 
 def type1(gas: GasAtom, start: GasState, p2: float) -> QuasistaticFamily:
     """Friction heating at constant volume from ``start.p`` up to ``p2``.
 
     Irreversible; a work process on the gas alone, so its heat rate is zero.
     """
-    g = gas.model
     if p2 < start.p:
         raise PressureDecrease(f"friction cannot lower pressure: {p2} < {start.p}")
     if p2 == start.p:
         return identity_family({gas.atom: start}, tag="type1")
-    dp = p2 - start.p
-    V = start.V
-    atom = gas.atom
-
-    def evaluate(lam: float):
-        return {atom: GasState(start.p + lam * dp, V)}
-
-    def derivative(lam: float):
-        return {atom: (dp, 0.0)}
-
-    rate = g.cv_R * V * dp
-    return QuasistaticFamily(
-        atoms=(atom,),
-        curve=Curve(eval=evaluate, derivative=derivative),
-        work_rates={atom: lambda lam: rate},
-        heat_rates={},
-        reversible=False,
-        tag="type1",
-        meta={"gas": atom},
-    )
+    return FrictionSegment(gas, start, p2)
 
 
 def type2(gas: GasAtom, start: GasState, V2: float) -> QuasistaticFamily:
     """Isolated compression/expansion along p V^gamma = const (reversible)."""
-    g = gas.model
     if not V2 > tolerances().numeric_floor:
         raise DomainError(f"target volume {V2} below the positive floor")
     if V2 == start.V:
         return identity_family({gas.atom: start}, tag="type2")
-    inv = adiabat_invariant(g, start)
-    log_r = math.log(V2 / start.V)
-    atom = gas.atom
-
-    def volume(lam: float) -> float:
-        return start.V * math.exp(lam * log_r)
-
-    def evaluate(lam: float):
-        v = volume(lam)
-        return {atom: GasState(inv * v**-g.gamma, v)}
-
-    def derivative(lam: float):
-        v = volume(lam)
-        p = inv * v**-g.gamma
-        return {atom: (-g.gamma * p * log_r, v * log_r)}
-
-    def work_rate(lam: float) -> float:
-        v = volume(lam)
-        return -inv * v ** (1.0 - g.gamma) * log_r
-
-    end = GasState(inv * V2**-g.gamma, V2)
-    fam = QuasistaticFamily(
-        atoms=(atom,),
-        curve=Curve(eval=evaluate, derivative=derivative),
-        work_rates={atom: work_rate},
-        heat_rates={},
-        reversible=True,
-        reverse_factory=lambda: type2(gas, end, start.V),
-        tag="type2",
-        meta={"gas": atom},
-    )
-    return fam
+    return AdiabatSegment(gas, start, V2)
 
 
-def type3(
-    gas: GasAtom,
-    res: Reservoir,
-    start: GasState,
-    V2: float,
-    reservoir_energy: float = 0.0,
-) -> QuasistaticFamily:
+def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float,
+          reservoir_energy: float = 0.0) -> QuasistaticFamily:
     """Isothermal reservoir contact along p V = nR theta (reversible).
 
     The gas must already sit on the reservoir's isotherm.  The reservoir
@@ -252,43 +198,145 @@ def type3(
         raise DomainError(f"target volume {V2} below the positive floor")
     c = g.nR * res.theta
     if abs(start.p * start.V - c) > cfg.isotherm_rtol * max(1.0, abs(c)):
-        raise OffIsotherm(
-            f"state ({start.p}, {start.V}) is not on the theta={res.theta} isotherm"
-        )
+        raise OffIsotherm(f"state ({start.p}, {start.V}) is not on the theta={res.theta} isotherm")
     if V2 == start.V:
-        return identity_family(
-            {gas.atom: start, res.atom: reservoir_energy}, tag="type3"
-        )
-    log_r = math.log(V2 / start.V)
-    q_total = c * log_r  # heat into the gas over the whole segment
-    atom = gas.atom
-    bath = res.atom
+        return identity_family({gas.atom: start, res.atom: reservoir_energy}, tag="type3")
+    return IsothermSegment(gas, res, start, V2, reservoir_energy)
 
-    def volume(lam: float) -> float:
-        return start.V * math.exp(lam * log_r)
 
-    def evaluate(lam: float):
-        v = volume(lam)
-        return {atom: GasState(c / v, v), bath: reservoir_energy - lam * q_total}
+class _Segment(QuasistaticFamily):
+    """A leg whose states and rates come from its own parameters.
 
-    def derivative(lam: float):
-        v = volume(lam)
-        return {atom: (-(c / v) * log_r, v * log_r), bath: (-q_total,)}
+    ``keys`` are its numeric spec keys, in the order ``build`` takes them
+    after ``(gas, start)``; ``gas_only`` kinds are work processes on the gas
+    alone.  The generic family view is built on demand.
+    """
 
-    end = GasState(c / V2, V2)
-    fam = QuasistaticFamily(
-        atoms=(atom, bath),
-        curve=Curve(eval=evaluate, derivative=derivative),
-        work_rates={atom: lambda lam: -c * log_r},
-        heat_rates={atom: lambda lam: c * log_r, bath: lambda lam: -c * log_r},
-        reversible=True,
-        reverse_factory=lambda: type3(
-            gas, res, end, start.V, reservoir_energy - q_total
-        ),
-        tag="type3",
-        meta={"gas": atom, "reservoir": bath, "theta": res.theta},
-    )
-    return fam
+    __slots__ = ("gas", "atom", "start")
+    knots = ()
+
+    def __init__(self, gas: GasAtom, start: GasState, atoms: tuple, tag: str, reversible: bool):
+        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atoms, self.tag, self.reversible = atoms, tag, reversible
+
+    def work_rate(self, atom: AtomId) -> Rate | None:
+        return self._work if atom == self.atom else None
+
+    def heat_rate(self, atom: AtomId) -> Rate | None:
+        return None
+
+    def _rates(self, rate_of: Callable[[AtomId], Rate | None]) -> dict[AtomId, Rate]:
+        return {a: r for a in self.atoms if (r := rate_of(a)) is not None}
+
+    curve = property(lambda self: Curve(eval=self.evaluate, derivative=self.derivative))
+    work_rates = property(lambda self: self._rates(self.work_rate))
+    heat_rates = property(lambda self: self._rates(self.heat_rate))
+    reverse_factory = property(lambda self: self.reversed if self.reversible else None)
+    meta = property(lambda self: {"gas": self.atom})
+
+
+class FrictionSegment(_Segment):
+    """``type1``: the pressure rises by ``dp`` at constant volume."""
+
+    __slots__ = ("dp", "rate")
+    keys, gas_only, build = ("p2",), True, staticmethod(type1)
+
+    def __init__(self, gas: GasAtom, start: GasState, p2: float):
+        super().__init__(gas, start, (gas.atom,), "type1", False)
+        self.dp = p2 - start.p
+        self.rate = gas.model.cv_R * start.V * self.dp
+
+    def evaluate(self, lam: float):
+        return {self.atom: GasState(self.start.p + lam * self.dp, self.start.V)}
+
+    def derivative(self, lam: float):
+        return {self.atom: (self.dp, 0.0)}
+
+    def _work(self, lam: float) -> float:
+        return self.rate
+
+
+class AdiabatSegment(_Segment):
+    """``type2``: the volume runs geometrically to ``V2`` at constant p V^gamma."""
+
+    __slots__ = ("end", "inv", "gamma", "log_r")
+    keys, gas_only, build = ("V2",), True, staticmethod(type2)
+
+    def __init__(self, gas: GasAtom, start: GasState, V2: float):
+        super().__init__(gas, start, (gas.atom,), "type2", True)
+        self.gamma = gas.model.gamma
+        self.inv = adiabat_invariant(gas.model, start)
+        self.log_r = math.log(V2 / start.V)
+        self.end = GasState(self.inv * V2**-self.gamma, V2)
+
+    def evaluate(self, lam: float):
+        v = self.start.V * exp(lam * self.log_r)
+        return {self.atom: GasState(self.inv * v**-self.gamma, v)}
+
+    def derivative(self, lam: float):
+        v = self.start.V * exp(lam * self.log_r)
+        p = self.inv * v**-self.gamma
+        return {self.atom: (-self.gamma * p * self.log_r, v * self.log_r)}
+
+    def _work(self, lam: float) -> float:
+        v = self.start.V * exp(lam * self.log_r)
+        return -self.inv * v ** (1.0 - self.gamma) * self.log_r
+
+    def reversed(self) -> QuasistaticFamily:
+        return type2(self.gas, self.end, self.start.V)
+
+
+class IsothermSegment(_Segment):
+    """``type3``: the volume runs geometrically to ``V2`` at constant p V = c.
+
+    The gas takes up the heat ``q_total = c log r`` at a constant rate; the
+    work on it and the reservoir's heat both run at ``-c log r``.
+    """
+
+    __slots__ = ("res", "bath", "end", "c", "log_r", "q_total", "reservoir_energy")
+    keys, gas_only = ("theta", "V2"), False
+
+    def __init__(self, gas: GasAtom, res: Reservoir, start: GasState, V2: float,
+                 reservoir_energy: float):
+        super().__init__(gas, start, (gas.atom, res.atom), "type3", True)
+        self.res, self.bath, self.reservoir_energy = res, res.atom, reservoir_energy
+        self.c = gas.model.nR * res.theta
+        self.log_r = math.log(V2 / start.V)
+        self.q_total = self.c * self.log_r
+        self.end = GasState(self.c / V2, V2)
+
+    @staticmethod
+    def build(gas: GasAtom, start: GasState, theta: float, V2: float) -> QuasistaticFamily:
+        """The leg on a reservoir at ``theta`` minted for it."""
+        return type3(gas, add_reservoir(gas.world, theta), start, V2)
+
+    def evaluate(self, lam: float):
+        v = self.start.V * exp(lam * self.log_r)
+        return {self.atom: GasState(self.c / v, v),
+                self.bath: self.reservoir_energy - lam * self.q_total}
+
+    def derivative(self, lam: float):
+        v = self.start.V * exp(lam * self.log_r)
+        return {self.atom: (-(self.c / v) * self.log_r, v * self.log_r),
+                self.bath: (-self.q_total,)}
+
+    def heat_rate(self, atom: AtomId) -> Rate | None:
+        if atom == self.atom:
+            return self._heat
+        return self._work if atom == self.bath else None
+
+    def _heat(self, lam: float) -> float:
+        return self.c * self.log_r
+
+    def _work(self, lam: float) -> float:
+        return -self.c * self.log_r
+
+    meta = property(lambda self: {"gas": self.atom, "reservoir": self.bath,
+                                  "theta": self.res.theta})
+
+    def reversed(self) -> QuasistaticFamily:
+        energy = self.reservoir_energy - self.q_total
+        return type3(self.gas, self.res, self.end, self.start.V, energy)
 
 
 def conduct(
@@ -360,14 +408,6 @@ def reservoir_contact(
 
 # --- connection templates ---------------------------------------------------
 
-def _slice_all(families: Sequence[QuasistaticFamily]) -> Process:
-    parts = [f.slice(0.0, 1.0) for f in families]
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = concatenate(out, nxt)
-    return out
-
-
 def connect_forward(g: GasModel, s1: GasState, s2: GasState) -> bool:
     """Whether ``connect`` runs from ``s1`` to ``s2`` rather than back.
 
@@ -395,13 +435,11 @@ def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     if abs(inv1 - inv2) <= 1e-12 * scale:
         return type2(gas, s1, s2.V).slice(0.0, 1.0)
     lo, hi = (s1, s2) if connect_forward(g, s1, s2) else (s2, s1)
-    families = []
     leg = type2(gas, lo, hi.V)
-    if hi.V != lo.V:
-        families.append(leg)
-    mid = leg.curve(1.0)[gas.atom]
-    families.append(type1(gas, mid, hi.p))
-    return _slice_all(families)
+    friction = type1(gas, leg.state_at(1.0)[gas.atom], hi.p)
+    if hi.V == lo.V:
+        return friction.slice(0.0, 1.0)
+    return concatenate(leg.slice(0.0, 1.0), friction.slice(0.0, 1.0))
 
 
 def connect_reversible(
@@ -423,34 +461,14 @@ def connect_reversible(
     v_off = (inv2 / c) ** exponent
     res = add_reservoir(gas.world, theta_prime)
     first = type2(gas, s1, v_on)
-    on_state = first.curve(1.0)[gas.atom]
+    on_state = first.state_at(1.0)[gas.atom]
     middle = type3(gas, res, on_state, v_off)
-    off_state = middle.curve(1.0)[gas.atom]
+    off_state = middle.state_at(1.0)[gas.atom]
     last = type2(gas, off_state, s2.V)
     return [first, middle, last]
 
 
-def _type3_minting(gas: GasAtom, start: GasState, theta: float, V2: float) -> QuasistaticFamily:
-    return type3(gas, add_reservoir(gas.world, theta), start, V2)
-
-
-@dataclass(frozen=True)
-class SegmentKind:
-    """A segment kind: its numeric spec keys, in the order ``build`` takes
-    them after ``(gas, start)``.  ``gas_only`` kinds are work processes on
-    the gas alone; the other mints the reservoir it couples to.
-    """
-
-    keys: tuple[str, ...]
-    build: Callable[..., QuasistaticFamily]
-    gas_only: bool
-
-
-SEGMENT_KINDS: dict[str, SegmentKind] = {
-    "type1": SegmentKind(("p2",), type1, gas_only=True),
-    "type2": SegmentKind(("V2",), type2, gas_only=True),
-    "type3": SegmentKind(("theta", "V2"), _type3_minting, gas_only=False),
-}
+SEGMENT_KINDS = {"type1": FrictionSegment, "type2": AdiabatSegment, "type3": IsothermSegment}
 
 
 def segment_family(gas: GasAtom, start: GasState, spec: dict) -> QuasistaticFamily:
@@ -567,17 +585,16 @@ class GasPlanner:
             if abs(vm - state.V) > 0:
                 leg = type2(gas, state, vm)
                 plan.append(leg)
-                state = leg.curve(1.0)[gas.atom]
+                state = leg.state_at(1.0)[gas.atom]
             target_p = inv_b * vm**-g.gamma
             if target_p < state.p:
                 continue  # this interpolant would need a pressure drop
             leg = type1(gas, state, target_p)
             plan.append(leg)
-            state = leg.curve(1.0)[gas.atom]
+            state = leg.state_at(1.0)[gas.atom]
             if abs(b.V - state.V) > 0:
                 leg = type2(gas, state, b.V)
                 plan.append(leg)
-            plan = [f for f in plan if f.tag != "identity"]
             if len(plan) <= self.depth and plan:
                 plans.append(plan)
         return plans

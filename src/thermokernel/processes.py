@@ -4,7 +4,8 @@ A process records, for every involved atom, its initial state, final state
 and the work done on it.  Atoms not involved carry zero work by convention.
 Processes are identified by ``pid``: two processes with identical footprints
 remain distinct values, because a footprint does not determine the procedure
-that produced it.
+that produced it.  A ``pid`` numbers processes within one interpreter, so
+``to_json`` leaves it out.
 
 Reversibility is witness-based: constructors that know how to undo
 themselves attach a ``reverse_witness`` callable producing the reverse
@@ -58,11 +59,6 @@ def joint(*states: AtomState) -> dict[AtomId, AtomState]:
     return out
 
 
-def restrict(sigma: JointState, s: System) -> dict[AtomId, AtomState]:
-    """Restriction of a joint state to a subsystem; partial atoms are dropped."""
-    return {a: sigma[a] for a in atoms_of(s) if a in sigma}
-
-
 def value_components(value: Any) -> tuple[float, ...]:
     """Flatten a numeric state payload to a float tuple for comparisons."""
     if isinstance(value, (int, float)):
@@ -113,10 +109,6 @@ class Process:
     def involved(self) -> frozenset[AtomId]:
         return frozenset(self.entries)
 
-    @property
-    def involved_system(self) -> System:
-        return System(self.involved)
-
     def initial_of(self, atom: AtomId) -> AtomState:
         return self.entries[atom].initial
 
@@ -151,7 +143,6 @@ class Process:
 
     def to_json(self) -> dict:
         return {
-            "pid": self.pid,
             "entries": [
                 {
                     "atom": atom.to_json(),
@@ -192,24 +183,22 @@ def concatenate(p: Process, q: Process, atol: float | None = None) -> Process:
     Atoms shared by both must match endpoint states (up to the model
     tolerance); per-atom works add.  For disjoint operands the result
     commutes with the swapped concatenation at the footprint level.
+    A shared atom's entry keeps ``p``'s initial and ``q``'s final state;
+    an atom of only one operand keeps its entry as it is.
     """
-    overlap = p.involved & q.involved
-    for atom in overlap:
-        if not values_close(p.final_of(atom).value, q.initial_of(atom).value, atol):
-            raise StateMismatch(atom, p.final_of(atom).value, q.initial_of(atom).value)
-    entries: dict[AtomId, tuple[Any, Any, float]] = {}
-    for atom in p.involved | q.involved:
-        pe, qe = p.entries.get(atom), q.entries.get(atom)
-        if pe is not None and qe is not None:
-            entries[atom] = (pe.initial.value, qe.final.value, pe.work + qe.work)
-        elif pe is not None:
-            entries[atom] = (pe.initial.value, pe.final.value, pe.work)
-        else:
-            entries[atom] = (qe.initial.value, qe.final.value, qe.work)
+    entries = dict(p.entries)
+    for atom, qe in q.entries.items():
+        pe = entries.get(atom)
+        if pe is None:
+            entries[atom] = qe
+            continue
+        if not values_close(pe.final.value, qe.initial.value, atol):
+            raise StateMismatch(atom, pe.final.value, qe.initial.value)
+        entries[atom] = ProcessEntry(pe.initial, qe.final, pe.work + qe.work)
     witness = None
     if p.reverse_witness is not None and q.reverse_witness is not None:
         witness = lambda: concatenate(reverse_of(q), reverse_of(p), atol)
-    return make_process(entries, reverse_witness=witness, tags=p.tags | q.tags)
+    return Process(next(_pids), entries, witness, p.tags | q.tags)
 
 
 def work_of(s: System, p: Process) -> float:

@@ -6,18 +6,22 @@ Slicing a family at ``(lo, hi)`` produces the process with endpoints on the
 curve and per-atom work equal to the path integral of the work rate; slices
 compose exactly, ``slice(x, x)`` is an identity, and a reversible family
 hands every slice a reverse witness.
+
+``QuasistaticFamily`` reads states off a ``Curve`` and rates off per-atom
+dicts; the gas segment kinds subclass it and compute both from their own
+parameters, and every family slices and integrates through the code here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from .config import tolerances
 from .errors import OutOfDomain, StateMismatch
-from .processes import Process, make_process, values_close
+from .processes import Process, make_process, value_components, values_close
 from .quadrature import adaptive_simpson
-from .systems import AtomId, System
+from .systems import AtomId
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,15 @@ class Curve:
 Rate = Callable[[float], float]
 
 
-ZERO_RATE: Rate = lambda lam: 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class QuasistaticFamily:
-    """Two-parameter family of work processes along a curve."""
+    """Two-parameter family of work processes along a curve.
+
+    An atom without a rate in ``work_rates`` (``heat_rates``) takes no work
+    (heat).  Subclasses override ``evaluate``, ``knots``, ``work_rate``,
+    ``heat_rate`` and ``reversed``, never ``slice``, ``work_between`` or
+    ``heat_between``.
+    """
 
     atoms: tuple[AtomId, ...]
     curve: Curve
@@ -60,30 +67,42 @@ class QuasistaticFamily:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     @property
-    def system(self) -> System:
-        return System(frozenset(self.atoms))
+    def knots(self) -> tuple[float, ...]:
+        return self.curve.knots
+
+    def evaluate(self, lam: float) -> dict[AtomId, Any]:
+        """Joint state at ``lam``, which the caller has checked."""
+        return self.curve.eval(lam)
 
     def state_at(self, lam: float) -> dict[AtomId, Any]:
-        return self.curve(lam)
+        if not 0.0 <= lam <= 1.0:
+            raise OutOfDomain(f"curve parameter {lam} outside [0, 1]")
+        return self.evaluate(lam)
+
+    def work_rate(self, atom: AtomId) -> Rate | None:
+        return self.work_rates.get(atom)
+
+    def heat_rate(self, atom: AtomId) -> Rate | None:
+        return self.heat_rates.get(atom)
 
     def work_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
-        rate = self.work_rates.get(atom, ZERO_RATE)
-        if rate is ZERO_RATE:
+        rate = self.work_rate(atom)
+        if rate is None:
             return 0.0
-        return adaptive_simpson(rate, lo, hi, tol=tol, knots=self.curve.knots)
+        return adaptive_simpson(rate, lo, hi, tol=tol, knots=self.knots)
 
     def heat_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
-        rate = self.heat_rates.get(atom, ZERO_RATE)
-        if rate is ZERO_RATE:
+        rate = self.heat_rate(atom)
+        if rate is None:
             return 0.0
-        return adaptive_simpson(rate, lo, hi, tol=tol, knots=self.curve.knots)
+        return adaptive_simpson(rate, lo, hi, tol=tol, knots=self.knots)
 
     def slice(self, lo: float, hi: float, tol: float | None = None) -> Process:
-        """The member process from ``curve(lo)`` to ``curve(hi)``."""
+        """The member process from ``state_at(lo)`` to ``state_at(hi)``."""
         if not 0.0 <= lo <= hi <= 1.0:
             raise OutOfDomain(f"slice bounds ({lo}, {hi}) outside 0 <= lo <= hi <= 1")
-        start = self.curve(lo)
-        end = self.curve(hi)
+        start = self.evaluate(lo)
+        end = self.evaluate(hi)
         entries = {
             a: (start[a], end[a], self.work_between(a, lo, hi, tol)) for a in self.atoms
         }
@@ -93,37 +112,19 @@ class QuasistaticFamily:
         tags = (self.tag,) if self.tag else ()
         return make_process(entries, reverse_witness=witness, tags=tags)
 
-    def process(self, tol: float | None = None) -> Process:
-        return self.slice(0.0, 1.0, tol)
-
     def reversed(self) -> "QuasistaticFamily":
         if self.reverse_factory is None:
             raise OutOfDomain("family carries no reverse constructor")
         return self.reverse_factory()
 
-    def concat(self, other: "QuasistaticFamily", atol: float | None = None):
-        return concat_families(self, other, atol)
-
 
 def identity_family(payloads: Mapping[AtomId, Any], tag: str = "identity") -> QuasistaticFamily:
     """Constant family: every slice is an identity process."""
-    atoms = tuple(sorted(payloads))
     frozen = dict(payloads)
     curve = Curve(eval=lambda lam: dict(frozen))
-    fam = QuasistaticFamily(
-        atoms=atoms,
-        curve=curve,
-        work_rates={},
-        heat_rates={},
-        reversible=True,
-        tag=tag,
-    )
-    object.__setattr__(fam, "reverse_factory", lambda: fam)
+    fam = QuasistaticFamily(tuple(sorted(payloads)), curve, {}, {}, reversible=True, tag=tag)
+    fam.reverse_factory = lambda: fam
     return fam
-
-
-def _shift_knots(knots: Iterable[float], lo: float, hi: float) -> tuple[float, ...]:
-    return tuple(lo + k * (hi - lo) for k in knots)
 
 
 def concat_families(
@@ -134,8 +135,8 @@ def concat_families(
     Endpoint states must match on shared atoms; atoms appearing in only one
     part stay at their resting payload during the other half.
     """
-    end_f = f.curve(1.0)
-    start_g = g.curve(0.0)
+    end_f = f.state_at(1.0)
+    start_g = g.state_at(0.0)
     for atom in set(f.atoms) & set(g.atoms):
         if not values_close(end_f[atom], start_g[atom], atol):
             raise StateMismatch(atom, end_f[atom], start_g[atom])
@@ -143,11 +144,11 @@ def concat_families(
 
     def evaluate(lam: float) -> dict[AtomId, Any]:
         if lam <= 0.5:
-            state = dict(f.curve(min(1.0, 2.0 * lam)))
+            state = dict(f.state_at(min(1.0, 2.0 * lam)))
             for a in g.atoms:
                 state.setdefault(a, start_g[a])
         else:
-            state = dict(g.curve(2.0 * lam - 1.0))
+            state = dict(g.state_at(2.0 * lam - 1.0))
             for a in f.atoms:
                 state.setdefault(a, end_f[a])
         return state
@@ -160,23 +161,16 @@ def concat_families(
 
         return rate
 
-    work_rates = {
-        a: make_rate(f.work_rates.get(a), g.work_rates.get(a))
-        for a in atoms
-        if a in f.work_rates or a in g.work_rates
-    }
-    heat_rates = {
-        a: make_rate(f.heat_rates.get(a), g.heat_rates.get(a))
-        for a in atoms
-        if a in f.heat_rates or a in g.heat_rates
-    }
-    knots = tuple(
-        sorted(
-            {0.5}
-            | set(_shift_knots(f.curve.knots, 0.0, 0.5))
-            | set(_shift_knots(g.curve.knots, 0.5, 1.0))
-        )
-    )
+    work_rates: dict[AtomId, Rate] = {}
+    heat_rates: dict[AtomId, Rate] = {}
+    for a in atoms:
+        for rates, rf, rg in (
+            (work_rates, f.work_rate(a), g.work_rate(a)),
+            (heat_rates, f.heat_rate(a), g.heat_rate(a)),
+        ):
+            if rf is not None or rg is not None:
+                rates[a] = make_rate(rf, rg)
+    knots = tuple(sorted({0.5} | {k * 0.5 for k in f.knots} | {0.5 + k * 0.5 for k in g.knots}))
     reversible = f.reversible and g.reversible
     reverse = None
     if reversible:
@@ -212,8 +206,6 @@ def integrate_form(
         raise OutOfDomain(f"integration bounds ({lo}, {hi}) invalid")
     if curve.derivative is None:
         raise ValueError("curve carries no derivative; cannot pull back the form")
-    from .processes import value_components
-
     def pick(mapping):
         if atom is not None:
             return mapping[atom]
@@ -265,11 +257,8 @@ def entropy_integral(
     the discrete sum of per-segment heat over temperature.
     """
     if heat_rate is None:
-        rates = [
-            f.heat_rates[a]
-            for a in f.atoms
-            if a.kind != "reservoir" and a in f.heat_rates
-        ]
+        rates = [r for a in f.atoms
+                 if a.kind != "reservoir" and (r := f.heat_rate(a)) is not None]
         heat_rate = lambda lam: sum(r(lam) for r in rates)
     if isinstance(temp_profile, (int, float)):
         value = float(temp_profile)
@@ -283,7 +272,7 @@ def entropy_integral(
     else:
         profile = temp_profile
         breaks = ()
-    knots = tuple(sorted(set(f.curve.knots) | set(breaks)))
+    knots = tuple(sorted(set(f.knots) | set(breaks)))
 
     def integrand(lam: float) -> float:
         return heat_rate(lam) / profile(lam)
@@ -319,13 +308,10 @@ def check_qs_postulates(gas, states, pairs=None, tangent_sets=None, rng=None) ->
                     {"state": (sigma.p, sigma.V), "pair": label, "det": det}
                 )
     connected = 0
-    for s1, s2 in pairs or ():
-        p = connect(gas, s1, s2)
-        fams = connect_reversible(gas, s1, s2, gas_T(gas.model, s1))
-        if p is not None and fams:
-            connected += 1
-        else:  # pragma: no cover - constructors raise instead of returning None
-            failures.append({"pair_states": ((s1.p, s1.V), (s2.p, s2.V))})
+    for s1, s2 in pairs or ():  # both templates raise on a pair they cannot connect
+        connect(gas, s1, s2)
+        connect_reversible(gas, s1, s2, gas_T(gas.model, s1))
+        connected += 1
     return {
         "tangent_checks": checked,
         "pairs_connected": connected,

@@ -379,7 +379,7 @@ class _Runner:
         rows = ["lambda,p,V,W_cum,Q_cum"]
         for i in range(n + 1):
             lam = i / n
-            state = fam.curve(lam)[gas.atom]
+            state = fam.state_at(lam)[gas.atom]
             w = fam.work_between(gas.atom, 0.0, lam)
             q = fam.heat_between(gas.atom, 0.0, lam)
             rows.append(_csv_row(lam, state.p, state.V, w, q))

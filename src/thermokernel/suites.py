@@ -33,7 +33,6 @@ from .gas import (
     gas_S,
     gas_T,
     gas_U,
-    isotherm_theta,
     reservoir_contact,
     type1,
     type2,
@@ -117,12 +116,12 @@ def random_reversible_legs(
         if rng.random() < 0.5:
             fam = type2(gas, state, state.V * factor)
         else:
-            res = add_reservoir(gas.world, isotherm_theta(gas.model, state))
+            res = add_reservoir(gas.world, gas_T(gas.model, state))
             fam = type3(gas, res, state, state.V * factor)
         legs.append(fam)
-        state = fam.curve(1.0)[gas.atom]
+        state = fam.state_at(1.0)[gas.atom]
     theta_home = math.sqrt(
-        isotherm_theta(gas.model, state) * isotherm_theta(gas.model, start)
+        gas_T(gas.model, state) * gas_T(gas.model, start)
     ) * math.exp(rng.uniform(-0.3, 0.3))
     legs.extend(connect_reversible(gas, state, start, theta_home))
     return legs
@@ -141,12 +140,12 @@ def random_friction_cycle(
         elif rng.random() < 0.5:
             fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.5, 0.5)))
         else:
-            res = add_reservoir(gas.world, isotherm_theta(gas.model, state))
+            res = add_reservoir(gas.world, gas_T(gas.model, state))
             fam = type3(gas, res, state, state.V * math.exp(rng.uniform(-0.5, 0.5)))
         legs.append(fam)
-        state = fam.curve(1.0)[gas.atom]
+        state = fam.state_at(1.0)[gas.atom]
     theta_home = math.sqrt(
-        isotherm_theta(gas.model, state) * isotherm_theta(gas.model, start)
+        gas_T(gas.model, state) * gas_T(gas.model, start)
     )
     legs.extend(connect_reversible(gas, state, start, theta_home))
     return legs
@@ -214,7 +213,7 @@ def suite_second_law(seed: int = 42, n: int = 25) -> SuiteReport:
         world = World()
         gas = add_ideal_gas(world)
         start = random_gas_state(rng)
-        res = add_reservoir(world, isotherm_theta(gas.model, start))
+        res = add_reservoir(world, gas_T(gas.model, start))
         heated = type1(gas, start, start.p * (1.0 + rng.uniform(0.1, 1.5)))
         p1 = heated.slice(0.0, 1.0)
         hot = p1.final_of(gas.atom).value

@@ -4,12 +4,11 @@ Systems are finite nonempty sets of atom identifiers drawn from a ``World``.
 Composition is set union, intersection is set intersection with a
 distinguished ``Disjoint`` marker for the empty case, and every system
 decomposes uniquely into its atoms.  All values are immutable; atom
-allocation in the ``World`` is the single mutation point and is serialized.
+allocation in the ``World`` is the single mutation point.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterator
@@ -21,10 +20,16 @@ SUBSYSTEM_ENUM_LIMIT = 16
 
 @dataclass(frozen=True, order=True)
 class AtomId:
-    """World-scoped atom identifier; equality and ordering are by ``id``."""
+    """World-scoped atom identifier, compared and ordered by ``(id, kind)``.
+
+    The hash is the ``id``: cheap, and free of the string hash seed.
+    """
 
     id: int
     kind: str
+
+    def __hash__(self) -> int:
+        return self.id
 
     def to_json(self) -> dict:
         return {"id": self.id, "kind": self.kind}
@@ -90,20 +95,17 @@ def system(*atoms: AtomId) -> System:
 class World:
     """Registry of all allocatable atoms and their model bindings.
 
-    Atom ids are 64-bit counters scoped to the world; allocation is guarded
-    by a lock so worlds can be shared across threads.
+    Atom ids are counters scoped to the world.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._next = 0
         self._bindings: dict[AtomId, Any] = {}
 
     def new_atom(self, kind: str, binding: Any = None) -> AtomId:
-        with self._lock:
-            atom = AtomId(self._next, kind)
-            self._next += 1
-            self._bindings[atom] = binding
+        atom = AtomId(self._next, kind)
+        self._next += 1
+        self._bindings[atom] = binding
         return atom
 
     def binding(self, atom: AtomId) -> Any:

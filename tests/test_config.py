@@ -44,13 +44,26 @@ def test_bad_values_rejected(raw):
         _from_env(raw)
 
 
-@pytest.mark.parametrize("raw", ["quad_tol=abc", "quad_max_depth=x", "bogus=1", "quad_tol=-1", "abc"])
-def test_cli_reports_bad_env_in_one_line(raw):
+def _verify_scaling(raw):
     src = os.path.dirname(os.path.dirname(thermokernel.__file__))
     env = dict(os.environ, THERMOKERNEL_TOL=raw, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "thermokernel.cli", "verify", "scaling"],
-                         env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "thermokernel.cli", "verify", "scaling"],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("raw", ["quad_tol=abc", "quad_max_depth=x", "bogus=1", "quad_tol=-1", "abc"])
+def test_cli_reports_bad_env_in_one_line(raw):
+    out = _verify_scaling(raw)
     assert out.returncode == 2
     assert out.stdout.startswith("bad THERMOKERNEL_TOL: ") and len(out.stdout.splitlines()) == 1
+    assert out.stderr == ""
+
+
+def test_verify_engine_error_exits_3_in_one_line():
+    # a valid tier that makes the default reference state (1, 1) fall below the floor
+    out = _verify_scaling("numeric_floor=2")
+    assert out.returncode == 3
+    assert out.stdout.startswith("ENGINE ERROR: DomainError: ")
+    assert len(out.stdout.splitlines()) == 1
     assert out.stderr == ""

@@ -26,6 +26,7 @@ from thermokernel.processes import (
     make_identity,
     reverse_of,
 )
+from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.systems import compose
 
 LN2 = math.log(2.0)
@@ -187,10 +188,11 @@ class TestFirstLawCheck:
                 if len(plans) > 1:
                     # fault injection: damage one leg's work bookkeeping
                     bad = plans[-1][0]
-                    object.__setattr__(
-                        bad,
-                        "work_rates",
-                        {self.gas.atom: lambda lam: 1e6},
+                    plans[-1][0] = QuasistaticFamily(
+                        atoms=bad.atoms,
+                        curve=bad.curve,
+                        work_rates={self.gas.atom: lambda lam: 1e6},
+                        heat_rates={},
                     )
                 return plans
 

@@ -10,6 +10,7 @@ from thermokernel.errors import (
     PressureDecrease,
 )
 from thermokernel.gas import (
+    SEGMENT_KINDS,
     GasModel,
     GasPlanner,
     GasState,
@@ -29,6 +30,7 @@ from thermokernel.gas import (
     type3,
 )
 from thermokernel.processes import classify, is_reversible, work_of
+from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import World
 
@@ -254,3 +256,15 @@ class TestGasPlanner:
             assert state.as_tuple() == pytest.approx(b.as_tuple(), rel=1e-9)
             works.append(w)
         assert max(works) - min(works) < 1e-9
+
+
+def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reservoir):
+    """Every kind slices and integrates through the one QuasistaticFamily code
+    path, so no kind can bypass it (or the spans that wrap it)."""
+    start = GasState(1.0, 1.0)
+    legs = [type1(gas, start, 2.0), type2(gas, start, 2.0), type3(gas, unit_reservoir, start, 2.0)]
+    for fam in legs:
+        assert type(fam) is SEGMENT_KINDS[fam.tag]
+        assert not hasattr(fam, "__dict__")
+        for name in ("slice", "work_between", "heat_between"):
+            assert getattr(type(fam), name) is getattr(QuasistaticFamily, name)

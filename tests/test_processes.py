@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,3 +226,30 @@ def test_process_serialization_roundtrip(world, gas):
     (entry,) = blob["entries"]
     assert entry["initial"] == [1.0, 1.0]
     assert entry["work"] == pytest.approx(-0.5550592125788452, abs=1e-10)
+
+
+leg = st.tuples(st.sampled_from(["type1", "type2"]), st.floats(min_value=-0.7, max_value=0.7))
+
+
+@settings(max_examples=15, deadline=None)
+@given(legs=st.lists(leg, min_size=3, max_size=3))
+def test_concatenate_is_associative_on_gas_chains(legs):
+    """Three consecutive friction/isolated slices: both groupings give the same
+    footprint, and the per-atom work is the pieces' works summed in order."""
+    world = World()
+    gas = add_ideal_gas(world)
+    state = GasState(1.0, 1.0)
+    parts = []
+    for kind, x in legs:
+        if kind == "type1":
+            fam = type1(gas, state, state.p * (1.0 + abs(x)))
+        else:
+            fam = type2(gas, state, state.V * math.exp(x))
+        parts.append(fam.slice(0.0, 1.0))
+        state = parts[-1].final_of(gas.atom).value
+    p, q, r = parts
+    left = concatenate(concatenate(p, q), r)
+    right = concatenate(p, concatenate(q, r))
+    assert left.same_footprint(right)
+    atom = gas.atom
+    assert left.work_on(atom) == (p.work_on(atom) + q.work_on(atom)) + r.work_on(atom)

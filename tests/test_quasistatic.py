@@ -8,8 +8,8 @@ from thermokernel.errors import OutOfDomain, StateMismatch
 from thermokernel.gas import (
     GasState,
     add_ideal_gas,
+    gas_T,
     gas_U,
-    isotherm_theta,
     qs_tangent_sets,
     type1,
     type2,
@@ -107,7 +107,7 @@ def test_integrate_form_isochore_oracle(gas):
 def test_concat_families_two_segments(gas):
     ad = type2(gas, GasState(1, 1), 2.0)
     corner = ad.curve(1.0)[gas.atom]
-    res = add_reservoir(gas.world, isotherm_theta(gas.model, corner))
+    res = add_reservoir(gas.world, gas_T(gas.model, corner))
     iso = type3(gas, res, corner, 1.5)
     fam = concat_families(ad, iso)
     assert 0.5 in fam.curve.knots

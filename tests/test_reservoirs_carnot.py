@@ -12,7 +12,7 @@ from thermokernel.carnot import (
     temperature_ratio,
 )
 from thermokernel.errors import PreconditionNotMet, SameReservoir
-from thermokernel.gas import GasState, isotherm_theta, reservoir_contact, type1
+from thermokernel.gas import GasState, gas_T, reservoir_contact, type1
 from thermokernel.processes import (
     classify,
     concatenate,
@@ -28,7 +28,7 @@ LN2 = math.log(2.0)
 class TestSecondLaw:
     def test_friction_then_dump_passes(self, world, gas):
         start = GasState(1, 1)
-        res = add_reservoir(world, isotherm_theta(gas.model, start))
+        res = add_reservoir(world, gas_T(gas.model, start))
         p1 = type1(gas, start, 2.0).slice(0.0, 1.0)
         hot = p1.final_of(gas.atom).value
         q = gas.model.cv_R * hot.V * (hot.p - start.p)

@@ -103,6 +103,20 @@ def test_determinism_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_connect_and_segments_artifacts_do_not_depend_on_earlier_runs(tmp_path, capsys):
+    payload = dict(GOOD, script=[
+        {"op": "connect", "gas": "g", "from": [1, 1], "to": [2, 3], "save": "connect.json"},
+        {"op": "segments", "gas": "g", "from": [1, 1], "save": "segments.json",
+         "segments": [{"type": "type2", "V2": 2.0}, {"type": "type1", "p2": 3.0},
+                      {"type": "type3", "theta": 6.0, "V2": 1.0}]},
+    ])
+    path = write_scenario(tmp_path, payload)
+    for out in ("a", "b"):
+        assert main(["run", path, "--out", str(tmp_path / out)]) == 0
+    for name in ("connect.json", "segments.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_segments_and_polyline_ops(tmp_path):
     payload = {
         "version": 1,
