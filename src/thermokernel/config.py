@@ -6,7 +6,8 @@ comma-separated list of ``name=value`` pairs naming individual tiers, e.g.
 ``THERMOKERNEL_TOL="quad_tol=1e-12,state_atol=1e-13"``.  Every tier must be
 finite and > 0, and ``quad_max_depth`` a positive integer.  The variable is
 read on the first ``tolerances()`` call, which raises ``ValueError`` when it
-is malformed.
+is malformed.  ``fold_worst`` folds a check's observations into the worst
+case that is compared with its tier.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -74,3 +76,16 @@ def _from_env(raw: str | None) -> Tolerances:
 def tolerances() -> Tolerances:
     """The tiers, with THERMOKERNEL_TOL applied; read once, on the first call."""
     return _from_env(os.environ.get("THERMOKERNEL_TOL"))
+
+
+def fold_worst(pick: Callable[[Iterable[float]], float], *values: float) -> float:
+    """``pick(values)`` (``min`` or ``max``), or NaN when any value is NaN.
+
+    ``min`` and ``max`` alone drop a NaN, since every comparison with it is
+    false, so a worst case folded by them could hide a failed observation.
+    A NaN folded here stays NaN and fails every bound it is compared with.
+    """
+    for v in values:
+        if v != v:
+            return math.nan
+    return pick(values)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .config import tolerances
+from .config import fold_worst, tolerances
 from .errors import DepthExceeded, Unreachable
 from .gas import GasAtom, GasModel, GasPlanner, GasState, gas_U, gas_handle
 from .processes import JointState, Process, work_of
@@ -208,9 +208,9 @@ def check_first_law(
                  "reason": "no plan constructed"}
             )
             continue
-        spread = max(works) - min(works)
+        spread = fold_worst(max, *works) - fold_worst(min, *works)
         bound = max(atol, rtol * max(abs(w) for w in works))
-        if spread > bound:
+        if not spread <= bound:
             violations.append(
                 {"sigma1": a.as_tuple(), "sigma2": b.as_tuple(),
                  "works": works, "reason": f"work spread {spread} beyond {bound}"}

@@ -27,9 +27,9 @@ from .gas import (
     GasAtom,
     GasModel,
     GasState,
-    connect_reversible,
     gas_T,
     gas_handle,
+    isotherm_leg,
 )
 from .processes import (
     JointState,
@@ -39,7 +39,13 @@ from .processes import (
     is_work_process,
     values_close,
 )
-from .reservoirs import NATURAL_SCALE, RESERVOIR_KIND, ReservoirModel, TemperatureScale
+from .reservoirs import (
+    NATURAL_SCALE,
+    RESERVOIR_KIND,
+    ReservoirModel,
+    TemperatureScale,
+    detached_reservoir,
+)
 from .systems import AtomId, System, World, are_disjoint, atoms_of, compose
 
 
@@ -186,18 +192,20 @@ def clausius_sum(
 
 @dataclass
 class EntropyLedger:
-    """Per-atom reference states/entropies plus memoized entropies.
+    """Per-atom reference states and entropies.
 
-    Gas entropies are built from the reversible three-leg template: an
-    isolated leg onto an intermediate isotherm, the contact leg, and an
-    isolated leg to the target.  Only the contact leg carries heat, at the
-    reservoir's temperature on the configured absolute scale.
+    A gas entropy difference is the heat of one reversible isotherm leg over
+    its temperature: the leg runs from the adiabat of the reference state to
+    the adiabat of the queried state, at the geometric mean of their gas
+    temperatures, on a reservoir handle that no ``World`` holds.  It is the
+    middle leg of the ``connect_reversible`` template; the two isolated legs
+    around it carry no heat, so they are not built, and a query adds no atom
+    to the ledger's world.  Values are computed afresh on every query.
     """
 
     world: World
     scale: TemperatureScale = NATURAL_SCALE
     refs: dict[AtomId, tuple[Any, float]] = field(default_factory=dict)
-    memo: dict[tuple[AtomId, Any], float] = field(default_factory=dict)
 
     @classmethod
     def for_world(
@@ -213,11 +221,8 @@ class EntropyLedger:
         return ledger
 
     def atom_entropy(self, atom: AtomId, payload: Any) -> float:
-        key = (atom, payload)
-        if key in self.memo:
-            return self.memo[key]
+        binding = self.world.binding(atom)
         if atom not in self.refs:
-            binding = self.world.binding(atom)
             if isinstance(binding, GasModel):
                 self.refs[atom] = (binding.sigma0, binding.S0)
             elif isinstance(binding, ReservoirModel):
@@ -225,27 +230,17 @@ class EntropyLedger:
             else:
                 raise NotWorkProcess(f"no entropy reference for {atom}")
         ref, s0 = self.refs[atom]
-        binding = self.world.binding(atom)
         if isinstance(binding, ReservoirModel):
             t = self.scale.absolute(binding.theta)
-            value = s0 + (float(payload) - float(ref)) / t
-        else:
-            gas = gas_handle(self.world, atom)
-            value = s0 + self._gas_delta(gas, ref, payload)
-        self.memo[key] = value
-        return value
+            return s0 + (float(payload) - float(ref)) / t
+        return s0 + self._gas_delta(gas_handle(self.world, atom), ref, payload)
 
-    def _gas_delta(self, gas: GasAtom, start: GasState, end: GasState,
-                   theta: float | None = None) -> float:
+    def _gas_delta(self, gas: GasAtom, start: GasState, end: GasState) -> float:
         if start == end:
             return 0.0
-        if theta is None:
-            theta = math.sqrt(
-                gas_T(gas.model, start) * gas_T(gas.model, end)
-            )
-        legs = connect_reversible(gas, start, end, theta)
-        q = legs[1].heat_between(gas.atom, 0.0, 1.0)
-        return q / self.scale.absolute(theta)
+        theta = math.sqrt(gas_T(gas.model, start) * gas_T(gas.model, end))
+        leg = isotherm_leg(gas, detached_reservoir(theta), start, end)
+        return leg.heat_between(gas.atom, 0.0, 1.0) / self.scale.absolute(theta)
 
 
 def entropy(ledger: EntropyLedger, s: System, sigma: JointState) -> float:

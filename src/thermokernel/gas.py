@@ -9,7 +9,9 @@ generate its processes:
 
 ``type1``, ``type2`` and ``type3`` validate a leg and build it as a slotted
 ``QuasistaticFamily`` subclass that computes states and rates in methods
-from its precomputed parameters; ``SEGMENT_KINDS`` maps each name to its class.
+from its precomputed parameters; the friction and isotherm rates do not
+vary along the leg and are ``ConstantRate`` values, which the family
+integrates exactly.  ``SEGMENT_KINDS`` maps each name to its class.
 Work processes on the gas alone are finite alternating sequences of the
 first two kinds; adjacent same-kind segments merge, degenerate legs drop.
 The closed forms for internal energy, entropy and gas temperature are the
@@ -33,7 +35,7 @@ from .errors import (
     PressureDecrease,
 )
 from .processes import Process, concatenate, make_identity, make_process, joint, AtomState
-from .quasistatic import Curve, QuasistaticFamily, Rate, identity_family
+from .quasistatic import ConstantRate, Curve, QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
 
@@ -236,24 +238,24 @@ class _Segment(QuasistaticFamily):
 
 
 class FrictionSegment(_Segment):
-    """``type1``: the pressure rises by ``dp`` at constant volume."""
+    """``type1``: the pressure rises by ``dp`` at constant volume.
 
-    __slots__ = ("dp", "rate")
+    The work on the gas runs at the constant rate ``cv_R V dp``.
+    """
+
+    __slots__ = ("dp", "_work")
     keys, gas_only, build = ("p2",), True, staticmethod(type1)
 
     def __init__(self, gas: GasAtom, start: GasState, p2: float):
         super().__init__(gas, start, (gas.atom,), "type1", False)
         self.dp = p2 - start.p
-        self.rate = gas.model.cv_R * start.V * self.dp
+        self._work = ConstantRate(gas.model.cv_R * start.V * self.dp)
 
     def evaluate(self, lam: float):
         return {self.atom: GasState(self.start.p + lam * self.dp, self.start.V)}
 
     def derivative(self, lam: float):
         return {self.atom: (self.dp, 0.0)}
-
-    def _work(self, lam: float) -> float:
-        return self.rate
 
 
 class AdiabatSegment(_Segment):
@@ -290,10 +292,11 @@ class IsothermSegment(_Segment):
     """``type3``: the volume runs geometrically to ``V2`` at constant p V = c.
 
     The gas takes up the heat ``q_total = c log r`` at a constant rate; the
-    work on it and the reservoir's heat both run at ``-c log r``.
+    work on it and the reservoir's heat both run at the constant ``-c log r``.
     """
 
-    __slots__ = ("res", "bath", "end", "c", "log_r", "q_total", "reservoir_energy")
+    __slots__ = ("res", "bath", "end", "c", "log_r", "q_total", "reservoir_energy",
+                 "_heat", "_work")
     keys, gas_only = ("theta", "V2"), False
 
     def __init__(self, gas: GasAtom, res: Reservoir, start: GasState, V2: float,
@@ -304,6 +307,8 @@ class IsothermSegment(_Segment):
         self.log_r = math.log(V2 / start.V)
         self.q_total = self.c * self.log_r
         self.end = GasState(self.c / V2, V2)
+        self._heat = ConstantRate(self.q_total)
+        self._work = ConstantRate(-self.q_total)
 
     @staticmethod
     def build(gas: GasAtom, start: GasState, theta: float, V2: float) -> QuasistaticFamily:
@@ -324,12 +329,6 @@ class IsothermSegment(_Segment):
         if atom == self.atom:
             return self._heat
         return self._work if atom == self.bath else None
-
-    def _heat(self, lam: float) -> float:
-        return self.c * self.log_r
-
-    def _work(self, lam: float) -> float:
-        return -self.c * self.log_r
 
     meta = property(lambda self: {"gas": self.atom, "reservoir": self.bath,
                                   "theta": self.res.theta})
@@ -442,23 +441,28 @@ def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     return concatenate(leg.slice(0.0, 1.0), friction.slice(0.0, 1.0))
 
 
+def _isotherm_volume(g: GasModel, s: GasState, c: float) -> float:
+    """The volume at which the adiabat through ``s`` meets the isotherm p V = c."""
+    return (adiabat_invariant(g, s) / c) ** (1.0 / (g.gamma - 1.0))
+
+
 def connect_reversible(
     gas: GasAtom, s1: GasState, s2: GasState, theta_prime: float
 ) -> list[QuasistaticFamily]:
     """Reversible three-leg route: adiabat, isotherm at ``theta_prime``, adiabat.
 
     Heat is exchanged only on the middle leg, with a reservoir that may have
-    any positive parameter; a fresh reservoir is minted for it.  This is the
-    canonical template for computing entropy differences.
+    any positive parameter; a fresh reservoir is minted for it in the gas's
+    world.  The Clausius cycles and ``check_qs_postulates`` run all three
+    legs; an entropy query needs only the heat of the middle one and builds
+    it alone with ``isotherm_leg``, minting nothing.
     """
     if not theta_prime > 0:
         raise DomainError("isotherm parameter must be positive")
     g = gas.model
     c = g.nR * theta_prime
-    inv1, inv2 = adiabat_invariant(g, s1), adiabat_invariant(g, s2)
-    exponent = 1.0 / (g.gamma - 1.0)
-    v_on = (inv1 / c) ** exponent
-    v_off = (inv2 / c) ** exponent
+    v_on = _isotherm_volume(g, s1, c)
+    v_off = _isotherm_volume(g, s2, c)
     res = add_reservoir(gas.world, theta_prime)
     first = type2(gas, s1, v_on)
     on_state = first.state_at(1.0)[gas.atom]
@@ -466,6 +470,20 @@ def connect_reversible(
     off_state = middle.state_at(1.0)[gas.atom]
     last = type2(gas, off_state, s2.V)
     return [first, middle, last]
+
+
+def isotherm_leg(gas: GasAtom, res: Reservoir, s1: GasState, s2: GasState) -> QuasistaticFamily:
+    """The ``type3`` leg on ``res`` from the adiabat through ``s1`` to the one through ``s2``.
+
+    It starts where the adiabat of ``s1`` meets the reservoir's isotherm,
+    so ``type3`` checks that meeting point, and it is the middle leg of
+    ``connect_reversible`` built without the two adiabats around it.
+    """
+    g = gas.model
+    c = g.nR * res.theta
+    v_on = _isotherm_volume(g, s1, c)
+    on_state = GasState(adiabat_invariant(g, s1) * v_on**-g.gamma, v_on)
+    return type3(gas, res, on_state, _isotherm_volume(g, s2, c))
 
 
 SEGMENT_KINDS = {"type1": FrictionSegment, "type2": AdiabatSegment, "type3": IsothermSegment}

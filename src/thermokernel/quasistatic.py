@@ -10,15 +10,19 @@ hands every slice a reverse witness.
 ``QuasistaticFamily`` reads states off a ``Curve`` and rates off per-atom
 dicts; the gas segment kinds subclass it and compute both from their own
 parameters, and every family slices and integrates through the code here.
+A rate that does not depend on the parameter is a ``ConstantRate`` and is
+integrated exactly, as its value times the parameter span; every other rate
+goes through the adaptive quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .config import tolerances
-from .errors import OutOfDomain, StateMismatch
+from .errors import OutOfDomain, StateMismatch, ToleranceNotMet
 from .processes import Process, make_process, value_components, values_close
 from .quadrature import adaptive_simpson
 from .systems import AtomId
@@ -45,6 +49,34 @@ class Curve:
 
 
 Rate = Callable[[float], float]
+
+
+class ConstantRate:
+    """A rate with the same ``value`` at every parameter.
+
+    The families integrate it exactly, as ``value * (hi - lo)``; a value
+    that is not finite raises ``ToleranceNotMet``, as the quadrature does.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __call__(self, lam: float) -> float:
+        return self.value
+
+
+def _integral(rate: Rate | None, lo: float, hi: float, tol, knots) -> float:
+    """Integral of ``rate`` over ``[lo, hi]``; zero for no rate."""
+    if rate is None or lo == hi:
+        return 0.0
+    if type(rate) is ConstantRate:
+        out = rate.value * (hi - lo)
+        if not math.isfinite(out):
+            raise ToleranceNotMet(f"constant rate {rate.value} on [{lo}, {hi}] is not finite")
+        return out
+    return adaptive_simpson(rate, lo, hi, tol=tol, knots=knots)
 
 
 @dataclass(slots=True, eq=False)
@@ -86,16 +118,10 @@ class QuasistaticFamily:
         return self.heat_rates.get(atom)
 
     def work_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
-        rate = self.work_rate(atom)
-        if rate is None:
-            return 0.0
-        return adaptive_simpson(rate, lo, hi, tol=tol, knots=self.knots)
+        return _integral(self.work_rate(atom), lo, hi, tol, self.knots)
 
     def heat_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
-        rate = self.heat_rate(atom)
-        if rate is None:
-            return 0.0
-        return adaptive_simpson(rate, lo, hi, tol=tol, knots=self.knots)
+        return _integral(self.heat_rate(atom), lo, hi, tol, self.knots)
 
     def slice(self, lo: float, hi: float, tol: float | None = None) -> Process:
         """The member process from ``state_at(lo)`` to ``state_at(hi)``."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .config import fold_worst
 from .errors import IncompatibleBases, NonPositiveScale, OptimizerFailed
 from .gas import GasModel, GasState, gas_S, gas_U
 from .processes import Process, make_process
@@ -286,18 +287,17 @@ def check_concavity(
     """
     fn = entropy_fn if entropy_fn is not None else entropy_uv
     violations = []
-    min_slack = math.inf
-    checked = 0
+    gaps = []
     for a, b in pairs:
         sa = fn(base, a.U, a.V)
         sb = fn(base, b.U, b.V)
         for lam in lambdas:
-            checked += 1
             mix = fn(base, lam * a.U + (1 - lam) * b.U, lam * a.V + (1 - lam) * b.V)
             gap = mix - (lam * sa + (1 - lam) * sb)
-            min_slack = min(min_slack, gap)
-            if gap < slack:
+            gaps.append(gap)
+            if not gap >= slack:
                 violations.append(
                     {"a": a.as_tuple(), "b": b.as_tuple(), "lambda": lam, "gap": gap}
                 )
-    return ConcavityReport(checked=checked, violations=violations, min_slack=min_slack)
+    return ConcavityReport(checked=len(gaps), violations=violations,
+                           min_slack=fold_worst(min, math.inf, *gaps))

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .carnot import build_carnot, build_degraded_carnot, machine_cyclic, temperature_ratio
+from .config import fold_worst
 from .energy import check_first_law
 from .entropy import (
     EntropyLedger,
@@ -221,7 +222,7 @@ def suite_second_law(seed: int = 42, n: int = 25) -> SuiteReport:
         p2 = reservoir_contact(gas, hot, res, q)
         cycle = concatenate(p1, p2)
         verdict = check_second_law(res, gas.system, cycle)
-        worst = min(worst, verdict.work_on_machine)
+        worst = fold_worst(min, worst, verdict.work_on_machine)
         all_passed = all_passed and verdict.passed
     report.add(
         "cyclic machines next to one bath never output work",
@@ -257,10 +258,11 @@ def suite_carnot(seed: int = 42, pairs: int = 20, triples: int = 50) -> SuiteRep
             ratios.append(-run.q1 / run.q2)
             signs_ok = signs_ok and run.q1 * run.q2 < 0
             cyclic_ok = cyclic_ok and machine_cyclic(run)
-        spread = (max(ratios) - min(ratios)) / max(abs(r) for r in ratios)
-        worst_univ = max(worst_univ, spread)
-        worst_ideal = max(
-            worst_ideal, max(abs(r - th1 / th2) / (th1 / th2) for r in ratios)
+        top, bottom = fold_worst(max, *ratios), fold_worst(min, *ratios)
+        spread = (top - bottom) / max(abs(top), abs(bottom))
+        worst_univ = fold_worst(max, worst_univ, spread)
+        worst_ideal = fold_worst(
+            max, worst_ideal, *(abs(r - th1 / th2) / (th1 / th2) for r in ratios)
         )
     report.add(
         "universality across working-gas configurations",
@@ -292,8 +294,8 @@ def suite_carnot(seed: int = 42, pairs: int = 20, triples: int = 50) -> SuiteRep
         t21 = temperature_ratio(rs[1], rs[0])
         t23 = temperature_ratio(rs[1], rs[2])
         t13 = temperature_ratio(rs[0], rs[2])
-        worst_recip = max(worst_recip, abs(t12 * t21 - 1.0))
-        worst_chain = max(worst_chain, abs(t12 * t23 - t13) / abs(t13))
+        worst_recip = fold_worst(max, worst_recip, abs(t12 * t21 - 1.0))
+        worst_chain = fold_worst(max, worst_chain, abs(t12 * t23 - t13) / abs(t13))
     report.add(
         "swapping arguments inverts the ratio",
         worst_recip <= 1e-8,
@@ -332,11 +334,11 @@ def suite_clausius(seed: int = 42, cycles: int = 500) -> SuiteReport:
         if i % 2 == 0:
             legs = random_reversible_legs(gas, rng, start, moves=1 + rng.randrange(3))
             total = clausius_sum(records_from_legs(legs, gas), probe=gas.system)
-            worst_rev = max(worst_rev, abs(total))
+            worst_rev = fold_worst(max, worst_rev, abs(total))
         else:
             legs = random_friction_cycle(gas, rng, start, moves=rng.randrange(3))
             total = clausius_sum(records_from_legs(legs, gas), probe=gas.system)
-            worst_fric = max(worst_fric, total)
+            worst_fric = fold_worst(max, worst_fric, total)
     report.add(
         "all-reversible cycles sum to zero",
         worst_rev <= 1e-8,
@@ -363,11 +365,11 @@ def suite_entropy_theorem(seed: int = 42, n: int = 1000) -> SuiteReport:
         if i % 4 == 0:
             p = random_reversible_work_process(gas, rng, start)
             verdict = check_entropy_theorem(gas.system, p, ledger)
-            worst_rev = max(worst_rev, abs(verdict.delta_s))
+            worst_rev = fold_worst(max, worst_rev, abs(verdict.delta_s))
         else:
             p = random_work_process(gas, rng, start, segments=1 + rng.randrange(3))
             verdict = check_entropy_theorem(gas.system, p, ledger)
-            worst = min(worst, verdict.delta_s)
+            worst = fold_worst(min, worst, verdict.delta_s)
     report.add(
         "work processes never lower entropy",
         worst >= -1e-9,
@@ -392,12 +394,15 @@ def suite_max_entropy(seed: int = 42, draws: int = 100, pairs: int = 1000) -> Su
         total = UVState(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
         result = max_entropy_split(base, lam, total)
         span = max(abs(total.U), total.V)
-        worst_arg = max(
+        worst_arg = fold_worst(
+            max,
             worst_arg,
             abs(result.split[0].U - lam * total.U) / span,
             abs(result.split[0].V - lam * total.V) / span,
         )
-        worst_val = max(worst_val, abs(result.s_max - entropy_uv(base, total.U, total.V)))
+        worst_val = fold_worst(
+            max, worst_val, abs(result.s_max - entropy_uv(base, total.U, total.V))
+        )
     report.add(
         "maximizer is the proportional split",
         worst_arg <= 1e-6,
@@ -454,7 +459,7 @@ def suite_scaling(seed: int = 42, samples: int = 12) -> SuiteReport:
                 .slice(0.0, 1.0)
                 .work_on(gas1.atom)
             )
-            worst = max(worst, abs(w1 - f * w0) / max(1e-30, abs(f * w0)))
+            worst = fold_worst(max, worst, abs(w1 - f * w0) / max(1e-30, abs(f * w0)))
     report.add(
         "work footprints scale linearly",
         worst <= 1e-9,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -225,6 +226,48 @@ class TestEntropyTheorem:
         p = type3(gas, res, GasState(1, 1), 2.0).slice(0.0, 1.0)
         with pytest.raises(NotWorkProcess):
             check_entropy_theorem(gas.system, p, ledger)
+
+
+class TestQueriesLeaveTheWorldAlone:
+    """Entropy queries are read-only: they add no atom to the ledger's world."""
+
+    def test_each_query_mints_nothing(self, world):
+        gas = add_ideal_gas(world)
+        res = add_reservoir(world, 1.5)
+        ledger = EntropyLedger.for_world(world)
+        friction = type1(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
+        adiabat = type2(gas, GasState(0.7, 1.3), 2.0).slice(0.0, 1.0)
+        before = len(world.registry)
+        ledger.atom_entropy(gas.atom, GasState(2.0, 0.5))
+        ledger.atom_entropy(res.atom, 4.0)
+        delta_entropy(ledger, compose(gas.system, res.system), friction)
+        for p in (friction, adiabat):
+            assert check_entropy_theorem(gas.system, p, ledger).passed
+        assert len(world.registry) == before
+
+    def test_registry_and_memory_stay_flat_over_5000_queries(self, world):
+        gas = add_ideal_gas(world)
+        ledger = EntropyLedger.for_world(world)
+        rng = random.Random(11)
+        before = len(world.registry)
+
+        def queries(n):
+            for _ in range(n):
+                start = GasState(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+                p = type1(gas, start, start.p * rng.uniform(1.1, 2.0)).slice(0.0, 1.0)
+                assert check_entropy_theorem(gas.system, p, ledger).passed
+
+        tracemalloc.start()
+        try:
+            queries(500)
+            warm = tracemalloc.get_traced_memory()[0]
+            queries(4500)
+            grown = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+        assert len(world.registry) == before
+        # 4500 retained entries of any kind would take several hundred KB.
+        assert grown < 64 * 1024
 
 
 def test_zero_net_heat_still_moves_entropy(world):

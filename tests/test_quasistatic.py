@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermokernel.errors import OutOfDomain, StateMismatch
+from thermokernel import quasistatic
+from thermokernel.errors import DomainError, OutOfDomain, StateMismatch, ToleranceNotMet
 from thermokernel.gas import (
     GasState,
     add_ideal_gas,
@@ -16,8 +18,12 @@ from thermokernel.gas import (
     type3,
 )
 from thermokernel.processes import classify, concatenate
+from thermokernel.quadrature import adaptive_simpson
 from thermokernel.quasistatic import (
+    ConstantRate,
+    Curve,
     PiecewiseConstantProfile,
+    QuasistaticFamily,
     check_qs_postulates,
     concat_families,
     entropy_integral,
@@ -188,6 +194,85 @@ def test_work_and_heat_rates_decompose_energy_change(gas):
             w = fam.work_rates.get(gas.atom, lambda _: 0.0)(lam)
             q = fam.heat_rates.get(gas.atom, lambda _: 0.0)(lam)
             assert du == pytest.approx(w + q, rel=1e-6, abs=1e-9)
+
+
+def _constant_legs(gas, rng, n):
+    """``n`` random friction and isotherm legs with their constant rates."""
+    legs = []
+    for i in range(n):
+        s = GasState(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0))
+        if i % 2:
+            legs.append((type1(gas, s, s.p * rng.uniform(1.01, 3.0)), (gas.atom,), ()))
+        else:
+            res = add_reservoir(gas.world, gas_T(gas.model, s))
+            fam = type3(gas, res, s, s.V * rng.uniform(0.3, 3.0))
+            legs.append((fam, (gas.atom,), (gas.atom, res.atom)))
+    return legs
+
+
+def test_constant_rates_integrate_exactly_within_4_ulps_of_quadrature(gas):
+    rng = random.Random(7)
+    for fam, work_atoms, heat_atoms in _constant_legs(gas, rng, 200):
+        lo, hi = sorted((rng.random(), rng.random()))
+        for between, rate_of, atoms in ((fam.work_between, fam.work_rate, work_atoms),
+                                        (fam.heat_between, fam.heat_rate, heat_atoms)):
+            for atom in atoms:
+                rate = rate_of(atom)
+                assert type(rate) is ConstantRate
+                for a, b in ((0.0, 1.0), (lo, hi)):
+                    exact = between(atom, a, b)
+                    assert exact == rate.value * (b - a)
+                    assert abs(exact - adaptive_simpson(rate, a, b)) <= 4 * math.ulp(exact)
+
+
+def test_constant_rates_call_no_quadrature(gas, monkeypatch):
+    calls = []
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return adaptive_simpson(f, *args, **kwargs)
+
+    monkeypatch.setattr(quasistatic, "adaptive_simpson", counted)
+    res = add_reservoir(gas.world, 1.0)
+    type1(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
+    iso = type3(gas, res, GasState(1, 1), 2.0)
+    iso.slice(0.2, 0.7)
+    iso.heat_between(gas.atom, 0.0, 1.0)
+    assert calls == []
+    type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
+    assert len(calls) == 1
+
+
+def test_constant_rate_on_an_empty_interval_is_zero(gas):
+    res = add_reservoir(gas.world, 1.0)
+    legs = [type1(gas, GasState(1, 1), 2.0), type1(gas, GasState(1, 1), math.inf),
+            type3(gas, res, GasState(1, 1), 2.0)]
+    for fam in legs:
+        for lam in (0.0, 0.3, 1.0):
+            for atom in fam.atoms:
+                for got in (fam.work_between(atom, lam, lam), fam.heat_between(atom, lam, lam)):
+                    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constant_rate_raises(gas, value):
+    atom = gas.atom
+    fam = QuasistaticFamily((atom,), Curve(eval=lambda lam: {atom: GasState(1, 1)}),
+                            {atom: ConstantRate(value)}, {atom: ConstantRate(value)})
+    with pytest.raises(ToleranceNotMet):
+        fam.work_between(atom, 0.0, 1.0)
+    with pytest.raises(ToleranceNotMet):
+        fam.heat_between(atom, 0.25, 0.5)
+    with pytest.raises(ToleranceNotMet):
+        fam.slice(0.0, 1.0)
+
+
+def test_friction_to_infinite_pressure_still_raises(gas):
+    fam = type1(gas, GasState(1, 1), math.inf)
+    with pytest.raises(ToleranceNotMet):
+        fam.work_between(gas.atom, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        fam.slice(0.0, 1.0)
 
 
 def test_forms_are_process_dependent(gas):
