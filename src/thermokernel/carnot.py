@@ -28,8 +28,8 @@ from .processes import (
     work_of,
 )
 from .quasistatic import QuasistaticFamily
-from .reservoirs import Reservoir, reservoir_handle
-from .systems import System, clone_system, compose
+from .reservoirs import Reservoir, add_reservoir
+from .systems import System, World, compose
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,9 @@ def build_carnot(
     the machine's ``n`` is solved from the target; passing ``n`` explicitly
     solves the volume ratio instead.  A positive target runs the cycle in
     the pumping direction (compression on the first isotherm).  The working
-    gas is a fresh atom minted in the first reservoir's world.
+    gas is a fresh atom minted in the first reservoir's world; to leave a
+    world alone, pass reservoirs of a scratch ``World``, as
+    ``temperature_ratio`` does.
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
@@ -153,15 +155,14 @@ def build_carnot(
 def temperature_ratio(r1: Reservoir, r2: Reservoir) -> float:
     """The universal ratio -q1/q2 of a reversible engine, with q2 > 0.
 
-    For a reservoir paired with itself a fresh copy is minted first; copies
-    exchange heat one-to-one, so the ratio is then one.
+    The ratio depends on the two reservoirs' parameters only, so the engine
+    runs between copies of them in a scratch ``World``: the query adds no
+    atom to the reservoirs' world, and a reservoir paired with itself meets
+    its copy, with which it exchanges heat one-to-one.
     """
-    if r1.atom == r2.atom:
-        copy, _ = clone_system(r2.world, r2.system)
-        r2 = reservoir_handle(r2.world, next(iter(copy.atoms)))
-    run = build_carnot(r1, r2, q_target=-r1.theta * math.log(2.0))
-    if run.q2 <= 0:  # pragma: no cover - the canonical orientation fixes the sign
-        run = build_carnot(r1, r2, q_target=+r1.theta * math.log(2.0))
+    scratch = World()
+    run = build_carnot(add_reservoir(scratch, r1.theta), add_reservoir(scratch, r2.theta),
+                       q_target=-r1.theta * math.log(2.0))
     tau = -run.q1 / run.q2
     if tau <= 0:
         raise AssertionError(f"temperature ratio must be positive, got {tau}")

@@ -3,6 +3,8 @@
 Internal energy is a state function anchored at a per-atom reference: the
 energy of a state is the reference energy plus the total work of any
 connecting work process (or minus, for a process arriving at the reference).
+A gas's reference is its model's ``sigma0``, so the anchor is read off the
+model binding on every query and the ledger keeps nothing between queries.
 The engine constructs such processes from the model's segment vocabulary and
 integrates their work numerically; the closed forms in the gas module are
 used only as references for the anchor constant and as test oracles.
@@ -11,76 +13,51 @@ used only as references for the anchor constant and as test oracles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .config import fold_worst, tolerances
 from .errors import DepthExceeded, Unreachable
-from .gas import GasAtom, GasModel, GasPlanner, GasState, gas_U, gas_handle
+from .gas import GasAtom, GasModel, GasPlanner, GasState, gas_U
 from .processes import JointState, Process, work_of
 from .reservoirs import RESERVOIR_KIND, ReservoirModel
 from .systems import AtomId, System, World, atoms_of
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyLedger:
-    """Per-atom reference states/energies plus memoized state energies.
+    """Internal energies of the atoms of one ``World``; it holds nothing else.
 
-    Queries are pure given a frozen catalog; memo writes are the only
-    mutation.
+    Each query reads the atom's anchor off its model binding: a gas is
+    anchored at its model's ``sigma0`` with the closed-form energy there, and
+    a reservoir's energy is its payload.  A fresh ``GasPlanner`` builds the
+    connecting work process, so a query keeps nothing and adds no atom to
+    the world.
     """
 
     world: World
-    refs: dict[AtomId, tuple[GasState, float]] = field(default_factory=dict)
-    planners: dict[AtomId, GasPlanner] = field(default_factory=dict)
-    memo: dict[tuple[AtomId, Any], float] = field(default_factory=dict)
 
     @classmethod
-    def for_world(cls, world: World, depth: int = 4) -> "EnergyLedger":
-        """Default ledger: gas atoms anchored at their model reference state."""
-        ledger = cls(world=world)
-        for atom in world.registry:
-            binding = world.binding(atom)
-            if isinstance(binding, GasModel):
-                ledger.refs[atom] = (binding.sigma0, gas_U(binding, binding.sigma0))
-                ledger.planners[atom] = GasPlanner(
-                    gas_handle(world, atom), depth=depth
-                )
-        return ledger
-
-    def register_gas(self, gas: GasAtom, sigma0: GasState | None = None,
-                     u0: float | None = None, depth: int = 4) -> None:
-        sigma0 = sigma0 if sigma0 is not None else gas.model.sigma0
-        u0 = u0 if u0 is not None else gas_U(gas.model, sigma0)
-        self.refs[gas.atom] = (sigma0, u0)
-        self.planners[gas.atom] = GasPlanner(gas, depth=depth)
+    def for_world(cls, world: World) -> "EnergyLedger":
+        return cls(world=world)
 
     def atom_energy(self, atom: AtomId, payload: Any) -> float:
         """Energy of one atom's state, constructed via connecting work processes."""
-        if atom.kind == RESERVOIR_KIND or isinstance(
-            self.world.binding(atom) if atom in self.world else None, ReservoirModel
-        ):
+        binding = self.world.binding(atom) if atom in self.world else None
+        if atom.kind == RESERVOIR_KIND or isinstance(binding, ReservoirModel):
             return float(payload)
-        key = (atom, payload)
-        if key in self.memo:
-            return self.memo[key]
-        if atom not in self.refs:
-            if atom in self.world and isinstance(self.world.binding(atom), GasModel):
-                self.register_gas(gas_handle(self.world, atom))
-            else:
-                raise Unreachable(f"no energy reference registered for {atom}")
-        sigma0, u0 = self.refs[atom]
-        planner = self.planners[atom]
+        if not isinstance(binding, GasModel):
+            raise Unreachable(f"no energy reference registered for {atom}")
+        sigma0, u0 = binding.sigma0, gas_U(binding, binding.sigma0)
+        planner = GasPlanner(GasAtom(atom, binding, self.world))
         if planner.decide(sigma0, payload):
             plan = planner.route(sigma0, payload)
-            value = u0 + sum(f.work_between(atom, 0.0, 1.0) for f in plan)
-        elif planner.decide(payload, sigma0):
+            return u0 + sum(f.work_between(atom, 0.0, 1.0) for f in plan)
+        if planner.decide(payload, sigma0):
             plan = planner.route(payload, sigma0)
-            value = u0 - sum(f.work_between(atom, 0.0, 1.0) for f in plan)
-        else:  # pragma: no cover - the full gas vocabulary always connects
-            raise Unreachable(f"no work process connects {sigma0} and {payload}")
-        self.memo[key] = value
-        return value
+            return u0 - sum(f.work_between(atom, 0.0, 1.0) for f in plan)
+        raise Unreachable(  # pragma: no cover - the full gas vocabulary always connects
+            f"no work process connects {sigma0} and {payload}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ different baths still moves entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .config import tolerances
@@ -28,7 +28,6 @@ from .gas import (
     GasModel,
     GasState,
     gas_T,
-    gas_handle,
     isotherm_leg,
 )
 from .processes import (
@@ -86,7 +85,6 @@ def assign_heat_temperature(
     s1: System,
     s2: System,
     p: Process,
-    ledger: EnergyLedger | None = None,
     scale: TemperatureScale = NATURAL_SCALE,
 ) -> TemperatureInterval:
     """Temperatures at which the heat into ``s2`` can be said to flow.
@@ -101,9 +99,7 @@ def assign_heat_temperature(
         raise NotWorkProcess("the two parts must be disjoint")
     if not is_work_process(compose(s1, s2), p):
         raise NotWorkProcess("process must be a work process on the two parts")
-    if ledger is None:
-        ledger = EnergyLedger.for_world(world)
-    q = heat_of(ledger, s2, p)
+    q = heat_of(EnergyLedger(world), s2, p)
     if abs(q) <= tolerances().work_atol:
         raise ZeroHeat("no temperature is assigned to a zero heat flow")
 
@@ -190,50 +186,39 @@ def clausius_sum(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntropyLedger:
-    """Per-atom reference states and entropies.
+    """Entropies of the atoms of one ``World`` on one temperature scale.
 
-    A gas entropy difference is the heat of one reversible isotherm leg over
-    its temperature: the leg runs from the adiabat of the reference state to
-    the adiabat of the queried state, at the geometric mean of their gas
-    temperatures, on a reservoir handle that no ``World`` holds.  It is the
-    middle leg of the ``connect_reversible`` template; the two isolated legs
-    around it carry no heat, so they are not built, and a query adds no atom
-    to the ledger's world.  Values are computed afresh on every query.
+    Each query reads the atom's anchor off its model binding: a gas has
+    entropy ``S0`` at its model's ``sigma0``, a reservoir has entropy 0 at
+    energy 0.  A gas entropy difference is the heat of one reversible
+    isotherm leg over its temperature: the leg runs from the adiabat of the
+    reference state to the adiabat of the queried state, at the geometric
+    mean of their gas temperatures, on a reservoir handle that no ``World``
+    holds.  It is the middle leg of the ``connect_reversible`` template; the
+    two isolated legs around it carry no heat, so they are not built.  The
+    ledger keeps nothing between queries and a query adds no atom to its
+    world.
     """
 
     world: World
     scale: TemperatureScale = NATURAL_SCALE
-    refs: dict[AtomId, tuple[Any, float]] = field(default_factory=dict)
 
     @classmethod
     def for_world(
         cls, world: World, scale: TemperatureScale = NATURAL_SCALE
     ) -> "EntropyLedger":
-        ledger = cls(world=world, scale=scale)
-        for atom in world.registry:
-            binding = world.binding(atom)
-            if isinstance(binding, GasModel):
-                ledger.refs[atom] = (binding.sigma0, binding.S0)
-            elif isinstance(binding, ReservoirModel):
-                ledger.refs[atom] = (0.0, 0.0)
-        return ledger
+        return cls(world=world, scale=scale)
 
     def atom_entropy(self, atom: AtomId, payload: Any) -> float:
         binding = self.world.binding(atom)
-        if atom not in self.refs:
-            if isinstance(binding, GasModel):
-                self.refs[atom] = (binding.sigma0, binding.S0)
-            elif isinstance(binding, ReservoirModel):
-                self.refs[atom] = (0.0, 0.0)
-            else:
-                raise NotWorkProcess(f"no entropy reference for {atom}")
-        ref, s0 = self.refs[atom]
         if isinstance(binding, ReservoirModel):
-            t = self.scale.absolute(binding.theta)
-            return s0 + (float(payload) - float(ref)) / t
-        return s0 + self._gas_delta(gas_handle(self.world, atom), ref, payload)
+            return float(payload) / self.scale.absolute(binding.theta)
+        if not isinstance(binding, GasModel):
+            raise NotWorkProcess(f"no entropy reference for {atom}")
+        gas = GasAtom(atom, binding, self.world)
+        return binding.S0 + self._gas_delta(gas, binding.sigma0, payload)
 
     def _gas_delta(self, gas: GasAtom, start: GasState, end: GasState) -> float:
         if start == end:

@@ -40,20 +40,24 @@ from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
 
 GAS_KIND = "ideal-gas"
+# bound to a global: every ``GasState`` and leg built compares against it
+_INF = math.inf
 
 R_SI = 8.314462618  # J / (mol K)
 
 
 @dataclass(frozen=True)
 class GasState:
-    """A point (p, V) in the open positive quadrant."""
+    """A point (p, V) in the open positive quadrant, with finite coordinates."""
 
     p: float
     V: float
 
     def __post_init__(self):
         floor = tolerances().numeric_floor
-        if not (self.p > floor and self.V > floor):
+        if not (floor < self.p < _INF and floor < self.V < _INF):
+            if not (math.isfinite(self.p) and math.isfinite(self.V)):
+                raise DomainError(f"gas state ({self.p}, {self.V}) is not finite")
             raise DomainError(f"gas state ({self.p}, {self.V}) below the positive floor")
 
     def as_tuple(self) -> tuple[float, float]:
@@ -80,8 +84,11 @@ class GasModel:
     S0: float = 0.0
 
     def __post_init__(self):
-        if not (self.n > 0 and self.R > 0 and self.gamma > 1):
-            raise ValueError("need n > 0, R > 0, gamma > 1")
+        if not (0 < self.n < _INF and 0 < self.R < _INF and 1 < self.gamma < _INF):
+            raise ValueError(f"need finite n > 0, R > 0, gamma > 1; got n={self.n} "
+                             f"R={self.R} gamma={self.gamma}")
+        if not (-_INF < self.U0 < _INF and -_INF < self.S0 < _INF):
+            raise ValueError(f"need finite U0 and S0; got U0={self.U0} S0={self.S0}")
 
     @property
     def nR(self) -> float:
@@ -165,11 +172,19 @@ def adiabat_invariant(g: GasModel, s: GasState) -> float:
 
 # --- segment kinds -----------------------------------------------------------
 
+def _bad_target(kind: str, key: str, value: float) -> DomainError:
+    """The error for a leg target that is not finite or not above the positive floor."""
+    why = "is not finite" if not math.isfinite(value) else "below the positive floor"
+    return DomainError(f"{kind} leg: target {key}={value} {why}")
+
+
 def type1(gas: GasAtom, start: GasState, p2: float) -> QuasistaticFamily:
     """Friction heating at constant volume from ``start.p`` up to ``p2``.
 
     Irreversible; a work process on the gas alone, so its heat rate is zero.
     """
+    if not -_INF < p2 < _INF:
+        raise _bad_target("type1", "p2", p2)
     if p2 < start.p:
         raise PressureDecrease(f"friction cannot lower pressure: {p2} < {start.p}")
     if p2 == start.p:
@@ -179,8 +194,8 @@ def type1(gas: GasAtom, start: GasState, p2: float) -> QuasistaticFamily:
 
 def type2(gas: GasAtom, start: GasState, V2: float) -> QuasistaticFamily:
     """Isolated compression/expansion along p V^gamma = const (reversible)."""
-    if not V2 > tolerances().numeric_floor:
-        raise DomainError(f"target volume {V2} below the positive floor")
+    if not tolerances().numeric_floor < V2 < _INF:
+        raise _bad_target("type2", "V2", V2)
     if V2 == start.V:
         return identity_family({gas.atom: start}, tag="type2")
     return AdiabatSegment(gas, start, V2)
@@ -196,8 +211,8 @@ def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float,
     """
     g = gas.model
     cfg = tolerances()
-    if not V2 > cfg.numeric_floor:
-        raise DomainError(f"target volume {V2} below the positive floor")
+    if not cfg.numeric_floor < V2 < _INF:
+        raise _bad_target("type3", "V2", V2)
     c = g.nR * res.theta
     if abs(start.p * start.V - c) > cfg.isotherm_rtol * max(1.0, abs(c)):
         raise OffIsotherm(f"state ({start.p}, {start.V}) is not on the theta={res.theta} isotherm")

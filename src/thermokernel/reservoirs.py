@@ -15,6 +15,7 @@ linear scale is then used elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import tolerances
@@ -30,8 +31,9 @@ class ReservoirModel:
     theta: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError("reservoir parameter theta must be positive")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(
+                f"reservoir parameter theta must be positive and finite, got {self.theta}")
 
 
 @dataclass(frozen=True)

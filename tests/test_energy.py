@@ -1,22 +1,26 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from thermokernel.energy import (
     EnergyLedger,
     check_first_law,
+    delta_u,
     heat_of,
     internal_energy,
     reaches,
     state_function_delta,
 )
+from thermokernel.entropy import assign_heat_temperature
 from thermokernel.errors import DepthExceeded
 from thermokernel.gas import (
     GasPlanner,
     GasState,
     add_ideal_gas,
     gas_U,
+    type1,
     type2,
     type3,
 )
@@ -205,3 +209,44 @@ class TestFirstLawCheck:
     def test_empty_sample(self, gas):
         report = check_first_law(GasPlanner(gas), [])
         assert report.passed and report.pairs_checked == 0
+
+
+class TestQueriesKeepNothing:
+    """Energy queries read the anchor off the model binding every time: they
+    add no atom to the world and hold nothing between calls."""
+
+    def test_queries_leave_the_registry_unchanged(self, world, gas, unit_reservoir):
+        ledger = EnergyLedger.for_world(world)
+        contact = type3(gas, unit_reservoir, GasState(1, 1), 2.0).slice(0.0, 1.0)
+        friction = type1(gas, GasState(0.5, 1.5), 2.0).slice(0.0, 1.0)
+        both = compose(gas.system, unit_reservoir.system)
+        before = len(world.registry)
+        internal_energy(ledger, gas.system, jstate(gas, GasState(0.3, 2.0)))
+        for p in (contact, friction):
+            delta_u(ledger, both, p)
+            heat_of(ledger, gas.system, p)
+        assign_heat_temperature(world, gas.system, unit_reservoir.system, contact)
+        assert len(world.registry) == before
+
+    def test_registry_and_memory_stay_flat_over_5000_queries(self, world, gas):
+        ledger = EnergyLedger.for_world(world)
+        rng = random.Random(13)
+        before = len(world.registry)
+
+        def queries(n):
+            for _ in range(n):
+                s = GasState(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+                assert internal_energy(ledger, gas.system, jstate(gas, s)) == pytest.approx(
+                    gas_U(gas.model, s), rel=1e-6)
+
+        tracemalloc.start()
+        try:
+            queries(500)
+            warm = tracemalloc.get_traced_memory()[0]
+            queries(4500)
+            grown = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+        assert len(world.registry) == before
+        # 4500 retained states of any kind would take several hundred KB.
+        assert grown < 64 * 1024

@@ -46,6 +46,25 @@ def test_gas_state_floor():
         GasState(1.0, -2.0)
 
 
+@pytest.mark.parametrize("p, V", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                  (1.0, math.nan), (-math.inf, 1.0)])
+def test_gas_state_must_be_finite(p, V):
+    with pytest.raises(DomainError, match=r"is not finite"):
+        GasState(p, V)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_leg_targets_must_be_finite(gas, value):
+    start = GasState(1, 1)
+    res = add_reservoir(gas.world, 1.0)
+    legs = [("type1", "p2", lambda: type1(gas, start, value)),
+            ("type2", "V2", lambda: type2(gas, start, value)),
+            ("type3", "V2", lambda: type3(gas, res, start, value))]
+    for kind, key, build in legs:
+        with pytest.raises(DomainError, match=rf"^{kind} leg: target {key}={value} is not finite$"):
+            build()
+
+
 def test_closed_forms():
     g = GasModel()
     assert gas_U(g, GasState(2, 3)) == pytest.approx(9.0, abs=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermokernel import quasistatic
 from thermokernel.errors import DomainError, OutOfDomain, StateMismatch, ToleranceNotMet
 from thermokernel.gas import (
+    FrictionSegment,
     GasState,
     add_ideal_gas,
     gas_T,
@@ -245,8 +246,10 @@ def test_constant_rates_call_no_quadrature(gas, monkeypatch):
 
 def test_constant_rate_on_an_empty_interval_is_zero(gas):
     res = add_reservoir(gas.world, 1.0)
-    legs = [type1(gas, GasState(1, 1), 2.0), type1(gas, GasState(1, 1), math.inf),
-            type3(gas, res, GasState(1, 1), 2.0)]
+    atom = gas.atom
+    infinite = QuasistaticFamily((atom,), Curve(eval=lambda lam: {atom: GasState(1, 1)}),
+                                 {atom: ConstantRate(math.inf)}, {atom: ConstantRate(math.inf)})
+    legs = [type1(gas, GasState(1, 1), 2.0), infinite, type3(gas, res, GasState(1, 1), 2.0)]
     for fam in legs:
         for lam in (0.0, 0.3, 1.0):
             for atom in fam.atoms:
@@ -268,7 +271,10 @@ def test_non_finite_constant_rate_raises(gas, value):
 
 
 def test_friction_to_infinite_pressure_still_raises(gas):
-    fam = type1(gas, GasState(1, 1), math.inf)
+    with pytest.raises(DomainError, match=r"type1 leg: target p2=inf is not finite"):
+        type1(gas, GasState(1, 1), math.inf)
+    # built past the constructor's check, the leg still fails loudly
+    fam = FrictionSegment(gas, GasState(1, 1), math.inf)
     with pytest.raises(ToleranceNotMet):
         fam.work_between(gas.atom, 0.0, 1.0)
     with pytest.raises(DomainError):

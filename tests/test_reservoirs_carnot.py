@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -214,6 +215,44 @@ class TestTemperature:
         ratios = [-r.q1 / r.q2 for r in runs]
         assert max(ratios) - min(ratios) < 1e-9
         assert ratios[0] == pytest.approx(2.5 / 0.8, rel=1e-9)
+
+
+class TestTemperatureQueriesMintNothing:
+    """The engine behind a temperature ratio runs in a scratch world, so the
+    reservoirs' world is left as it was."""
+
+    def test_queries_leave_the_registry_unchanged(self, world):
+        a = add_reservoir(world, 1.7)
+        b = add_reservoir(world, 0.6)
+        before = len(world.registry)
+        assert temperature_ratio(a, b) == pytest.approx(1.7 / 0.6, rel=1e-9)
+        assert temperature_ratio(a, a) == pytest.approx(1.0, abs=1e-8)
+        assert absolute_temperature(b, a, 300.0) == pytest.approx(300.0 * 0.6 / 1.7, rel=1e-9)
+        assert absolute_temperature(a, a, 300.0) == pytest.approx(300.0, rel=1e-9)
+        assert same_temperature(a, a) and not same_temperature(a, b)
+        assert len(world.registry) == before
+
+    def test_registry_and_memory_stay_flat_over_2000_ratios(self, world):
+        rng = random.Random(17)
+        reservoirs = [add_reservoir(world, rng.uniform(0.5, 3.0)) for _ in range(8)]
+        before = len(world.registry)
+
+        def ratios(n):
+            for _ in range(n):
+                r1, r2 = rng.choice(reservoirs), rng.choice(reservoirs)
+                assert temperature_ratio(r1, r2) == pytest.approx(r1.theta / r2.theta, rel=1e-8)
+
+        tracemalloc.start()
+        try:
+            ratios(200)
+            warm = tracemalloc.get_traced_memory()[0]
+            ratios(1800)
+            grown = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+        assert len(world.registry) == before
+        # 1800 retained atoms with their bindings would take several hundred KB.
+        assert grown < 64 * 1024
 
 
 class TestSignsAndEfficiency:

@@ -1,6 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermokernel.cli import main
 from thermokernel.scenario import Scenario, fmt, run_scenario
@@ -218,6 +227,12 @@ POLYLINE = {"op": "polyline", "gas": "g", "save": "poly.csv",
                      id="off-isotherm"),
         pytest.param([GAS], dict(POLYLINE, segment={"type": "type1", "from": [2, 1], "p2": 1}),
                      id="pressure-drop"),
+        pytest.param([dict(GAS, S0=math.inf)], {"op": "entropy-table", "gas": "g", "save": "t.csv"},
+                     id="S0-inf"),
+        pytest.param([dict(GAS, U0=math.nan)], {"op": "entropy-table", "gas": "g", "save": "t.csv"},
+                     id="U0-nan"),
+        pytest.param([dict(GAS, n=math.inf)], CONNECT, id="n-inf"),
+        pytest.param([dict(HOT, theta=math.inf)], CARNOT, id="theta-inf"),
     ],
 )
 def test_bad_scenario_exits_3_without_traceback(tmp_path, capsys, atoms, cmd):
@@ -225,6 +240,25 @@ def test_bad_scenario_exits_3_without_traceback(tmp_path, capsys, atoms, cmd):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1 and "Traceback" not in out
+
+
+@pytest.mark.parametrize(
+    "cmd, named",
+    [
+        pytest.param(dict(POLYLINE, segment={"type": "type1", "from": [1, 1], "p2": math.inf}),
+                     "DomainError: type1 leg: target p2=inf is not finite", id="p2-inf"),
+        pytest.param(dict(SEGMENTS, segments=[{"type": "type2", "V2": math.nan}]),
+                     "DomainError: type2 leg: target V2=nan is not finite", id="V2-nan"),
+        pytest.param(dict(SEGMENTS, segments=[{"type": "type3", "theta": 1.0, "V2": math.inf}]),
+                     "DomainError: type3 leg: target V2=inf is not finite", id="type3-V2-inf"),
+        pytest.param(dict(CONNECT, **{"from": [math.inf, 1]}),
+                     "DomainError: gas state (inf, 1.0) is not finite", id="from-inf"),
+    ],
+)
+def test_non_finite_input_is_named_where_it_enters(tmp_path, capsys, cmd, named):
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [f"ENGINE ERROR: {named}"]
 
 
 @pytest.mark.parametrize(
@@ -304,7 +338,90 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[scaling]" in out and "PASS" in out
 
+    def test_verify_all_matches_the_committed_golden_output(self, capsys):
+        """The suite verdicts and their numbers must not change unnoticed."""
+        golden = Path(__file__).parent / "data" / "verify_all_seed42.txt"
+        assert main(["verify", "all", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
     def test_unknown_selector_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+# --- fuzzed scenarios -----------------------------------------------------------
+
+# What a mutation may put in place of a value: non-finite, huge, zero and
+# negative numbers, other types, and references to missing or wrong-kind atoms.
+MUTANT_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0, 0.0, -1, -0.5, 7,
+                 "x", "nope", "g", "hot", None, True, [], {}, [1, 1], [0.5, 2.0, 3]]
+# Optional keys a mutation may add to an object, with one of those values.
+MUTANT_KEYS = ["n", "R", "gamma", "U0", "S0", "sigma0", "energy", "q_hot", "volume_ratio"]
+# The op lines of the GOOD script and the artifact lines; any other line is a failure.
+PROGRESS = ("carnot ", "connect ", "entropy-table ", "wrote ")
+
+
+def _value_paths(tree, prefix=()):
+    """The key paths of every value below the root of a JSON tree."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """GOOD with one to three values dropped, replaced or added."""
+    tree = copy.deepcopy(GOOD)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_value_paths(tree))
+        how = draw(st.sampled_from(["drop", "replace", "add"]))
+        if how == "add":
+            objects = [p for p in [(), *paths] if isinstance(_at(tree, p), dict)]
+            owner, key = _at(tree, draw(st.sampled_from(objects))), draw(
+                st.sampled_from(MUTANT_KEYS))
+        elif paths:
+            *parents, key = draw(st.sampled_from(paths))
+            owner = _at(tree, parents)
+        else:
+            break
+        if how == "drop":
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+    return tree
+
+
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mutated_scenarios())
+def test_mutated_scenarios_exit_cleanly_and_repeatably(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        argv = ["run", path, "--out", os.path.join(tmp, "out")]
+        code, out = _run_cli(argv)
+        assert code in (0, 1, 2, 3)
+        assert _run_cli(argv) == (code, out)
+    if code in (2, 3):
+        failures = [line for line in out.splitlines() if not line.startswith(PROGRESS)]
+        assert len(failures) == 1, out
