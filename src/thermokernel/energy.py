@@ -5,9 +5,12 @@ energy of a state is the reference energy plus the total work of any
 connecting work process (or minus, for a process arriving at the reference).
 A gas's reference is its model's ``sigma0``, so the anchor is read off the
 model binding on every query and the ledger keeps nothing between queries.
-The engine constructs such processes from the model's segment vocabulary and
-integrates their work numerically; the closed forms in the gas module are
-used only as references for the anchor constant and as test oracles.
+The connecting process is the first ``GasPlanner.routes`` plan from the
+reference to the state, or from the state back to it; which way a work
+process runs is ``gas.connect_forward``'s adiabat rule, the same one
+``connect`` follows.  The engine integrates the plan's work numerically; the
+closed forms in the gas module are used only as references for the anchor
+constant and as test oracles.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ class EnergyLedger:
     Each query reads the atom's anchor off its model binding: a gas is
     anchored at its model's ``sigma0`` with the closed-form energy there, and
     a reservoir's energy is its payload.  A fresh ``GasPlanner`` builds the
-    connecting work process, so a query keeps nothing and adds no atom to
-    the world.
+    connecting work process, its first route in whichever direction one
+    exists, so a query keeps nothing and adds no atom to the world.
     """
 
     world: World
@@ -50,11 +53,9 @@ class EnergyLedger:
             raise Unreachable(f"no energy reference registered for {atom}")
         sigma0, u0 = binding.sigma0, gas_U(binding, binding.sigma0)
         planner = GasPlanner(GasAtom(atom, binding, self.world))
-        if planner.decide(sigma0, payload):
-            plan = planner.route(sigma0, payload)
+        for plan in planner.routes(sigma0, payload, count=1):
             return u0 + sum(f.work_between(atom, 0.0, 1.0) for f in plan)
-        if planner.decide(payload, sigma0):
-            plan = planner.route(payload, sigma0)
+        for plan in planner.routes(payload, sigma0, count=1):
             return u0 - sum(f.work_between(atom, 0.0, 1.0) for f in plan)
         raise Unreachable(  # pragma: no cover - the full gas vocabulary always connects
             f"no work process connects {sigma0} and {payload}")

@@ -14,6 +14,9 @@ vary along the leg and are ``ConstantRate`` values, which the family
 integrates exactly.  ``SEGMENT_KINDS`` maps each name to its class.
 Work processes on the gas alone are finite alternating sequences of the
 first two kinds; adjacent same-kind segments merge, degenerate legs drop.
+Isolated legs keep the adiabat invariant p V^gamma and friction raises it;
+``connect_forward`` is the one comparison of invariants, and ``connect`` and
+the energy ledger both run the first route of ``GasPlanner``.
 The closed forms for internal energy, entropy and gas temperature are the
 oracles that the path-integrating engine is tested against; the engine never
 calls them as shortcuts.
@@ -423,10 +426,14 @@ def reservoir_contact(
 # --- connection templates ---------------------------------------------------
 
 def connect_forward(g: GasModel, s1: GasState, s2: GasState) -> bool:
-    """Whether ``connect`` runs from ``s1`` to ``s2`` rather than back.
+    """Whether a work process on the gas can run from ``s1`` to ``s2``.
 
-    It runs the way the adiabat invariant does not decrease; invariants
-    equal to 1e-12 relative count as equal and run forward.
+    Isolated legs keep the adiabat invariant p V^gamma and friction raises
+    it, so a work process runs the way the invariant does not decrease;
+    invariants equal to 1e-12 relative count as equal and run either way.
+    This is the one place that compares invariants: ``connect`` orients its
+    pair by it, and ``GasPlanner`` reads "raising" as ``connect_forward(a, b)``
+    and "one adiabat" as that in both directions.
     """
     inv1, inv2 = adiabat_invariant(g, s1), adiabat_invariant(g, s2)
     return inv1 - inv2 <= 1e-12 * max(abs(inv1), abs(inv2))
@@ -435,30 +442,22 @@ def connect_forward(g: GasModel, s1: GasState, s2: GasState) -> bool:
 def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     """A work process on the gas between the two states.
 
-    Orients the pair by ``connect_forward``, then runs an isolated leg to
-    the target volume followed by a friction leg up to the target pressure.
-    The returned footprint may therefore run from ``s2`` to ``s1``; both
-    directions determine the same energy difference.  Equal invariants
-    degenerate to a single isolated leg.
+    Orients the pair by ``connect_forward`` and runs the planner's first
+    route between them: an isolated leg to the target volume, then friction
+    up to the target's adiabat (a single isolated leg when both states lie
+    on one adiabat).  The returned footprint may therefore run from ``s2``
+    to ``s1``; both directions determine the same energy difference.  Equal
+    states give the identity process; distinct states within ``state_atol``
+    get the planner's zero-work identity plan.
     """
-    g = gas.model
     if s1 == s2:
         return make_identity(gas.system, joint(AtomState(gas.atom, s1)))
-    inv1, inv2 = adiabat_invariant(g, s1), adiabat_invariant(g, s2)
-    scale = max(abs(inv1), abs(inv2))
-    if abs(inv1 - inv2) <= 1e-12 * scale:
-        return type2(gas, s1, s2.V).slice(0.0, 1.0)
-    lo, hi = (s1, s2) if connect_forward(g, s1, s2) else (s2, s1)
-    leg = type2(gas, lo, hi.V)
-    friction = type1(gas, leg.state_at(1.0)[gas.atom], hi.p)
-    if hi.V == lo.V:
-        return friction.slice(0.0, 1.0)
-    return concatenate(leg.slice(0.0, 1.0), friction.slice(0.0, 1.0))
-
-
-def _isotherm_volume(g: GasModel, s: GasState, c: float) -> float:
-    """The volume at which the adiabat through ``s`` meets the isotherm p V = c."""
-    return (adiabat_invariant(g, s) / c) ** (1.0 / (g.gamma - 1.0))
+    lo, hi = (s1, s2) if connect_forward(gas.model, s1, s2) else (s2, s1)
+    first, *rest = GasPlanner(gas).routes(lo, hi, count=1)[0]
+    process = first.slice(0.0, 1.0)
+    for leg in rest:
+        process = concatenate(process, leg.slice(0.0, 1.0))
+    return process
 
 
 def connect_reversible(
@@ -468,37 +467,32 @@ def connect_reversible(
 
     Heat is exchanged only on the middle leg, with a reservoir that may have
     any positive parameter; a fresh reservoir is minted for it in the gas's
-    world.  The Clausius cycles and ``check_qs_postulates`` run all three
-    legs; an entropy query needs only the heat of the middle one and builds
-    it alone with ``isotherm_leg``, minting nothing.
+    world.  The middle leg is ``isotherm_leg``, and the two adiabats run from
+    ``s1`` to its start and from its end to ``s2``.  The Clausius cycles and
+    ``check_qs_postulates`` run all three legs; an entropy query needs only
+    the heat of the middle one and builds it alone, minting nothing.
     """
     if not theta_prime > 0:
         raise DomainError("isotherm parameter must be positive")
-    g = gas.model
-    c = g.nR * theta_prime
-    v_on = _isotherm_volume(g, s1, c)
-    v_off = _isotherm_volume(g, s2, c)
-    res = add_reservoir(gas.world, theta_prime)
-    first = type2(gas, s1, v_on)
-    on_state = first.state_at(1.0)[gas.atom]
-    middle = type3(gas, res, on_state, v_off)
-    off_state = middle.state_at(1.0)[gas.atom]
-    last = type2(gas, off_state, s2.V)
-    return [first, middle, last]
+    middle = isotherm_leg(gas, add_reservoir(gas.world, theta_prime), s1, s2)
+    on_state, off_state = middle.state_at(0.0)[gas.atom], middle.state_at(1.0)[gas.atom]
+    return [type2(gas, s1, on_state.V), middle, type2(gas, off_state, s2.V)]
 
 
 def isotherm_leg(gas: GasAtom, res: Reservoir, s1: GasState, s2: GasState) -> QuasistaticFamily:
     """The ``type3`` leg on ``res`` from the adiabat through ``s1`` to the one through ``s2``.
 
-    It starts where the adiabat of ``s1`` meets the reservoir's isotherm,
-    so ``type3`` checks that meeting point, and it is the middle leg of
-    ``connect_reversible`` built without the two adiabats around it.
+    It starts where the adiabat of ``s1`` meets the reservoir's isotherm
+    p V = nR theta, at the volume (p V^gamma / (nR theta))^(1/(gamma-1)),
+    so ``type3`` checks that meeting point.  It is the middle leg of
+    ``connect_reversible``, the one place where an adiabat meets an isotherm.
     """
     g = gas.model
     c = g.nR * res.theta
-    v_on = _isotherm_volume(g, s1, c)
-    on_state = GasState(adiabat_invariant(g, s1) * v_on**-g.gamma, v_on)
-    return type3(gas, res, on_state, _isotherm_volume(g, s2, c))
+    inv_on = adiabat_invariant(g, s1)
+    v_on = (inv_on / c) ** g.cv_R
+    v_off = (adiabat_invariant(g, s2) / c) ** g.cv_R
+    return type3(gas, res, GasState(inv_on * v_on**-g.gamma, v_on), v_off)
 
 
 SEGMENT_KINDS = {"type1": FrictionSegment, "type2": AdiabatSegment, "type3": IsothermSegment}
@@ -543,9 +537,10 @@ class GasPlanner:
     """Plans work processes on a single gas atom from its segment vocabulary.
 
     Reachability on the gas is governed by the adiabat invariant: isolated
-    legs preserve it, friction raises it.  ``depth`` caps the number of
-    segments a plan may use; if the cap cuts off the only possible plans the
-    search is inconclusive and raises ``DepthExceeded``.
+    legs preserve it, friction raises it, and ``connect_forward`` is the one
+    rule that compares it.  ``depth`` caps the number of segments a plan may
+    use; if the cap cuts off the only possible plans the search is
+    inconclusive and raises ``DepthExceeded``.
     """
 
     gas: GasAtom
@@ -563,11 +558,9 @@ class GasPlanner:
         g = self.gas.model
         t1 = "type1" in self.kinds
         t2 = "type2" in self.kinds
-        inv_a, inv_b = adiabat_invariant(g, a), adiabat_invariant(g, b)
-        scale = max(abs(inv_a), abs(inv_b), 1.0)
-        same_adiabat = abs(inv_a - inv_b) <= 1e-12 * scale
+        raising = connect_forward(g, a, b)
+        same_adiabat = raising and connect_forward(g, b, a)
         same_volume = abs(a.V - b.V) <= 1e-12 * max(a.V, b.V)
-        raising = inv_b >= inv_a - 1e-12 * scale
         if t1 and not t2:
             return same_volume and b.p >= a.p - 1e-12 * max(a.p, b.p)
         if t2 and not t1:
@@ -589,8 +582,11 @@ class GasPlanner:
     ) -> list[list[QuasistaticFamily]]:
         """Up to ``count`` distinct segment plans from ``a`` to ``b``.
 
-        Empty when ``b`` is unreachable from ``a``.  Plans differ in the
-        volume at which the friction leg runs.
+        Empty when ``b`` is unreachable from ``a``; one identity plan when
+        the states are within ``state_atol``; one isolated leg when they lie
+        on one adiabat.  Otherwise plans differ in the volume at which the
+        friction leg runs, and the first runs it at ``b``'s volume: an
+        isolated leg there, then friction up to ``b``'s adiabat.
         """
         if not self.decide(a, b):
             return []
@@ -598,10 +594,9 @@ class GasPlanner:
         g = gas.model
         if self._close(a, b):
             return [[identity_family({gas.atom: a}, tag="identity")]]
-        inv_a, inv_b = adiabat_invariant(g, a), adiabat_invariant(g, b)
-        scale = max(abs(inv_a), abs(inv_b), 1.0)
-        if abs(inv_a - inv_b) <= 1e-12 * scale:
+        if connect_forward(g, a, b) and connect_forward(g, b, a):
             return [[type2(gas, a, b.V)]]
+        inv_b = adiabat_invariant(g, b)
         # friction-leg volumes: geometric interpolants between the endpoints
         fractions = [1.0, 0.0, 0.5, 0.25, 0.75, 0.375, 0.625]
         plans: list[list[QuasistaticFamily]] = []
@@ -631,7 +626,3 @@ class GasPlanner:
             if len(plan) <= self.depth and plan:
                 plans.append(plan)
         return plans
-
-    def route(self, a: GasState, b: GasState) -> list[QuasistaticFamily] | None:
-        plans = self.routes(a, b, count=1)
-        return plans[0] if plans else None

@@ -2,10 +2,9 @@
 
 A process records, for every involved atom, its initial state, final state
 and the work done on it.  Atoms not involved carry zero work by convention.
-Processes are identified by ``pid``: two processes with identical footprints
+A process is equal only to itself: two processes with identical footprints
 remain distinct values, because a footprint does not determine the procedure
-that produced it.  A ``pid`` numbers processes within one interpreter, so
-``to_json`` leaves it out.
+that produced it.
 
 Reversibility is witness-based: constructors that know how to undo
 themselves attach a ``reverse_witness`` callable producing the reverse
@@ -14,7 +13,6 @@ process.  Witness-free processes are treated as irreversible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -27,8 +25,6 @@ from .errors import (
     StateMismatch,
 )
 from .systems import AtomId, System, atoms_of, are_disjoint, compose
-
-_pids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -96,11 +92,10 @@ class ProcessEntry:
 class Process:
     """Footprint of a procedure: per-atom state changes plus work.
 
-    Equality is identity (by ``pid``); use ``same_footprint`` to compare
-    thermodynamic content.
+    Equality is identity (the dataclass is ``eq=False``); use
+    ``same_footprint`` to compare thermodynamic content.
     """
 
-    pid: int
     entries: Mapping[AtomId, ProcessEntry]
     reverse_witness: Callable[[], "Process"] | None = None
     tags: frozenset[str] = frozenset()
@@ -170,7 +165,6 @@ def make_process(
         for atom, (ini, fin, w) in entries.items()
     }
     return Process(
-        pid=next(_pids),
         entries=built,
         reverse_witness=reverse_witness,
         tags=frozenset(tags or ()),
@@ -198,7 +192,7 @@ def concatenate(p: Process, q: Process, atol: float | None = None) -> Process:
     witness = None
     if p.reverse_witness is not None and q.reverse_witness is not None:
         witness = lambda: concatenate(reverse_of(q), reverse_of(p), atol)
-    return Process(next(_pids), entries, witness, p.tags | q.tags)
+    return Process(entries, witness, p.tags | q.tags)
 
 
 def work_of(s: System, p: Process) -> float:
@@ -270,7 +264,7 @@ def eliminate_catalyst(s: System, c: System, p: Process) -> Process:
 
 def reverse_of(p: Process) -> Process:
     if p.reverse_witness is None:
-        raise NoReverseWitness(f"process {p.pid} carries no reverse constructor")
+        raise NoReverseWitness(f"process tagged {sorted(p.tags)} carries no reverse constructor")
     return p.reverse_witness()
 
 

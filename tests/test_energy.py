@@ -16,6 +16,7 @@ from thermokernel.energy import (
 from thermokernel.entropy import assign_heat_temperature
 from thermokernel.errors import DepthExceeded
 from thermokernel.gas import (
+    GasModel,
     GasPlanner,
     GasState,
     add_ideal_gas,
@@ -105,6 +106,15 @@ class TestInternalEnergy:
             )
             got = internal_energy(ledger, gas.system, jstate(gas, s))
             assert got == pytest.approx(gas_U(gas.model, s), rel=1e-6)
+
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6, 1 + 1e-5])
+    def test_states_just_off_a_small_reference_adiabat(self, world, factor):
+        # the reference invariant is about 1e-8: a state 1e-6 off its adiabat
+        # lies on another one, in the planner as in ``connect_forward``
+        gas = add_ideal_gas(world, GasModel(sigma0=GasState(1e-3, 1e-3)))
+        s = GasState(1e-3 * factor, 1e-3)
+        got = internal_energy(EnergyLedger.for_world(world), gas.system, jstate(gas, s))
+        assert got == pytest.approx(gas_U(gas.model, s), rel=1e-12)
 
     def test_additive_over_disjoint_gases(self, world):
         g1 = add_ideal_gas(world)

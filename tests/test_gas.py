@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermokernel.errors import (
     DepthExceeded,
@@ -18,6 +20,7 @@ from thermokernel.gas import (
     adiabat_invariant,
     conduct,
     connect,
+    connect_forward,
     connect_reversible,
     gas_S,
     gas_T,
@@ -29,7 +32,7 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import classify, is_reversible, work_of
+from thermokernel.processes import classify, is_reversible, values_close, work_of
 from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import World
@@ -276,6 +279,26 @@ class TestGasPlanner:
             works.append(w)
         assert max(works) - min(works) < 1e-9
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    log_p=st.floats(-4, 4), log_v=st.floats(-4, 4), log_v2=st.floats(-4, 4),
+    log_rel=st.floats(-14, -6), sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_planner_decides_by_connect_forward(log_p, log_v, log_v2, log_rel, sign):
+    """The planner reads reachability off ``connect_forward`` at every scale.
+
+    The second state's adiabat invariant differs from the first's by a
+    relative 1e-14 to 1e-6, either way.
+    """
+    gas = add_ideal_gas(World())
+    g = gas.model
+    a = GasState(10.0**log_p, 10.0**log_v)
+    v2 = 10.0**log_v2
+    inv_b = adiabat_invariant(g, a) * (1.0 + sign * 10.0**log_rel)
+    b = GasState(inv_b * v2**-g.gamma, v2)
+    assume(not values_close(a, b))
+    assert GasPlanner(gas).decide(a, b) == connect_forward(g, a, b)
 
 def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reservoir):
     """Every kind slices and integrates through the one QuasistaticFamily code

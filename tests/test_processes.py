@@ -180,7 +180,7 @@ def test_reverse_negates_work_and_swaps_states(world, gas):
 def test_friction_is_irreversible(world, gas):
     p = type1(gas, GasState(1.0, 1.0), 2.0).slice(0.0, 1.0)
     assert not is_reversible(p)
-    with pytest.raises(NoReverseWitness):
+    with pytest.raises(NoReverseWitness, match=r"tagged \['type1'\]"):
         reverse_of(p)
 
 

@@ -314,6 +314,19 @@ def test_failed_write_exits_2(tmp_path, capsys):
     assert lines[-1] == f"wrote {tmp_path / 'out' / 'a.json'}"
 
 
+def test_entropy_table_just_off_a_small_reference_adiabat(tmp_path):
+    """A state 1e-5 off the adiabat of a reference with invariant 1e-8 has its own U."""
+    scenario = {
+        "version": 1,
+        "atoms": [{"name": "g", "kind": "gas", "sigma0": [0.001, 0.001]}],
+        "script": [{"op": "entropy-table", "gas": "g", "p": [0.001, 0.00100001, 2],
+                    "V": [0.001, 0.001, 1], "save": "t.csv"}],
+    }
+    result = run_scenario(write_scenario(tmp_path, scenario), out_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0
+    rows = (tmp_path / "out" / "t.csv").read_text().splitlines()
+    assert rows[2].split(",")[:3] == ["0.00100001", "0.001", "1.500015e-06"]
+
 def test_scenario_parse_validates_types():
     with pytest.raises(ValidationError):
         Scenario.parse(json.dumps({"version": 1, "atoms": {}, "script": []})).validate()
@@ -343,6 +356,23 @@ class TestCli:
         golden = Path(__file__).parent / "data" / "verify_all_seed42.txt"
         assert main(["verify", "all", "--seed", "42"]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_run_all_ops_matches_the_committed_golden_output(self, tmp_path, capsys):
+        """Every op once: stdout and every saved artifact must not change unnoticed.
+
+        ``connect`` saves nothing here, since its full-precision footprint
+        may move by rounding while its printed ``dU`` may not.
+        """
+        data = Path(__file__).parent / "data"
+        golden = data / "run_all_ops"
+        out = tmp_path / "out"
+        assert main(["run", str(data / "run_all_ops.json"), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        assert stdout == (golden / "stdout.txt").read_text(encoding="utf-8")
+        names = sorted(p.name for p in golden.iterdir() if p.name != "stdout.txt")
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_unknown_selector_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
