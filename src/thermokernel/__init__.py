@@ -36,7 +36,6 @@ from .processes import (
     work_of,
 )
 from .quasistatic import (
-    Curve,
     PiecewiseConstantProfile,
     QuasistaticFamily,
     check_qs_postulates,

@@ -27,6 +27,7 @@ from .gas import (
     GasAtom,
     GasModel,
     GasState,
+    IsothermSegment,
     gas_T,
     isotherm_leg,
 )
@@ -283,10 +284,9 @@ def records_from_legs(
     records = []
     for fam in legs:
         proc = fam.slice(0.0, 1.0)
-        theta = fam.meta.get("theta") if fam.meta else None
-        if theta is not None:
+        if isinstance(fam, IsothermSegment):
             q = fam.heat_between(gas.atom, 0.0, 1.0)
-            records.append(HeatFlowRecord(proc, q, scale.absolute(theta)))
+            records.append(HeatFlowRecord(proc, q, scale.absolute(fam.res.theta)))
         else:
             records.append(HeatFlowRecord(proc, 0.0, None))
     return records

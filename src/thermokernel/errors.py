@@ -84,7 +84,10 @@ class UnassignedTemperature(ThermoError):
 
 
 class OutOfDomain(ThermoError):
-    """Curve or family parameter outside [0, 1] or outside the slice order."""
+    """A family parameter outside [0, 1] or out of slice order.
+
+    Also raised when an irreversible family is asked for its reverse.
+    """
 
 
 class ToleranceNotMet(ThermoError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from math import exp
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .config import tolerances
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     PressureDecrease,
 )
 from .processes import Process, concatenate, make_identity, make_process, joint, AtomState
-from .quasistatic import ConstantRate, Curve, QuasistaticFamily, Rate, identity_family
+from .quasistatic import ConstantRate, QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
 
@@ -229,11 +229,10 @@ class _Segment(QuasistaticFamily):
 
     ``keys`` are its numeric spec keys, in the order ``build`` takes them
     after ``(gas, start)``; ``gas_only`` kinds are work processes on the gas
-    alone.  The generic family view is built on demand.
+    alone.  It fills the base slots itself, so a leg costs no extra call.
     """
 
     __slots__ = ("gas", "atom", "start")
-    knots = ()
 
     def __init__(self, gas: GasAtom, start: GasState, atoms: tuple, tag: str, reversible: bool):
         self.gas, self.atom, self.start = gas, gas.atom, start
@@ -241,18 +240,6 @@ class _Segment(QuasistaticFamily):
 
     def work_rate(self, atom: AtomId) -> Rate | None:
         return self._work if atom == self.atom else None
-
-    def heat_rate(self, atom: AtomId) -> Rate | None:
-        return None
-
-    def _rates(self, rate_of: Callable[[AtomId], Rate | None]) -> dict[AtomId, Rate]:
-        return {a: r for a in self.atoms if (r := rate_of(a)) is not None}
-
-    curve = property(lambda self: Curve(eval=self.evaluate, derivative=self.derivative))
-    work_rates = property(lambda self: self._rates(self.work_rate))
-    heat_rates = property(lambda self: self._rates(self.heat_rate))
-    reverse_factory = property(lambda self: self.reversed if self.reversible else None)
-    meta = property(lambda self: {"gas": self.atom})
 
 
 class FrictionSegment(_Segment):
@@ -347,9 +334,6 @@ class IsothermSegment(_Segment):
         if atom == self.atom:
             return self._heat
         return self._work if atom == self.bath else None
-
-    meta = property(lambda self: {"gas": self.atom, "reservoir": self.bath,
-                                  "theta": self.res.theta})
 
     def reversed(self) -> QuasistaticFamily:
         energy = self.reservoir_energy - self.q_total
@@ -447,8 +431,9 @@ def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     up to the target's adiabat (a single isolated leg when both states lie
     on one adiabat).  The returned footprint may therefore run from ``s2``
     to ``s1``; both directions determine the same energy difference.  Equal
-    states give the identity process; distinct states within ``state_atol``
-    get the planner's zero-work identity plan.
+    states give the identity process; distinct states at one volume and on
+    one adiabat, both to 1e-12 relative, get the planner's zero-work
+    identity plan.
     """
     if s1 == s2:
         return make_identity(gas.system, joint(AtomState(gas.atom, s1)))
@@ -548,8 +533,10 @@ class GasPlanner:
     depth: int = 4
 
     def _close(self, a: GasState, b: GasState) -> bool:
-        tol = tolerances().state_atol
-        return abs(a.p - b.p) <= tol and abs(a.V - b.V) <= tol
+        """Equal volumes to 1e-12 relative, on one adiabat by ``connect_forward``."""
+        g = self.gas.model
+        return (abs(a.V - b.V) <= 1e-12 * max(a.V, b.V)
+                and connect_forward(g, a, b) and connect_forward(g, b, a))
 
     def decide(self, a: GasState, b: GasState) -> bool:
         """Whether some work process on the gas maps ``a`` to ``b``."""
@@ -583,10 +570,12 @@ class GasPlanner:
         """Up to ``count`` distinct segment plans from ``a`` to ``b``.
 
         Empty when ``b`` is unreachable from ``a``; one identity plan when
-        the states are within ``state_atol``; one isolated leg when they lie
-        on one adiabat.  Otherwise plans differ in the volume at which the
-        friction leg runs, and the first runs it at ``b``'s volume: an
-        isolated leg there, then friction up to ``b``'s adiabat.
+        the states agree in volume and adiabat to 1e-12 relative; one
+        isolated leg when they lie on one adiabat.  Otherwise plans differ
+        in the volume ``vm`` at which the friction leg runs, and an isolated
+        leg closes a plan only when ``vm`` is not ``b``'s volume; the first
+        plan runs friction at ``b``'s volume: an isolated leg there, then
+        friction up to ``b``'s adiabat.
         """
         if not self.decide(a, b):
             return []
@@ -610,7 +599,7 @@ class GasPlanner:
             seen.add(vm)
             plan: list[QuasistaticFamily] = []
             state = a
-            if abs(vm - state.V) > 0:
+            if vm != a.V:
                 leg = type2(gas, state, vm)
                 plan.append(leg)
                 state = leg.state_at(1.0)[gas.atom]
@@ -619,10 +608,8 @@ class GasPlanner:
                 continue  # this interpolant would need a pressure drop
             leg = type1(gas, state, target_p)
             plan.append(leg)
-            state = leg.state_at(1.0)[gas.atom]
-            if abs(b.V - state.V) > 0:
-                leg = type2(gas, state, b.V)
-                plan.append(leg)
+            if vm != b.V:  # a leg's evaluated end may be an ulp off vm
+                plan.append(type2(gas, leg.state_at(1.0)[gas.atom], b.V))
             if len(plan) <= self.depth and plan:
                 plans.append(plan)
         return plans

@@ -7,18 +7,19 @@ curve and per-atom work equal to the path integral of the work rate; slices
 compose exactly, ``slice(x, x)`` is an identity, and a reversible family
 hands every slice a reverse witness.
 
-``QuasistaticFamily`` reads states off a ``Curve`` and rates off per-atom
-dicts; the gas segment kinds subclass it and compute both from their own
-parameters, and every family slices and integrates through the code here.
-A rate that does not depend on the parameter is a ``ConstantRate`` and is
-integrated exactly, as its value times the parameter span; every other rate
-goes through the adaptive quadrature.
+A family is a slotted ``QuasistaticFamily`` subclass that computes its
+states in ``evaluate`` and its rates in ``work_rate`` and ``heat_rate``:
+the gas segment kinds, ``identity_family`` and ``concat_families``.  Every
+family slices and integrates through the code here.  A rate that does not
+depend on the parameter is a ``ConstantRate`` and is integrated exactly, as
+its value times the parameter span; every other rate goes through the
+adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .config import tolerances
@@ -26,26 +27,6 @@ from .errors import OutOfDomain, StateMismatch, ToleranceNotMet
 from .processes import Process, make_process, value_components, values_close
 from .quadrature import adaptive_simpson
 from .systems import AtomId
-
-
-@dataclass(frozen=True)
-class Curve:
-    """Curve in a joint state space, parameterized on [0, 1].
-
-    ``eval`` maps the parameter to per-atom payloads.  ``knots`` are interior
-    breakpoints where C1 smoothness may fail (quadratures split there).
-    ``derivative`` maps the parameter to per-atom component derivatives and
-    is defined away from the knots.
-    """
-
-    eval: Callable[[float], dict[AtomId, Any]]
-    knots: tuple[float, ...] = ()
-    derivative: Callable[[float], dict[AtomId, tuple[float, ...]]] | None = None
-
-    def __call__(self, lam: float) -> dict[AtomId, Any]:
-        if not 0.0 <= lam <= 1.0:
-            raise OutOfDomain(f"curve parameter {lam} outside [0, 1]")
-        return self.eval(lam)
 
 
 Rate = Callable[[float], float]
@@ -79,32 +60,27 @@ def _integral(rate: Rate | None, lo: float, hi: float, tol, knots) -> float:
     return adaptive_simpson(rate, lo, hi, tol=tol, knots=knots)
 
 
-@dataclass(slots=True, eq=False)
 class QuasistaticFamily:
     """Two-parameter family of work processes along a curve.
 
-    An atom without a rate in ``work_rates`` (``heat_rates``) takes no work
-    (heat).  Subclasses override ``evaluate``, ``knots``, ``work_rate``,
-    ``heat_rate`` and ``reversed``, never ``slice``, ``work_between`` or
-    ``heat_between``.
+    Subclasses compute the joint state at a parameter in ``evaluate`` and
+    may override ``knots`` (interior breakpoints where C1 smoothness may
+    fail, so quadratures split there), ``derivative`` (per-atom component
+    derivatives away from the knots), ``work_rate``, ``heat_rate`` and
+    ``reversed``; never ``slice``, ``work_between`` or ``heat_between``.
+    An atom without a work (heat) rate takes no work (heat).
     """
 
-    atoms: tuple[AtomId, ...]
-    curve: Curve
-    work_rates: Mapping[AtomId, Rate]
-    heat_rates: Mapping[AtomId, Rate]
-    reversible: bool = False
-    reverse_factory: Callable[[], "QuasistaticFamily"] | None = None
-    tag: str = ""
-    meta: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("atoms", "tag", "reversible")
+    knots: tuple[float, ...] = ()
+    derivative: Callable[[float], dict[AtomId, tuple[float, ...]]] | None = None
 
-    @property
-    def knots(self) -> tuple[float, ...]:
-        return self.curve.knots
+    def __init__(self, atoms: tuple[AtomId, ...], tag: str = "", reversible: bool = False):
+        self.atoms, self.tag, self.reversible = atoms, tag, reversible
 
     def evaluate(self, lam: float) -> dict[AtomId, Any]:
         """Joint state at ``lam``, which the caller has checked."""
-        return self.curve.eval(lam)
+        raise NotImplementedError
 
     def state_at(self, lam: float) -> dict[AtomId, Any]:
         if not 0.0 <= lam <= 1.0:
@@ -112,10 +88,10 @@ class QuasistaticFamily:
         return self.evaluate(lam)
 
     def work_rate(self, atom: AtomId) -> Rate | None:
-        return self.work_rates.get(atom)
+        return None
 
     def heat_rate(self, atom: AtomId) -> Rate | None:
-        return self.heat_rates.get(atom)
+        return None
 
     def work_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
         return _integral(self.work_rate(atom), lo, hi, tol, self.knots)
@@ -139,18 +115,78 @@ class QuasistaticFamily:
         return make_process(entries, reverse_witness=witness, tags=tags)
 
     def reversed(self) -> "QuasistaticFamily":
-        if self.reverse_factory is None:
-            raise OutOfDomain("family carries no reverse constructor")
-        return self.reverse_factory()
+        raise OutOfDomain("family carries no reverse constructor")
+
+
+class _Identity(QuasistaticFamily):
+    """Constant family at ``payloads``; it is its own reverse."""
+
+    __slots__ = ("payloads",)
+
+    def __init__(self, payloads: Mapping[AtomId, Any], tag: str):
+        super().__init__(tuple(sorted(payloads)), tag, True)
+        self.payloads = dict(payloads)
+
+    def evaluate(self, lam: float) -> dict[AtomId, Any]:
+        return dict(self.payloads)
+
+    def reversed(self) -> QuasistaticFamily:
+        return self
 
 
 def identity_family(payloads: Mapping[AtomId, Any], tag: str = "identity") -> QuasistaticFamily:
     """Constant family: every slice is an identity process."""
-    frozen = dict(payloads)
-    curve = Curve(eval=lambda lam: dict(frozen))
-    fam = QuasistaticFamily(tuple(sorted(payloads)), curve, {}, {}, reversible=True, tag=tag)
-    fam.reverse_factory = lambda: fam
-    return fam
+    return _Identity(payloads, tag)
+
+
+def _joined(rate_f: Rate | None, rate_g: Rate | None) -> Rate | None:
+    """``rate_f`` then ``rate_g``, each run at twice the speed; no rate for neither."""
+    if rate_f is None and rate_g is None:
+        return None
+
+    def rate(lam: float) -> float:
+        if lam <= 0.5:
+            return 2.0 * rate_f(2.0 * lam) if rate_f is not None else 0.0
+        return 2.0 * rate_g(2.0 * lam - 1.0) if rate_g is not None else 0.0
+
+    return rate
+
+
+class _Concat(QuasistaticFamily):
+    """``f`` over [0, 1/2] then ``g`` over [1/2, 1]; see ``concat_families``."""
+
+    __slots__ = ("f", "g", "end_f", "start_g", "atol", "knots")
+
+    def __init__(self, f: QuasistaticFamily, g: QuasistaticFamily,
+                 end_f: dict, start_g: dict, atol: float | None):
+        tag = f"{f.tag}+{g.tag}" if f.tag or g.tag else ""
+        super().__init__(tuple(sorted(set(f.atoms) | set(g.atoms))), tag,
+                         f.reversible and g.reversible)
+        self.f, self.g, self.end_f, self.start_g, self.atol = f, g, end_f, start_g, atol
+        self.knots = tuple(sorted({0.5} | {k * 0.5 for k in f.knots}
+                                  | {0.5 + k * 0.5 for k in g.knots}))
+
+    def evaluate(self, lam: float) -> dict[AtomId, Any]:
+        if lam <= 0.5:
+            state = dict(self.f.state_at(min(1.0, 2.0 * lam)))
+            for a in self.g.atoms:
+                state.setdefault(a, self.start_g[a])
+        else:
+            state = dict(self.g.state_at(2.0 * lam - 1.0))
+            for a in self.f.atoms:
+                state.setdefault(a, self.end_f[a])
+        return state
+
+    def work_rate(self, atom: AtomId) -> Rate | None:
+        return _joined(self.f.work_rate(atom), self.g.work_rate(atom))
+
+    def heat_rate(self, atom: AtomId) -> Rate | None:
+        return _joined(self.f.heat_rate(atom), self.g.heat_rate(atom))
+
+    def reversed(self) -> QuasistaticFamily:
+        if not self.reversible:
+            return super().reversed()
+        return concat_families(self.g.reversed(), self.f.reversed(), self.atol)
 
 
 def concat_families(
@@ -166,72 +202,27 @@ def concat_families(
     for atom in set(f.atoms) & set(g.atoms):
         if not values_close(end_f[atom], start_g[atom], atol):
             raise StateMismatch(atom, end_f[atom], start_g[atom])
-    atoms = tuple(sorted(set(f.atoms) | set(g.atoms)))
-
-    def evaluate(lam: float) -> dict[AtomId, Any]:
-        if lam <= 0.5:
-            state = dict(f.state_at(min(1.0, 2.0 * lam)))
-            for a in g.atoms:
-                state.setdefault(a, start_g[a])
-        else:
-            state = dict(g.state_at(2.0 * lam - 1.0))
-            for a in f.atoms:
-                state.setdefault(a, end_f[a])
-        return state
-
-    def make_rate(rates_f: Rate | None, rates_g: Rate | None) -> Rate:
-        def rate(lam: float) -> float:
-            if lam <= 0.5:
-                return 2.0 * rates_f(2.0 * lam) if rates_f is not None else 0.0
-            return 2.0 * rates_g(2.0 * lam - 1.0) if rates_g is not None else 0.0
-
-        return rate
-
-    work_rates: dict[AtomId, Rate] = {}
-    heat_rates: dict[AtomId, Rate] = {}
-    for a in atoms:
-        for rates, rf, rg in (
-            (work_rates, f.work_rate(a), g.work_rate(a)),
-            (heat_rates, f.heat_rate(a), g.heat_rate(a)),
-        ):
-            if rf is not None or rg is not None:
-                rates[a] = make_rate(rf, rg)
-    knots = tuple(sorted({0.5} | {k * 0.5 for k in f.knots} | {0.5 + k * 0.5 for k in g.knots}))
-    reversible = f.reversible and g.reversible
-    reverse = None
-    if reversible:
-        reverse = lambda: concat_families(g.reversed(), f.reversed(), atol)
-    tag = f"{f.tag}+{g.tag}" if f.tag or g.tag else ""
-    return QuasistaticFamily(
-        atoms=atoms,
-        curve=Curve(eval=evaluate, knots=knots),
-        work_rates=work_rates,
-        heat_rates=heat_rates,
-        reversible=reversible,
-        reverse_factory=reverse,
-        tag=tag,
-        meta={"parts": (f, g)},
-    )
+    return _Concat(f, g, end_f, start_g, atol)
 
 
 def integrate_form(
     form: Callable[[tuple[float, ...]], tuple[float, ...]],
-    curve: Curve,
+    fam: QuasistaticFamily,
     lo: float,
     hi: float,
     tol: float | None = None,
     atom: AtomId | None = None,
 ) -> float:
-    """Path integral of a one-form along a curve segment.
+    """Path integral of a one-form along a stretch of a family's curve.
 
     ``form`` maps a state point (component tuple) to coefficient values; the
-    integrand is the pairing with the curve's component derivatives.  Works
-    on single-atom curves unless ``atom`` selects the component to follow.
+    integrand is the pairing with the family's component derivatives.  Works
+    on single-atom families unless ``atom`` selects the component to follow.
     """
     if not 0.0 <= lo <= hi <= 1.0:
         raise OutOfDomain(f"integration bounds ({lo}, {hi}) invalid")
-    if curve.derivative is None:
-        raise ValueError("curve carries no derivative; cannot pull back the form")
+    if fam.derivative is None:
+        raise ValueError("family carries no derivative; cannot pull back the form")
     def pick(mapping):
         if atom is not None:
             return mapping[atom]
@@ -240,13 +231,12 @@ def integrate_form(
         return next(iter(mapping.values()))
 
     def integrand(lam: float) -> float:
-        point = value_components(pick(curve.eval(lam)))
-        velocity = pick(curve.derivative(lam))
+        point = value_components(pick(fam.evaluate(lam)))
+        velocity = pick(fam.derivative(lam))
         coeffs = form(point)
         return sum(c * v for c, v in zip(coeffs, velocity))
 
-    return adaptive_simpson(integrand, lo, hi, tol=tol, knots=curve.knots)
-
+    return adaptive_simpson(integrand, lo, hi, tol=tol, knots=fam.knots)
 
 @dataclass(frozen=True)
 class PiecewiseConstantProfile:

@@ -107,14 +107,16 @@ class TestInternalEnergy:
             got = internal_energy(ledger, gas.system, jstate(gas, s))
             assert got == pytest.approx(gas_U(gas.model, s), rel=1e-6)
 
-    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6, 1 + 1e-5])
+    @pytest.mark.parametrize(
+        "factor", [1 + 1e-6, 1 - 1e-6, 1 + 1e-5, 1 + 1e-9, 1 - 1e-9, 1 + 1e-10]
+    )
     def test_states_just_off_a_small_reference_adiabat(self, world, factor):
-        # the reference invariant is about 1e-8: a state 1e-6 off its adiabat
-        # lies on another one, in the planner as in ``connect_forward``
+        # the reference invariant is about 1e-8: a state 1e-10 to 1e-5 off its
+        # adiabat lies on another one, in the planner as in ``connect_forward``
         gas = add_ideal_gas(world, GasModel(sigma0=GasState(1e-3, 1e-3)))
         s = GasState(1e-3 * factor, 1e-3)
         got = internal_energy(EnergyLedger.for_world(world), gas.system, jstate(gas, s))
-        assert got == pytest.approx(gas_U(gas.model, s), rel=1e-12)
+        assert got == pytest.approx(gas_U(gas.model, s), rel=1e-12, abs=0.0)
 
     def test_additive_over_disjoint_gases(self, world):
         g1 = add_ideal_gas(world)
@@ -202,13 +204,23 @@ class TestFirstLawCheck:
                 if len(plans) > 1:
                     # fault injection: damage one leg's work bookkeeping
                     bad = plans[-1][0]
-                    plans[-1][0] = QuasistaticFamily(
-                        atoms=bad.atoms,
-                        curve=bad.curve,
-                        work_rates={self.gas.atom: lambda lam: 1e6},
-                        heat_rates={},
-                    )
+                    plans[-1][0] = Damaged(bad, self.gas.atom)
                 return plans
+
+        class Damaged(QuasistaticFamily):
+            """``inner``'s states with a work rate of 1e6 on ``atom``."""
+
+            __slots__ = ("inner", "atom")
+
+            def __init__(self, inner, atom):
+                super().__init__(inner.atoms)
+                self.inner, self.atom = inner, atom
+
+            def evaluate(self, lam):
+                return self.inner.evaluate(lam)
+
+            def work_rate(self, atom):
+                return (lambda lam: 1e6) if atom == self.atom else None
 
         report = check_first_law(
             Corrupted(GasPlanner(gas)), [(GasState(1, 1), GasState(2, 1.5))]

@@ -122,7 +122,7 @@ class TestClausiusSum:
         gas = add_ideal_gas(world)
         start = GasState(1, 1)
         heated = type1(gas, start, 2.0)
-        hot = heated.curve(1.0)[gas.atom]
+        hot = heated.state_at(1.0)[gas.atom]
         legs = [heated] + connect_reversible(gas, hot, start, 1.0)
         records = records_from_legs(legs, gas)
         total = clausius_sum(records, probe=gas.system)
@@ -280,13 +280,13 @@ def test_zero_net_heat_still_moves_entropy(world):
     cold = add_reservoir(world, th_cold)
     compress = type3(gas, cold, start, 0.5)
     q1 = compress.heat_between(gas.atom, 0.0, 1.0)
-    mid = compress.curve(1.0)[gas.atom]
+    mid = compress.state_at(1.0)[gas.atom]
     # isolated leg onto the hot isotherm
     v_on = (mid.p * mid.V ** gas.model.gamma / (gas.model.nR * th_hot)) ** (
         1.0 / (gas.model.gamma - 1.0)
     )
     climb = type2(gas, mid, v_on)
-    on_hot = climb.curve(1.0)[gas.atom]
+    on_hot = climb.state_at(1.0)[gas.atom]
     hot = add_reservoir(world, th_hot)
     ratio = math.exp(-q1 / (gas.model.nR * th_hot))
     expand = type3(gas, hot, on_hot, on_hot.V * ratio)
@@ -294,7 +294,7 @@ def test_zero_net_heat_still_moves_entropy(world):
     assert q1 + q2 == pytest.approx(0.0, abs=1e-9)  # net heat zero by design
     per_segment = q1 / th_cold + q2 / th_hot
     assert per_segment < 0
-    end = expand.curve(1.0)[gas.atom]
+    end = expand.state_at(1.0)[gas.atom]
     closed_form = gas_S(gas.model, end) - gas_S(gas.model, start)
     assert per_segment == pytest.approx(closed_form, abs=1e-9)
     assert abs(per_segment - (q1 + q2) / th_cold) > 0.1  # net-heat shortcut is wrong
@@ -309,7 +309,7 @@ def test_equal_state_change_heats_scale_with_temperature(world):
     r1 = add_reservoir(world, 1.0)
     direct = type3(gas, r1, start, 0.5)
     q1 = direct.heat_between(gas.atom, 0.0, 1.0)
-    end = direct.curve(1.0)[gas.atom]
+    end = direct.state_at(1.0)[gas.atom]
     # route 2: isolated leg, isothermal leg at a different temperature, back
     legs = connect_reversible(gas, start, end, 2.0)
     q2 = legs[1].heat_between(gas.atom, 0.0, 1.0)

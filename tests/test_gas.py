@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +34,12 @@ from thermokernel.gas import (
     type3,
 )
 from thermokernel.processes import classify, is_reversible, values_close, work_of
-from thermokernel.quasistatic import QuasistaticFamily
+from thermokernel.quasistatic import (
+    QuasistaticFamily,
+    concat_families,
+    identity_family,
+    integrate_form,
+)
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import World
 
@@ -81,7 +87,7 @@ def test_closed_forms_track_gamma():
     # isolated curves stay isentropic for any exponent
     world = World()
     gas = add_ideal_gas(world, g)
-    end = type2(gas, GasState(1, 1), 2.0).curve(1.0)[gas.atom]
+    end = type2(gas, GasState(1, 1), 2.0).state_at(1.0)[gas.atom]
     assert gas_S(g, end) == pytest.approx(gas_S(g, GasState(1, 1)), abs=1e-12)
 
 
@@ -156,10 +162,21 @@ def test_connect_degenerate_cases(gas):
     ident = connect(gas, GasState(1, 1), GasState(1, 1))
     assert work_of(gas.system, ident) == 0.0
     # both states on one isolated curve: single reversible leg
-    end = type2(gas, GasState(1, 1), 2.0).curve(1.0)[gas.atom]
+    end = type2(gas, GasState(1, 1), 2.0).state_at(1.0)[gas.atom]
     p = connect(gas, GasState(1, 1), end)
     assert is_reversible(p)
     assert p.tags == frozenset({"type2"})
+
+
+def test_connect_between_nearby_small_states_runs_friction(gas):
+    # the pressures differ by a relative 5e-10, far above one adiabat's 1e-12
+    a, b = GasState(1e-3, 1e-3), GasState(1e-3 + 5e-13, 1e-3)
+    p = connect(gas, a, b)
+    assert p.tags == frozenset({"type1"})
+    assert p.initial_of(gas.atom).value == a
+    assert p.final_of(gas.atom).value == b
+    dp = b.p - a.p
+    assert work_of(gas.system, p) == pytest.approx(gas.model.cv_R * a.V * dp, rel=1e-12, abs=0.0)
 
 
 def test_connect_reversible_template(gas):
@@ -168,7 +185,7 @@ def test_connect_reversible_template(gas):
     q = legs[1].heat_between(gas.atom, 0.0, 1.0)
     assert q / 1.0 == pytest.approx(2.5 * LN2, abs=1e-9)
     # final leg actually ends at the requested state
-    assert legs[2].curve(1.0)[gas.atom].as_tuple() == pytest.approx((1.0, 2.0), rel=1e-9)
+    assert legs[2].state_at(1.0)[gas.atom].as_tuple() == pytest.approx((1.0, 2.0), rel=1e-9)
 
 
 def test_connect_reversible_theta_independent(gas):
@@ -191,7 +208,7 @@ def test_isolated_curves_are_isentropic(gas):
     fam = type2(gas, GasState(1.7, 0.6), 2.9)
     s_ref = gas_S(gas.model, GasState(1.7, 0.6))
     for lam in (0.0, 0.2, 0.5, 0.8, 1.0):
-        s = gas_S(gas.model, fam.curve(lam)[gas.atom])
+        s = gas_S(gas.model, fam.state_at(lam)[gas.atom])
         assert abs(s - s_ref) <= 1e-9
 
 
@@ -244,7 +261,7 @@ class TestGasPlanner:
 
     def test_isolated_only_catalog(self, gas):
         planner = GasPlanner(gas, kinds=("type2",))
-        end = type2(gas, GasState(1, 1), 2.0).curve(1.0)[gas.atom]
+        end = type2(gas, GasState(1, 1), 2.0).state_at(1.0)[gas.atom]
         assert planner.decide(GasState(1, 1), end)
         assert planner.decide(end, GasState(1, 1))
         assert not planner.decide(GasState(1, 1), GasState(2, 1))
@@ -280,6 +297,19 @@ class TestGasPlanner:
         assert max(works) - min(works) < 1e-9
 
 
+def test_first_plan_has_at_most_two_legs():
+    """No plan closes with an isolated leg one ulp long."""
+    rng = random.Random(11)
+    for _ in range(2000):
+        gas = add_ideal_gas(World(), GasModel(gamma=rng.choice((5.0 / 3.0, 1.4))))
+        a, b = (GasState(math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
+                for _ in range(2))
+        if not connect_forward(gas.model, a, b):
+            a, b = b, a
+        plan = GasPlanner(gas).routes(a, b, count=1)[0]
+        assert len(plan) <= 2
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     log_p=st.floats(-4, 4), log_v=st.floats(-4, 4), log_v2=st.floats(-4, 4),
@@ -307,6 +337,10 @@ def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reserv
     legs = [type1(gas, start, 2.0), type2(gas, start, 2.0), type3(gas, unit_reservoir, start, 2.0)]
     for fam in legs:
         assert type(fam) is SEGMENT_KINDS[fam.tag]
+    joined = concat_families(legs[1], legs[1].reversed())
+    for fam in legs + [identity_family({gas.atom: start}), joined]:
         assert not hasattr(fam, "__dict__")
         for name in ("slice", "work_between", "heat_between"):
             assert getattr(type(fam), name) is getattr(QuasistaticFamily, name)
+    with pytest.raises(ValueError, match="no derivative"):
+        integrate_form(lambda point: (1.0, 0.0), joined, 0.0, 1.0)

@@ -190,11 +190,11 @@ def test_reversibility_propagates_through_concatenation(world, gas):
     of 'reversible composite implies reversible parts')."""
     s0 = GasState(1.0, 1.0)
     ad1 = type2(gas, s0, 2.0)
-    mid = ad1.curve(1.0)[gas.atom]
+    mid = ad1.state_at(1.0)[gas.atom]
     ad2 = type2(gas, mid, 1.3)
     both = concatenate(ad1.slice(0.0, 1.0), ad2.slice(0.0, 1.0))
     assert is_reversible(both)
-    fr = type1(gas, ad2.curve(1.0)[gas.atom], 5.0)
+    fr = type1(gas, ad2.state_at(1.0)[gas.atom], 5.0)
     chain = concatenate(both, fr.slice(0.0, 1.0))
     assert not is_reversible(chain)
 

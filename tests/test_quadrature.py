@@ -67,7 +67,7 @@ def test_knots_a_few_ulps_apart():
 def test_smooth_type2_work_rate_takes_one_panel():
     gas = add_ideal_gas(World())
     fam = type2(gas, GasState(1.0, 1.0), 2.0)
-    rate = counted(fam.work_rates[gas.atom])
+    rate = counted(fam.work_rate(gas.atom))
     want = 1.5 * (2.0 ** (-2.0 / 3.0) - 1.0)
     assert adaptive_simpson(rate, 0.0, 1.0) == pytest.approx(want, abs=1e-13)
     assert len(rate.calls) == 15

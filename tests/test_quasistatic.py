@@ -22,7 +22,6 @@ from thermokernel.processes import classify, concatenate
 from thermokernel.quadrature import adaptive_simpson
 from thermokernel.quasistatic import (
     ConstantRate,
-    Curve,
     PiecewiseConstantProfile,
     QuasistaticFamily,
     check_qs_postulates,
@@ -83,8 +82,8 @@ def test_continuity_of_states_and_work(gas):
     lam = 0.5
     prev_gap = None
     for eps in (1e-1, 1e-3, 1e-5):
-        s1 = fam.curve(lam)[gas.atom]
-        s2 = fam.curve(lam + eps)[gas.atom]
+        s1 = fam.state_at(lam)[gas.atom]
+        s2 = fam.state_at(lam + eps)[gas.atom]
         gap = abs(s1.p - s2.p) + abs(s1.V - s2.V)
         w = abs(fam.work_between(gas.atom, lam, lam + eps))
         if prev_gap is not None:
@@ -98,7 +97,7 @@ def test_integrate_form_isotherm_oracle(gas):
     res = add_reservoir(gas.world, 1.0)
     fam = type3(gas, res, GasState(1, 1), 2.0)
     form = lambda point: (0.0, -point[0])  # coefficients of (dp, dV)
-    got = integrate_form(form, fam.curve, 0.0, 1.0, atom=gas.atom)
+    got = integrate_form(form, fam, 0.0, 1.0, atom=gas.atom)
     assert got == pytest.approx(-math.log(2.0), abs=1e-9)
 
 
@@ -106,18 +105,18 @@ def test_integrate_form_isochore_oracle(gas):
     # (3/2) V dp along V = 1, p from 1 to 2: analytic value 1.5
     fam = type1(gas, GasState(1, 1), 2.0)
     form = lambda point: (1.5 * point[1], 0.0)
-    got = integrate_form(form, fam.curve, 0.0, 1.0)
+    got = integrate_form(form, fam, 0.0, 1.0)
     assert got == pytest.approx(1.5, abs=1e-10)
-    assert integrate_form(form, fam.curve, 0.3, 0.3) == 0.0
+    assert integrate_form(form, fam, 0.3, 0.3) == 0.0
 
 
 def test_concat_families_two_segments(gas):
     ad = type2(gas, GasState(1, 1), 2.0)
-    corner = ad.curve(1.0)[gas.atom]
+    corner = ad.state_at(1.0)[gas.atom]
     res = add_reservoir(gas.world, gas_T(gas.model, corner))
     iso = type3(gas, res, corner, 1.5)
     fam = concat_families(ad, iso)
-    assert 0.5 in fam.curve.knots
+    assert 0.5 in fam.knots
     p = fam.slice(0.0, 1.0)
     assert p.initial_of(gas.atom).value == GasState(1, 1)
     assert p.final_of(gas.atom).value.V == pytest.approx(1.5)
@@ -158,9 +157,9 @@ def test_entropy_integral_piecewise_profile_matches_discrete_sum(gas):
     th1, th2 = 1.0, 2.0
     r1 = add_reservoir(gas.world, th1)
     iso1 = type3(gas, r1, GasState(1, 1), 2.0)
-    mid = iso1.curve(1.0)[gas.atom]
+    mid = iso1.state_at(1.0)[gas.atom]
     fr = type1(gas, mid, mid.p * th2 / th1)  # jump isotherms at fixed volume
-    hot = fr.curve(1.0)[gas.atom]
+    hot = fr.state_at(1.0)[gas.atom]
     r2 = add_reservoir(gas.world, th2)
     iso2 = type3(gas, r2, hot, 3.0)
     fam = concat_families(concat_families(iso1, fr), iso2)
@@ -189,11 +188,11 @@ def test_work_and_heat_rates_decompose_energy_change(gas):
     h = 1e-6
     for fam in cases:
         for lam in (0.25, 0.5, 0.75):
-            u_plus = gas_U(gas.model, fam.curve(lam + h)[gas.atom])
-            u_minus = gas_U(gas.model, fam.curve(lam - h)[gas.atom])
+            u_plus = gas_U(gas.model, fam.state_at(lam + h)[gas.atom])
+            u_minus = gas_U(gas.model, fam.state_at(lam - h)[gas.atom])
             du = (u_plus - u_minus) / (2 * h)
-            w = fam.work_rates.get(gas.atom, lambda _: 0.0)(lam)
-            q = fam.heat_rates.get(gas.atom, lambda _: 0.0)(lam)
+            w = (fam.work_rate(gas.atom) or (lambda _: 0.0))(lam)
+            q = (fam.heat_rate(gas.atom) or (lambda _: 0.0))(lam)
             assert du == pytest.approx(w + q, rel=1e-6, abs=1e-9)
 
 
@@ -244,11 +243,27 @@ def test_constant_rates_call_no_quadrature(gas, monkeypatch):
     assert len(calls) == 1
 
 
+class _ConstantFamily(QuasistaticFamily):
+    """Rests at (1, 1) while its one atom takes work and heat at ``value``."""
+
+    __slots__ = ("rate",)
+
+    def __init__(self, atom, value):
+        super().__init__((atom,))
+        self.rate = ConstantRate(value)
+
+    def evaluate(self, lam):
+        return {self.atoms[0]: GasState(1, 1)}
+
+    def work_rate(self, atom):
+        return self.rate if atom in self.atoms else None
+
+    heat_rate = work_rate
+
+
 def test_constant_rate_on_an_empty_interval_is_zero(gas):
     res = add_reservoir(gas.world, 1.0)
-    atom = gas.atom
-    infinite = QuasistaticFamily((atom,), Curve(eval=lambda lam: {atom: GasState(1, 1)}),
-                                 {atom: ConstantRate(math.inf)}, {atom: ConstantRate(math.inf)})
+    infinite = _ConstantFamily(gas.atom, math.inf)
     legs = [type1(gas, GasState(1, 1), 2.0), infinite, type3(gas, res, GasState(1, 1), 2.0)]
     for fam in legs:
         for lam in (0.0, 0.3, 1.0):
@@ -260,8 +275,7 @@ def test_constant_rate_on_an_empty_interval_is_zero(gas):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_constant_rate_raises(gas, value):
     atom = gas.atom
-    fam = QuasistaticFamily((atom,), Curve(eval=lambda lam: {atom: GasState(1, 1)}),
-                            {atom: ConstantRate(value)}, {atom: ConstantRate(value)})
+    fam = _ConstantFamily(atom, value)
     with pytest.raises(ToleranceNotMet):
         fam.work_between(atom, 0.0, 1.0)
     with pytest.raises(ToleranceNotMet):
