@@ -1,7 +1,8 @@
 """Ideal-gas model: segment constructors, closed forms, connection templates.
 
-The gas lives on the open positive quadrant (p, V).  Three segment kinds
-generate its processes:
+The gas lives on the open positive quadrant (p, V).  A ``GasState`` is a
+frozen slotted value, checked whenever one is built, computed ones included.
+Three segment kinds generate its processes:
 
 * friction heating at constant volume (irreversible, pressure only rises),
 * isolated compression/expansion along p V^gamma = const (reversible),
@@ -49,22 +50,27 @@ _INF = math.inf
 R_SI = 8.314462618  # J / (mol K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GasState:
-    """A point (p, V) in the open positive quadrant, with finite coordinates."""
+    """A point (p, V) in the open positive quadrant, finite, and checked whenever one is built."""
 
     p: float
     V: float
 
-    def __post_init__(self):
+    def __init__(self, p: float, V: float):
         floor = tolerances().numeric_floor
-        if not (floor < self.p < _INF and floor < self.V < _INF):
-            if not (math.isfinite(self.p) and math.isfinite(self.V)):
-                raise DomainError(f"gas state ({self.p}, {self.V}) is not finite")
-            raise DomainError(f"gas state ({self.p}, {self.V}) below the positive floor")
+        if not (floor < p < _INF and floor < V < _INF):
+            if not (math.isfinite(p) and math.isfinite(V)):
+                raise DomainError(f"gas state ({p}, {V}) is not finite")
+            raise DomainError(f"gas state ({p}, {V}) below the positive floor")
+        _set_p(self, p)
+        _set_V(self, V)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.p, self.V)
+
+
+_set_p, _set_V = GasState.p.__set__, GasState.V.__set__
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ class FrictionSegment(_Segment):
 class AdiabatSegment(_Segment):
     """``type2``: the volume runs geometrically to ``V2`` at constant p V^gamma."""
 
-    __slots__ = ("end", "inv", "gamma", "log_r")
+    __slots__ = ("end", "inv", "gamma", "log_r", "_work")
     keys, gas_only, build = ("V2",), True, staticmethod(type2)
 
     def __init__(self, gas: GasAtom, start: GasState, V2: float):
@@ -275,6 +281,8 @@ class AdiabatSegment(_Segment):
         self.inv = adiabat_invariant(gas.model, start)
         self.log_r = math.log(V2 / start.V)
         self.end = GasState(self.inv * V2**-self.gamma, V2)
+        v0, log_r, neg_inv, k = start.V, self.log_r, -self.inv, 1.0 - self.gamma
+        self._work = lambda lam: neg_inv * (v0 * exp(lam * log_r)) ** k * log_r
 
     def evaluate(self, lam: float):
         v = self.start.V * exp(lam * self.log_r)
@@ -284,10 +292,6 @@ class AdiabatSegment(_Segment):
         v = self.start.V * exp(lam * self.log_r)
         p = self.inv * v**-self.gamma
         return {self.atom: (-self.gamma * p * self.log_r, v * self.log_r)}
-
-    def _work(self, lam: float) -> float:
-        v = self.start.V * exp(lam * self.log_r)
-        return -self.inv * v ** (1.0 - self.gamma) * self.log_r
 
     def reversed(self) -> QuasistaticFamily:
         return type2(self.gas, self.end, self.start.V)

@@ -6,6 +6,8 @@ A process is equal only to itself: two processes with identical footprints
 remain distinct values, because a footprint does not determine the procedure
 that produced it.
 
+``AtomState``, ``ProcessEntry`` and ``Process`` are frozen slotted values.
+
 Reversibility is witness-based: constructors that know how to undo
 themselves attach a ``reverse_witness`` callable producing the reverse
 process.  Witness-free processes are treated as irreversible.
@@ -27,7 +29,7 @@ from .errors import (
 from .systems import AtomId, System, atoms_of, are_disjoint, compose
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AtomState:
     """A state payload tagged with the atom it belongs to.
 
@@ -37,6 +39,10 @@ class AtomState:
 
     atom: AtomId
     value: Any
+
+    def __init__(self, atom: AtomId, value: Any):
+        _set_atom(self, atom)
+        _set_value(self, value)
 
     def to_json(self) -> dict:
         return {"atom": self.atom.to_json(), "value": value_to_json(self.value)}
@@ -75,20 +81,28 @@ def values_close(a: Any, b: Any, atol: float | None = None) -> bool:
     """Payload equality up to the model tolerance (default absolute 1e-12)."""
     if atol is None:
         atol = tolerances().state_atol
-    ca, cb = value_components(a), value_components(b)
-    if len(ca) != len(cb):
-        return False
-    return all(abs(x - y) <= atol for x, y in zip(ca, cb))
+    if type(a) is float and type(b) is float:
+        return abs(a - b) <= atol
+    if type(a) is type(b) and hasattr(a, "as_tuple"):  # no ``value_components`` tuples
+        ca, cb = a.as_tuple(), b.as_tuple()
+    else:
+        ca, cb = value_components(a), value_components(b)
+    return len(ca) == len(cb) and all(abs(float(x) - float(y)) <= atol for x, y in zip(ca, cb))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProcessEntry:
     initial: AtomState
     final: AtomState
     work: float
 
+    def __init__(self, initial: AtomState, final: AtomState, work: float):
+        _set_initial(self, initial)
+        _set_final(self, final)
+        _set_work(self, work)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Process:
     """Footprint of a procedure: per-atom state changes plus work.
 
@@ -97,8 +111,15 @@ class Process:
     """
 
     entries: Mapping[AtomId, ProcessEntry]
-    reverse_witness: Callable[[], "Process"] | None = None
-    tags: frozenset[str] = frozenset()
+    reverse_witness: Callable[[], "Process"] | None
+    tags: frozenset[str]
+
+    def __init__(self, entries, reverse_witness=None, tags=frozenset()):
+        if not entries:
+            raise ValueError("a process involves at least one atom")
+        _set_entries(self, entries)
+        _set_witness(self, reverse_witness)
+        _set_tags(self, tags)
 
     @property
     def involved(self) -> frozenset[AtomId]:
@@ -132,7 +153,7 @@ class Process:
                 return False
             if not values_close(e.final.value, o.final.value, atol):
                 return False
-            if abs(e.work - o.work) > tolerances().work_atol:
+            if not abs(e.work - o.work) <= tolerances().work_atol:
                 return False
         return True
 
@@ -152,23 +173,22 @@ class Process:
         }
 
 
+_set_atom, _set_value = AtomState.atom.__set__, AtomState.value.__set__
+_set_initial, _set_final, _set_work = (
+    ProcessEntry.initial.__set__, ProcessEntry.final.__set__, ProcessEntry.work.__set__)
+_set_entries, _set_witness, _set_tags = (
+    Process.entries.__set__, Process.reverse_witness.__set__, Process.tags.__set__)
+
+
 def make_process(
     entries: Mapping[AtomId, tuple[Any, Any, float]],
     reverse_witness: Callable[[], Process] | None = None,
     tags: Iterable[str] | None = None,
 ) -> Process:
     """Build a process from ``atom -> (initial_value, final_value, work)``."""
-    if not entries:
-        raise ValueError("a process involves at least one atom")
-    built = {
-        atom: ProcessEntry(AtomState(atom, ini), AtomState(atom, fin), float(w))
-        for atom, (ini, fin, w) in entries.items()
-    }
-    return Process(
-        entries=built,
-        reverse_witness=reverse_witness,
-        tags=frozenset(tags or ()),
-    )
+    built = {atom: ProcessEntry(AtomState(atom, ini), AtomState(atom, fin), float(w))
+             for atom, (ini, fin, w) in entries.items()}
+    return Process(built, reverse_witness, frozenset(tags or ()))
 
 
 def concatenate(p: Process, q: Process, atol: float | None = None) -> Process:
@@ -252,14 +272,10 @@ def eliminate_catalyst(s: System, c: System, p: Process) -> Process:
         raise NotWorkProcess("process is not a work process on the combined system")
     if not classify(c, p).catalytic:
         raise NotCatalytic("process is not catalytic on the stated part")
-    entries = {
-        a: (p.initial_of(a).value, p.final_of(a).value, p.work_on(a))
-        for a in atoms_of(s)
-    }
     witness = None
     if p.reverse_witness is not None:
         witness = lambda: eliminate_catalyst(s, c, reverse_of(p))
-    return make_process(entries, reverse_witness=witness, tags=p.tags)
+    return Process({a: p.entries[a] for a in atoms_of(s)}, witness, p.tags)
 
 
 def reverse_of(p: Process) -> Process:
@@ -276,12 +292,7 @@ def join(p1: Process, p2: Process) -> Process:
     """Parallel execution of work processes on disjoint systems."""
     if p1.involved & p2.involved:
         raise Overlap(f"joint processes must not share atoms: {p1.involved & p2.involved}")
-    entries = {
-        a: (e.initial.value, e.final.value, e.work)
-        for proc in (p1, p2)
-        for a, e in proc.entries.items()
-    }
     witness = None
     if p1.reverse_witness is not None and p2.reverse_witness is not None:
         witness = lambda: join(reverse_of(p1), reverse_of(p2))
-    return make_process(entries, reverse_witness=witness, tags=p1.tags | p2.tags)
+    return Process({**p1.entries, **p2.entries}, witness, p1.tags | p2.tags)

@@ -24,7 +24,8 @@ from typing import Any, Callable, Mapping
 
 from .config import tolerances
 from .errors import OutOfDomain, StateMismatch, ToleranceNotMet
-from .processes import Process, make_process, value_components, values_close
+from .processes import (AtomState, Process, ProcessEntry, make_process, value_components,
+                        values_close)  # make_process: perfbench/tests/test_spans.py reads it
 from .quadrature import adaptive_simpson
 from .systems import AtomId
 
@@ -106,13 +107,14 @@ class QuasistaticFamily:
         start = self.evaluate(lo)
         end = self.evaluate(hi)
         entries = {
-            a: (start[a], end[a], self.work_between(a, lo, hi, tol)) for a in self.atoms
+            a: ProcessEntry(AtomState(a, start[a]), AtomState(a, end[a]),
+                            float(self.work_between(a, lo, hi, tol)))
+            for a in self.atoms
         }
         witness = None
         if self.reversible:
             witness = lambda: self.reversed().slice(1.0 - hi, 1.0 - lo, tol)
-        tags = (self.tag,) if self.tag else ()
-        return make_process(entries, reverse_witness=witness, tags=tags)
+        return Process(entries, witness, frozenset((self.tag,) if self.tag else ()))
 
     def reversed(self) -> "QuasistaticFamily":
         raise OutOfDomain("family carries no reverse constructor")

@@ -97,11 +97,11 @@ NATURAL_SCALE = TemperatureScale()
 def stir(res: Reservoir, work: float, energy: float | None = None) -> Process:
     """Dump work into a reservoir, raising its energy by the same amount.
 
-    Work on a reservoir is never negative; the constructor depends only on
-    the energy difference.
+    Work on a reservoir is finite and never negative; the constructor
+    depends only on the energy difference.
     """
-    if work < 0:
-        raise PreconditionNotMet("no process extracts work from a reservoir")
+    if not 0 <= work < math.inf:
+        raise PreconditionNotMet(f"stirring work must be finite and non-negative, got {work}")
     e0 = res.energy if energy is None else energy
     return make_process(
         {res.atom: (e0, e0 + work, float(work))},

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -49,17 +52,32 @@ W_ADIABAT_1_TO_2 = 1.5 * (2.0 ** (-2.0 / 3.0) - 1.0)
 
 
 def test_gas_state_floor():
-    with pytest.raises(DomainError):
-        GasState(0.0, 1.0)
-    with pytest.raises(DomainError):
-        GasState(1.0, -2.0)
+    for p, V in ((0.0, 1.0), (1.0, -2.0), (1, 1e-13), (-2, 3)):
+        with pytest.raises(DomainError) as err:
+            GasState(p, V)
+        assert str(err.value) == f"gas state ({p}, {V}) below the positive floor"
 
 
 @pytest.mark.parametrize("p, V", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
                                   (1.0, math.nan), (-math.inf, 1.0)])
 def test_gas_state_must_be_finite(p, V):
-    with pytest.raises(DomainError, match=r"is not finite"):
+    with pytest.raises(DomainError) as err:
         GasState(p, V)
+    assert str(err.value) == f"gas state ({p}, {V}) is not finite"
+
+
+def test_gas_state_is_a_frozen_slotted_value():
+    s = GasState(1.5, 2)
+    assert repr(s) == "GasState(p=1.5, V=2)"
+    assert GasState(p=1.5, V=2) == s == GasState(1.5, 2.0) and s != GasState(1.5, 2.5)
+    assert s != (1.5, 2) and s.as_tuple() == (1.5, 2)
+    assert hash(s) == hash((1.5, 2)) == hash(GasState(1.5, 2.0))
+    assert not hasattr(s, "__dict__")
+    for field in ("p", "V"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, 3.0)
+    assert pickle.loads(pickle.dumps(s)) == s and copy.copy(s) == s
+    assert [f.name for f in dataclasses.fields(GasState)] == ["p", "V"]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from thermokernel.errors import (
 from thermokernel.gas import GasState, add_ideal_gas, type1, type2
 from thermokernel.processes import (
     AtomState,
+    Process,
+    ProcessEntry,
     classify,
     concatenate,
     eliminate_catalyst,
@@ -24,6 +29,8 @@ from thermokernel.processes import (
     make_identity,
     make_process,
     reverse_of,
+    value_components,
+    values_close,
     work_of,
 )
 from thermokernel.systems import World, compose, system
@@ -253,3 +260,95 @@ def test_concatenate_is_associative_on_gas_chains(legs):
     assert left.same_footprint(right)
     atom = gas.atom
     assert left.work_on(atom) == (p.work_on(atom) + q.work_on(atom)) + r.work_on(atom)
+
+
+# --- value semantics of the footprint types -----------------------------------
+
+def test_atom_state_and_entry_are_frozen_slotted_values(world):
+    (a,) = make_abstract_atoms(world, 1)
+    ini, fin = AtomState(a, 1.0), AtomState(a, 2.0)
+    entry = ProcessEntry(ini, fin, 0.5)
+    assert repr(ini) == f"AtomState(atom={a!r}, value=1.0)"
+    assert repr(entry) == f"ProcessEntry(initial={ini!r}, final={fin!r}, work=0.5)"
+    assert ini == AtomState(a, 1) and ini != AtomState(a, 2.0) and ini != (a, 1.0)
+    assert hash(ini) == hash((a, 1.0)) == hash(AtomState(a, 1.0))
+    assert entry == ProcessEntry(AtomState(a, 1.0), AtomState(a, 2.0), 0.5)
+    assert entry != ProcessEntry(ini, fin, 0.25)
+    assert hash(entry) == hash((ini, fin, 0.5))
+    for value, field in ((ini, "value"), (entry, "work")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 3.0)
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value
+
+
+def test_process_is_a_frozen_slotted_value_equal_only_to_itself(world):
+    (a,) = make_abstract_atoms(world, 1)
+    p = make_process({a: (1.0, 2.0, 0.5)}, tags=("stir",))
+    twin = make_process({a: (1.0, 2.0, 0.5)}, tags=("stir",))
+    entry = ProcessEntry(AtomState(a, 1.0), AtomState(a, 2.0), 0.5)
+    assert repr(p) == (f"Process(entries={{{a!r}: {entry!r}}}, reverse_witness=None, "
+                       "tags=frozenset({'stir'}))")
+    assert p == p and p != twin and p.same_footprint(twin)
+    assert hash(p) == object.__hash__(p) and hash(p) != hash(twin)
+    assert Process(p.entries) != Process(p.entries)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.tags = frozenset()
+    with pytest.raises(ValueError, match="at least one atom"):
+        Process({})
+    with pytest.raises(ValueError, match="at least one atom"):
+        make_process({})
+
+
+def test_same_footprint_rejects_a_nan_work(world):
+    (a,) = make_abstract_atoms(world, 1)
+    nan_work = make_process({a: (1.0, 2.0, math.nan)})
+    finite_work = make_process({a: (1.0, 2.0, 5.0)})
+    assert not nan_work.same_footprint(finite_work)
+    assert not finite_work.same_footprint(nan_work)
+    assert not nan_work.same_footprint(nan_work)
+
+
+def _componentwise_close(a, b, atol):
+    """The rule ``values_close`` keeps: flatten both payloads, compare each pair."""
+    ca, cb = value_components(a), value_components(b)
+    return len(ca) == len(cb) and all(abs(x - y) <= atol for x, y in zip(ca, cb))
+
+
+_extreme = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+_float = st.one_of(st.floats(allow_nan=True, allow_infinity=True), _extreme)
+_coordinate = st.one_of(st.floats(min_value=1e-9, max_value=1e9),
+                        st.integers(min_value=1, max_value=10**6))
+_payload = st.one_of(
+    _float,
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.builds(GasState, _coordinate, _coordinate),
+    st.lists(_float, min_size=1, max_size=3).map(tuple),
+)
+_nudge = st.one_of(st.just(0.0), st.floats(min_value=-3e-12, max_value=3e-12))
+
+
+@st.composite
+def _payload_pairs(draw):
+    """Two unrelated payloads, or one payload and a nudged copy of it."""
+    a = draw(_payload)
+    if draw(st.booleans()):
+        return a, draw(_payload)
+    if isinstance(a, GasState):
+        return a, GasState(a.p + draw(_nudge), a.V + draw(_nudge))
+    if isinstance(a, tuple):
+        return a, tuple(x + draw(_nudge) for x in a)
+    return a, a + draw(_nudge)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(pair=_payload_pairs(), atol=st.sampled_from([1e-12, 0.0, 1e-6]))
+def test_values_close_is_the_componentwise_rule(pair, atol):
+    a, b = pair
+    want = _componentwise_close(a, b, atol)
+    assert values_close(a, b, atol) is want
+    assert values_close(b, a, atol) is _componentwise_close(b, a, atol)
+    if atol == 1e-12:
+        assert values_close(a, b) is want

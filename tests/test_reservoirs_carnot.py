@@ -81,8 +81,9 @@ class TestSecondLaw:
         res = add_reservoir(world, 1.0)
         p = stir(res, 2.5)
         assert p.work_on(res.atom) == 2.5
-        with pytest.raises(PreconditionNotMet):
-            stir(res, -0.1)
+        for work in (-0.1, math.nan, math.inf):
+            with pytest.raises(PreconditionNotMet, match=rf"finite and non-negative, got {work}$"):
+                stir(res, work)
 
 
 class TestBuildCarnot:
