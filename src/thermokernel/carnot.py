@@ -176,15 +176,13 @@ def absolute_temperature(r: Reservoir, ref: Reservoir, t_ref: float) -> float:
     return temperature_ratio(r, ref) * t_ref
 
 
-def same_temperature(r1: Reservoir, r2: Reservoir, tol: float | None = None) -> bool:
-    """Thermal equilibrium: the temperature ratio is one.
+def same_temperature(r1: Reservoir, r2: Reservoir) -> bool:
+    """Thermal equilibrium: the temperature ratio is one, to the ``same_temperature`` tier.
 
     The relation comes out reflexive, symmetric and transitive, so equal
     temperature is derived here rather than assumed.
     """
-    if tol is None:
-        tol = tolerances().same_temperature
-    return abs(temperature_ratio(r1, r2) - 1.0) <= tol
+    return abs(temperature_ratio(r1, r2) - 1.0) <= tolerances().same_temperature
 
 
 def build_degraded_carnot(

@@ -40,10 +40,6 @@ class EnergyLedger:
 
     world: World
 
-    @classmethod
-    def for_world(cls, world: World) -> "EnergyLedger":
-        return cls(world=world)
-
     def atom_energy(self, atom: AtomId, payload: Any) -> float:
         """Energy of one atom's state, constructed via connecting work processes."""
         binding = self.world.binding(atom) if atom in self.world else None
@@ -150,21 +146,16 @@ class FirstLawReport:
 
 
 def check_first_law(
-    planner: GasPlanner,
-    pairs: Sequence[tuple[GasState, GasState]],
-    routes_per_pair: int = 3,
-    rtol: float | None = None,
-    atol: float | None = None,
+    planner: GasPlanner, pairs: Sequence[tuple[GasState, GasState]]
 ) -> FirstLawReport:
     """Work totals of all discovered connecting work processes must agree.
 
-    For each sampled state pair, plans are built in whichever direction is
-    reachable; a pair reachable in neither direction, or plans whose total
-    works disagree beyond tolerance, are reported as violations.
+    For each sampled state pair, up to three plans are built in whichever
+    direction is reachable; a pair reachable in neither direction, or plans
+    whose total works disagree beyond the ``first_law_rtol`` and
+    ``first_law_atol`` tiers, are reported as violations.
     """
     cfg = tolerances()
-    rtol = cfg.first_law_rtol if rtol is None else rtol
-    atol = cfg.first_law_atol if atol is None else atol
     violations = []
     atom = planner.gas.atom
     for s1, s2 in pairs:
@@ -178,7 +169,7 @@ def check_first_law(
                  "reason": "unreachable in both directions"}
             )
             continue
-        plans = planner.routes(a, b, count=routes_per_pair)
+        plans = planner.routes(a, b, count=3)
         works = [sum(f.work_between(atom, 0.0, 1.0) for f in plan) for plan in plans]
         if not works:
             violations.append(
@@ -187,7 +178,7 @@ def check_first_law(
             )
             continue
         spread = fold_worst(max, *works) - fold_worst(min, *works)
-        bound = max(atol, rtol * max(abs(w) for w in works))
+        bound = max(cfg.first_law_atol, cfg.first_law_rtol * max(abs(w) for w in works))
         if not spread <= bound:
             violations.append(
                 {"sigma1": a.as_tuple(), "sigma2": b.as_tuple(),

@@ -120,7 +120,7 @@ def assign_heat_temperature(
         return temps
 
     if "type3" in p.tags and not ({"conduction", "reservoir-contact"} & p.tags):
-        thetas = set(round_key(t) for t in reservoir_thetas())
+        thetas = set(round(t, 12) for t in reservoir_thetas())
         if len(thetas) != 1:
             raise NoTemperature(
                 "isothermal legs at different reservoir temperatures do not mix"
@@ -142,15 +142,7 @@ def assign_heat_temperature(
     raise NoTemperature("no reservoir division exists for this process in the model")
 
 
-def round_key(x: float, digits: int = 12) -> float:
-    return round(x, digits)
-
-
-def clausius_sum(
-    records: Sequence[HeatFlowRecord],
-    probe: System | None = None,
-    atol: float | None = None,
-) -> float:
+def clausius_sum(records: Sequence[HeatFlowRecord], probe: System | None = None) -> float:
     """Sum of heat over temperature along a closed contact sequence.
 
     The record processes must be concatenable in order and the concatenation
@@ -161,7 +153,7 @@ def clausius_sum(
         return 0.0
     total = records[0].process
     for rec in records[1:]:
-        total = concatenate(total, rec.process, atol)
+        total = concatenate(total, rec.process)
     if probe is None:
         common = set(records[0].process.involved)
         for rec in records[1:]:
@@ -173,7 +165,7 @@ def clausius_sum(
         entry = total.entries.get(atom)
         if entry is None:
             raise NotCyclic(f"probe atom {atom} not involved")
-        if not values_close(entry.initial.value, entry.final.value, atol):
+        if not values_close(entry.initial.value, entry.final.value):
             raise NotCyclic(f"probe atom {atom} does not return to its initial state")
     out = 0.0
     for rec in records:
@@ -205,12 +197,6 @@ class EntropyLedger:
 
     world: World
     scale: TemperatureScale = NATURAL_SCALE
-
-    @classmethod
-    def for_world(
-        cls, world: World, scale: TemperatureScale = NATURAL_SCALE
-    ) -> "EntropyLedger":
-        return cls(world=world, scale=scale)
 
     def atom_entropy(self, atom: AtomId, payload: Any) -> float:
         binding = self.world.binding(atom)
@@ -261,15 +247,13 @@ class EntropyVerdict:
                 "reversible": self.reversible}
 
 
-def check_entropy_theorem(
-    s: System, p: Process, ledger: EntropyLedger, tol: float = 1e-9
-) -> EntropyVerdict:
-    """Work processes never lower entropy; reversible ones keep it constant."""
+def check_entropy_theorem(s: System, p: Process, ledger: EntropyLedger) -> EntropyVerdict:
+    """Work processes never lower entropy; reversible ones keep it constant, both to 1e-9."""
     if not is_work_process(s, p):
         raise NotWorkProcess("the entropy monotone is stated for work processes")
     ds = delta_entropy(ledger, s, p)
     rev = is_reversible(p)
-    passed = ds >= -tol and (not rev or abs(ds) <= tol)
+    passed = ds >= -1e-9 and (not rev or abs(ds) <= 1e-9)
     return EntropyVerdict(passed=passed, delta_s=ds, reversible=rev)
 
 

@@ -31,13 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .config import tolerances
-from .errors import (
-    DepthExceeded,
-    DomainError,
-    OffIsotherm,
-    PreconditionNotMet,
-    PressureDecrease,
-)
+from .errors import DomainError, OffIsotherm, PreconditionNotMet, PressureDecrease
 from .processes import Process, concatenate, make_identity, make_process, joint, AtomState
 from .quasistatic import ConstantRate, QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
@@ -434,13 +428,10 @@ def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     route between them: an isolated leg to the target volume, then friction
     up to the target's adiabat (a single isolated leg when both states lie
     on one adiabat).  The returned footprint may therefore run from ``s2``
-    to ``s1``; both directions determine the same energy difference.  Equal
-    states give the identity process; distinct states at one volume and on
-    one adiabat, both to 1e-12 relative, get the planner's zero-work
-    identity plan.
+    to ``s1``; both directions determine the same energy difference.
+    States at one volume and on one adiabat, both to 1e-12 relative (equal
+    states included), get the planner's zero-work identity plan.
     """
-    if s1 == s2:
-        return make_identity(gas.system, joint(AtomState(gas.atom, s1)))
     lo, hi = (s1, s2) if connect_forward(gas.model, s1, s2) else (s2, s1)
     first, *rest = GasPlanner(gas).routes(lo, hi, count=1)[0]
     process = first.slice(0.0, 1.0)
@@ -527,14 +518,11 @@ class GasPlanner:
 
     Reachability on the gas is governed by the adiabat invariant: isolated
     legs preserve it, friction raises it, and ``connect_forward`` is the one
-    rule that compares it.  ``depth`` caps the number of segments a plan may
-    use; if the cap cuts off the only possible plans the search is
-    inconclusive and raises ``DepthExceeded``.
+    rule that compares it.  A plan uses at most three legs: isolated,
+    friction, isolated.
     """
 
     gas: GasAtom
-    kinds: tuple[str, ...] = ("type1", "type2")
-    depth: int = 4
 
     def _close(self, a: GasState, b: GasState) -> bool:
         """Equal volumes to 1e-12 relative, on one adiabat by ``connect_forward``."""
@@ -544,29 +532,7 @@ class GasPlanner:
 
     def decide(self, a: GasState, b: GasState) -> bool:
         """Whether some work process on the gas maps ``a`` to ``b``."""
-        if self._close(a, b):
-            return True
-        g = self.gas.model
-        t1 = "type1" in self.kinds
-        t2 = "type2" in self.kinds
-        raising = connect_forward(g, a, b)
-        same_adiabat = raising and connect_forward(g, b, a)
-        same_volume = abs(a.V - b.V) <= 1e-12 * max(a.V, b.V)
-        if t1 and not t2:
-            return same_volume and b.p >= a.p - 1e-12 * max(a.p, b.p)
-        if t2 and not t1:
-            return same_adiabat
-        if not (t1 or t2):
-            raise DepthExceeded("no segment kinds available; search inconclusive")
-        if not raising:
-            return False
-        if same_adiabat or (same_volume and b.p >= a.p):
-            return True
-        if self.depth < 2:
-            raise DepthExceeded(
-                f"two segments needed but depth={self.depth}; inconclusive"
-            )
-        return True
+        return connect_forward(self.gas.model, a, b)
 
     def routes(
         self, a: GasState, b: GasState, count: int = 3
@@ -614,6 +580,5 @@ class GasPlanner:
             plan.append(leg)
             if vm != b.V:  # a leg's evaluated end may be an ulp off vm
                 plan.append(type2(gas, leg.state_at(1.0)[gas.atom], b.V))
-            if len(plan) <= self.depth and plan:
-                plans.append(plan)
+            plans.append(plan)
         return plans

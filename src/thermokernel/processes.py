@@ -142,16 +142,14 @@ class Process:
     def final_state(self, s: System) -> dict[AtomId, AtomState]:
         return {a: self.entries[a].final for a in atoms_of(s)}
 
-    def same_footprint(self, other: "Process", atol: float | None = None) -> bool:
+    def same_footprint(self, other: "Process") -> bool:
         if self.involved != other.involved:
             return False
-        if atol is None:
-            atol = tolerances().state_atol
         for atom, e in self.entries.items():
             o = other.entries[atom]
-            if not values_close(e.initial.value, o.initial.value, atol):
+            if not values_close(e.initial.value, o.initial.value):
                 return False
-            if not values_close(e.final.value, o.final.value, atol):
+            if not values_close(e.final.value, o.final.value):
                 return False
             if not abs(e.work - o.work) <= tolerances().work_atol:
                 return False
@@ -191,7 +189,7 @@ def make_process(
     return Process(built, reverse_witness, frozenset(tags or ()))
 
 
-def concatenate(p: Process, q: Process, atol: float | None = None) -> Process:
+def concatenate(p: Process, q: Process) -> Process:
     """Run ``p`` then ``q``.
 
     Atoms shared by both must match endpoint states (up to the model
@@ -206,12 +204,12 @@ def concatenate(p: Process, q: Process, atol: float | None = None) -> Process:
         if pe is None:
             entries[atom] = qe
             continue
-        if not values_close(pe.final.value, qe.initial.value, atol):
+        if not values_close(pe.final.value, qe.initial.value):
             raise StateMismatch(atom, pe.final.value, qe.initial.value)
         entries[atom] = ProcessEntry(pe.initial, qe.final, pe.work + qe.work)
     witness = None
     if p.reverse_witness is not None and q.reverse_witness is not None:
-        witness = lambda: concatenate(reverse_of(q), reverse_of(p), atol)
+        witness = lambda: concatenate(reverse_of(q), reverse_of(p))
     return Process(entries, witness, p.tags | q.tags)
 
 
@@ -243,7 +241,7 @@ class Classification(NamedTuple):
     catalytic: bool
 
 
-def classify(c: System, p: Process, atol: float | None = None) -> Classification:
+def classify(c: System, p: Process) -> Classification:
     """Cyclic: ``c`` returns to its initial state.  Catalytic: also zero net work.
 
     Atoms of ``c`` not involved in ``p`` are trivially unchanged.  Work on
@@ -251,7 +249,7 @@ def classify(c: System, p: Process, atol: float | None = None) -> Classification
     must vanish.
     """
     cyclic = all(
-        values_close(e.initial.value, e.final.value, atol)
+        values_close(e.initial.value, e.final.value)
         for atom, e in p.entries.items()
         if atom in c
     )

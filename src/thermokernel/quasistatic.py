@@ -49,7 +49,7 @@ class ConstantRate:
         return self.value
 
 
-def _integral(rate: Rate | None, lo: float, hi: float, tol, knots) -> float:
+def _integral(rate: Rate | None, lo: float, hi: float, knots) -> float:
     """Integral of ``rate`` over ``[lo, hi]``; zero for no rate."""
     if rate is None or lo == hi:
         return 0.0
@@ -58,7 +58,7 @@ def _integral(rate: Rate | None, lo: float, hi: float, tol, knots) -> float:
         if not math.isfinite(out):
             raise ToleranceNotMet(f"constant rate {rate.value} on [{lo}, {hi}] is not finite")
         return out
-    return adaptive_simpson(rate, lo, hi, tol=tol, knots=knots)
+    return adaptive_simpson(rate, lo, hi, knots=knots)
 
 
 class QuasistaticFamily:
@@ -94,13 +94,13 @@ class QuasistaticFamily:
     def heat_rate(self, atom: AtomId) -> Rate | None:
         return None
 
-    def work_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
-        return _integral(self.work_rate(atom), lo, hi, tol, self.knots)
+    def work_between(self, atom: AtomId, lo: float, hi: float) -> float:
+        return _integral(self.work_rate(atom), lo, hi, self.knots)
 
-    def heat_between(self, atom: AtomId, lo: float, hi: float, tol=None) -> float:
-        return _integral(self.heat_rate(atom), lo, hi, tol, self.knots)
+    def heat_between(self, atom: AtomId, lo: float, hi: float) -> float:
+        return _integral(self.heat_rate(atom), lo, hi, self.knots)
 
-    def slice(self, lo: float, hi: float, tol: float | None = None) -> Process:
+    def slice(self, lo: float, hi: float) -> Process:
         """The member process from ``state_at(lo)`` to ``state_at(hi)``."""
         if not 0.0 <= lo <= hi <= 1.0:
             raise OutOfDomain(f"slice bounds ({lo}, {hi}) outside 0 <= lo <= hi <= 1")
@@ -108,12 +108,12 @@ class QuasistaticFamily:
         end = self.evaluate(hi)
         entries = {
             a: ProcessEntry(AtomState(a, start[a]), AtomState(a, end[a]),
-                            float(self.work_between(a, lo, hi, tol)))
+                            float(self.work_between(a, lo, hi)))
             for a in self.atoms
         }
         witness = None
         if self.reversible:
-            witness = lambda: self.reversed().slice(1.0 - hi, 1.0 - lo, tol)
+            witness = lambda: self.reversed().slice(1.0 - hi, 1.0 - lo)
         return Process(entries, witness, frozenset((self.tag,) if self.tag else ()))
 
     def reversed(self) -> "QuasistaticFamily":
@@ -157,14 +157,13 @@ def _joined(rate_f: Rate | None, rate_g: Rate | None) -> Rate | None:
 class _Concat(QuasistaticFamily):
     """``f`` over [0, 1/2] then ``g`` over [1/2, 1]; see ``concat_families``."""
 
-    __slots__ = ("f", "g", "end_f", "start_g", "atol", "knots")
+    __slots__ = ("f", "g", "end_f", "start_g", "knots")
 
-    def __init__(self, f: QuasistaticFamily, g: QuasistaticFamily,
-                 end_f: dict, start_g: dict, atol: float | None):
+    def __init__(self, f: QuasistaticFamily, g: QuasistaticFamily, end_f: dict, start_g: dict):
         tag = f"{f.tag}+{g.tag}" if f.tag or g.tag else ""
         super().__init__(tuple(sorted(set(f.atoms) | set(g.atoms))), tag,
                          f.reversible and g.reversible)
-        self.f, self.g, self.end_f, self.start_g, self.atol = f, g, end_f, start_g, atol
+        self.f, self.g, self.end_f, self.start_g = f, g, end_f, start_g
         self.knots = tuple(sorted({0.5} | {k * 0.5 for k in f.knots}
                                   | {0.5 + k * 0.5 for k in g.knots}))
 
@@ -188,12 +187,10 @@ class _Concat(QuasistaticFamily):
     def reversed(self) -> QuasistaticFamily:
         if not self.reversible:
             return super().reversed()
-        return concat_families(self.g.reversed(), self.f.reversed(), self.atol)
+        return concat_families(self.g.reversed(), self.f.reversed())
 
 
-def concat_families(
-    f: QuasistaticFamily, g: QuasistaticFamily, atol: float | None = None
-) -> QuasistaticFamily:
+def concat_families(f: QuasistaticFamily, g: QuasistaticFamily) -> QuasistaticFamily:
     """Reparametrize ``f`` then ``g`` over [0, 1] with a knot at 1/2.
 
     Endpoint states must match on shared atoms; atoms appearing in only one
@@ -202,9 +199,9 @@ def concat_families(
     end_f = f.state_at(1.0)
     start_g = g.state_at(0.0)
     for atom in set(f.atoms) & set(g.atoms):
-        if not values_close(end_f[atom], start_g[atom], atol):
+        if not values_close(end_f[atom], start_g[atom]):
             raise StateMismatch(atom, end_f[atom], start_g[atom])
-    return _Concat(f, g, end_f, start_g, atol)
+    return _Concat(f, g, end_f, start_g)
 
 
 def integrate_form(
@@ -212,7 +209,6 @@ def integrate_form(
     fam: QuasistaticFamily,
     lo: float,
     hi: float,
-    tol: float | None = None,
     atom: AtomId | None = None,
 ) -> float:
     """Path integral of a one-form along a stretch of a family's curve.
@@ -238,7 +234,7 @@ def integrate_form(
         coeffs = form(point)
         return sum(c * v for c, v in zip(coeffs, velocity))
 
-    return adaptive_simpson(integrand, lo, hi, tol=tol, knots=fam.knots)
+    return adaptive_simpson(integrand, lo, hi, knots=fam.knots)
 
 @dataclass(frozen=True)
 class PiecewiseConstantProfile:
@@ -260,12 +256,7 @@ class PiecewiseConstantProfile:
         return self.values[-1]
 
 
-def entropy_integral(
-    f: QuasistaticFamily,
-    heat_rate: Rate | None,
-    temp_profile,
-    tol: float | None = None,
-) -> float:
+def entropy_integral(f: QuasistaticFamily, heat_rate: Rate | None, temp_profile) -> float:
     """Integral of (heat rate)/T over the family's full parameter range.
 
     ``heat_rate`` defaults to the summed heat rates of the family's
@@ -295,7 +286,7 @@ def entropy_integral(
     def integrand(lam: float) -> float:
         return heat_rate(lam) / profile(lam)
 
-    return adaptive_simpson(integrand, 0.0, 1.0, tol=tol, knots=knots)
+    return adaptive_simpson(integrand, 0.0, 1.0, knots=knots)
 
 
 def check_qs_postulates(gas, states, pairs=None, tangent_sets=None, rng=None) -> dict:

@@ -123,15 +123,14 @@ class SecondLawVerdict:
         }
 
 
-def check_second_law(res: Reservoir, s: System, p: Process, tol: float | None = None) -> SecondLawVerdict:
+def check_second_law(res: Reservoir, s: System, p: Process) -> SecondLawVerdict:
     """Kelvin-Planck check: cyclic machines next to one reservoir cannot output work.
 
     Requires ``p`` to be a work process on the reservoir together with ``s``
     and cyclic on ``s``.  Passes iff the work done on ``s`` is non-negative
-    (up to tolerance); that work equals the heat pushed into the reservoir.
+    (up to the ``work_atol`` tier); that work equals the heat pushed into
+    the reservoir.
     """
-    if tol is None:
-        tol = tolerances().work_atol
     if not is_work_process(compose(res.system, s), p):
         raise PreconditionNotMet("process must be a work process on reservoir + machine")
     if not classify(s, p).cyclic:
@@ -139,4 +138,5 @@ def check_second_law(res: Reservoir, s: System, p: Process, tol: float | None = 
     w_s = work_of(s, p)
     entry = p.entries[res.atom]
     q_r = (entry.final.value - entry.initial.value) - entry.work
-    return SecondLawVerdict(passed=w_s >= -tol, work_on_machine=w_s, heat_into_reservoir=q_r)
+    return SecondLawVerdict(passed=w_s >= -tolerances().work_atol, work_on_machine=w_s,
+                            heat_into_reservoir=q_r)

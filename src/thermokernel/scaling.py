@@ -75,24 +75,22 @@ def classify_variable(
     probe: Callable[[GasModel, GasState], float],
     base: GasModel,
     states: Sequence[GasState],
-    factors: Sequence = (Fraction(1, 2), Fraction(2), Fraction(3)),
-    rtol: float = 1e-9,
 ) -> str:
     """Classify a state map as extensive, intensive or neither.
 
-    Samples the probe on the base model and on scaled models at scaled
-    states; extensive means the value scales linearly, intensive means it is
-    invariant.
+    Samples the probe on the base model and on models scaled by 1/2, 2 and 3
+    at scaled states; extensive means the value scales linearly, intensive
+    means it is invariant, both to 1e-9 relative.
     """
     extensive = True
     intensive = True
-    for lam in factors:
+    for lam in (Fraction(1, 2), Fraction(2), Fraction(3)):
         scaled = scale(base, lam)
-        f = float(Fraction(lam))
+        f = float(lam)
         for s in states:
             v0 = probe(base, s)
             v1 = probe(scaled.model, scaled_state(s, lam))
-            tol = rtol * max(1.0, abs(v0), abs(v1))
+            tol = 1e-9 * max(1.0, abs(v0), abs(v1))
             if abs(v1 - f * v0) > tol:
                 extensive = False
             if abs(v1 - v0) > tol:
@@ -275,15 +273,14 @@ class ConcavityReport:
 def check_concavity(
     base: GasModel,
     pairs: Iterable[tuple[UVState, UVState]],
-    lambdas: Sequence[float] = (0.25, 0.5, 0.75),
-    slack: float = -1e-10,
     entropy_fn: Callable[[GasModel, float, float], float] | None = None,
 ) -> ConcavityReport:
     """Midpoint concavity of the entropy in the extensive variables.
 
-    For every pair and mixing weight, the entropy of the mixture must not
-    fall below the mixed entropies by more than ``slack``.  A different
-    ``entropy_fn`` can be injected, which makes convexified fakes fail.
+    For every pair and mixing weight 1/4, 1/2 and 3/4, the entropy of the
+    mixture must not fall below the mixed entropies by more than 1e-10.  A
+    different ``entropy_fn`` can be injected, which makes convexified fakes
+    fail.
     """
     fn = entropy_fn if entropy_fn is not None else entropy_uv
     violations = []
@@ -291,11 +288,11 @@ def check_concavity(
     for a, b in pairs:
         sa = fn(base, a.U, a.V)
         sb = fn(base, b.U, b.V)
-        for lam in lambdas:
+        for lam in (0.25, 0.5, 0.75):
             mix = fn(base, lam * a.U + (1 - lam) * b.U, lam * a.V + (1 - lam) * b.V)
             gap = mix - (lam * sa + (1 - lam) * sb)
             gaps.append(gap)
-            if not gap >= slack:
+            if not gap >= -1e-10:
                 violations.append(
                     {"a": a.as_tuple(), "b": b.as_tuple(), "lambda": lam, "gap": gap}
                 )

@@ -61,7 +61,14 @@ def _csv_row(*values: float) -> str:
 # --- schema -------------------------------------------------------------------
 
 def _number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that a float can hold: an int past about 1.8e308 is not one."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _count(v: Any) -> bool:
@@ -213,7 +220,7 @@ class Scenario:
     def parse(cls, text: str) -> "Scenario":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
             raise ParseError(f"scenario is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError("scenario top level must be an object")
@@ -356,8 +363,8 @@ class _Runner:
         gas = self.handles[cmd["gas"]]
         p_lo, p_hi, p_n = cmd.get("p", (0.5, 2.0, 5))
         v_lo, v_hi, v_n = cmd.get("V", (0.5, 2.0, 5))
-        uledger = EnergyLedger.for_world(self.world)
-        sledger = EntropyLedger.for_world(self.world)
+        uledger = EnergyLedger(self.world)
+        sledger = EntropyLedger(self.world)
         rows = ["p,V,U,S,T_gas"]
         for i in range(p_n):
             p = p_lo * (p_hi / p_lo) ** (i / max(1, p_n - 1))

@@ -357,7 +357,7 @@ def suite_entropy_theorem(seed: int = 42, n: int = 1000) -> SuiteReport:
     report = SuiteReport("entropy-theorem")
     world = World()
     gas = add_ideal_gas(world)
-    ledger = EntropyLedger.for_world(world)
+    ledger = EntropyLedger(world)
     worst = math.inf
     worst_rev = 0.0
     for i in range(n):

@@ -56,7 +56,7 @@ def criterion(num, name, ok, detail=""):
 def test_01_internal_energy_grid():
     world = World()
     gas = add_ideal_gas(world)
-    ledger = EnergyLedger.for_world(world)
+    ledger = EnergyLedger(world)
     worst = 0.0
     for p in GRID:
         for v in GRID:
@@ -171,7 +171,7 @@ def test_06_entropy_theorem_monotone():
     rng = random.Random(42)
     world = World()
     gas = add_ideal_gas(world)
-    ledger = EntropyLedger.for_world(world)
+    ledger = EntropyLedger(world)
     worst = math.inf
     worst_rev = 0.0
     for i in range(1000):

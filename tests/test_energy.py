@@ -43,17 +43,17 @@ def jstate(gas, s):
 
 class TestReaches:
     def test_friction_raises_pressure(self, gas):
-        planner = GasPlanner(gas, kinds=("type1",))
+        planner = GasPlanner(gas)
         assert reaches(gas.system, jstate(gas, GasState(1, 1)), jstate(gas, GasState(2, 1)), planner)
 
     def test_friction_cannot_lower_pressure(self, gas):
-        planner = GasPlanner(gas, kinds=("type1",))
+        planner = GasPlanner(gas)
         assert not reaches(
             gas.system, jstate(gas, GasState(2, 1)), jstate(gas, GasState(1, 1)), planner
         )
 
     def test_reflexive(self, gas):
-        planner = GasPlanner(gas, kinds=("type1",))
+        planner = GasPlanner(gas)
         sigma = jstate(gas, GasState(1.3, 0.9))
         assert reaches(gas.system, sigma, sigma, planner)
 
@@ -80,25 +80,25 @@ class TestReaches:
 
 class TestInternalEnergy:
     def test_reference_value(self, world, gas):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         u0 = internal_energy(ledger, gas.system, jstate(gas, gas.model.sigma0))
         assert u0 == pytest.approx(1.5, abs=1e-12)
 
     def test_worked_example(self, world, gas):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         got = internal_energy(ledger, gas.system, jstate(gas, GasState(2, 3)))
         assert got == pytest.approx(9.0, rel=1e-9)
 
     def test_backward_direction(self, world, gas):
         # states below the reference invariant are reached by a process back
         # to the reference, with the sign flipped
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         s = GasState(0.5, 1.0)
         got = internal_energy(ledger, gas.system, jstate(gas, s))
         assert got == pytest.approx(gas_U(gas.model, s), rel=1e-9)
 
     def test_grid_against_closed_form(self, world, gas):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         rng = random.Random(7)
         for _ in range(25):
             s = GasState(
@@ -115,13 +115,13 @@ class TestInternalEnergy:
         # adiabat lies on another one, in the planner as in ``connect_forward``
         gas = add_ideal_gas(world, GasModel(sigma0=GasState(1e-3, 1e-3)))
         s = GasState(1e-3 * factor, 1e-3)
-        got = internal_energy(EnergyLedger.for_world(world), gas.system, jstate(gas, s))
+        got = internal_energy(EnergyLedger(world), gas.system, jstate(gas, s))
         assert got == pytest.approx(gas_U(gas.model, s), rel=1e-12, abs=0.0)
 
     def test_additive_over_disjoint_gases(self, world):
         g1 = add_ideal_gas(world)
         g2 = add_ideal_gas(world)
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         s1, s2 = GasState(2, 1), GasState(0.5, 3)
         sigma = joint(AtomState(g1.atom, s1), AtomState(g2.atom, s2))
         both = compose(g1.system, g2.system)
@@ -133,7 +133,7 @@ class TestInternalEnergy:
 
 
 def test_state_function_delta_matches_ledger(world, gas):
-    ledger = EnergyLedger.for_world(world)
+    ledger = EnergyLedger(world)
     p = type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
     record = state_function_delta(
         lambda sigma: internal_energy(ledger, gas.system, sigma), gas.system, p
@@ -144,22 +144,22 @@ def test_state_function_delta_matches_ledger(world, gas):
 
 class TestHeat:
     def test_work_process_has_zero_heat(self, world, gas):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         p = type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
         assert heat_of(ledger, gas.system, p) == pytest.approx(0.0, abs=1e-9)
 
     def test_isothermal_heat(self, world, gas, unit_reservoir):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         p = type3(gas, unit_reservoir, GasState(1, 1), 2.0).slice(0.0, 1.0)
         assert heat_of(ledger, gas.system, p) == pytest.approx(LN2, abs=1e-9)
 
     def test_identity_heat_zero(self, world, gas):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         ident = make_identity(gas.system, jstate(gas, GasState(1, 1)))
         assert heat_of(ledger, gas.system, ident) == 0.0
 
     def test_heat_sign_flips_under_reverse(self, world, gas, unit_reservoir):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         p = type3(gas, unit_reservoir, GasState(1, 1), 2.0).slice(0.0, 1.0)
         r = reverse_of(p)
         assert heat_of(ledger, gas.system, r) == pytest.approx(
@@ -167,7 +167,7 @@ class TestHeat:
         )
 
     def test_bipartite_heats_are_opposite(self, world, gas, unit_reservoir):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         p = type3(gas, unit_reservoir, GasState(1, 1), 2.0).slice(0.0, 1.0)
         q_gas = heat_of(ledger, gas.system, p)
         q_res = heat_of(ledger, unit_reservoir.system, p)
@@ -238,7 +238,7 @@ class TestQueriesKeepNothing:
     add no atom to the world and hold nothing between calls."""
 
     def test_queries_leave_the_registry_unchanged(self, world, gas, unit_reservoir):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         contact = type3(gas, unit_reservoir, GasState(1, 1), 2.0).slice(0.0, 1.0)
         friction = type1(gas, GasState(0.5, 1.5), 2.0).slice(0.0, 1.0)
         both = compose(gas.system, unit_reservoir.system)
@@ -251,7 +251,7 @@ class TestQueriesKeepNothing:
         assert len(world.registry) == before
 
     def test_registry_and_memory_stay_flat_over_5000_queries(self, world, gas):
-        ledger = EnergyLedger.for_world(world)
+        ledger = EnergyLedger(world)
         rng = random.Random(13)
         before = len(world.registry)
 

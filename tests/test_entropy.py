@@ -154,7 +154,7 @@ class TestClausiusSum:
 class TestEntropyFunction:
     def test_reference_and_worked_value(self, world):
         gas = add_ideal_gas(world)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         s0 = entropy(ledger, gas.system, joint(AtomState(gas.atom, GasState(1, 1))))
         assert s0 == pytest.approx(0.0, abs=1e-12)
         got = entropy(ledger, gas.system, joint(AtomState(gas.atom, GasState(1, 2))))
@@ -177,7 +177,7 @@ class TestEntropyFunction:
     def test_joint_state_is_additive(self, world):
         g1 = add_ideal_gas(world)
         g2 = add_ideal_gas(world)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         s1, s2 = GasState(2, 1), GasState(0.5, 3)
         both = compose(g1.system, g2.system)
         sigma = joint(AtomState(g1.atom, s1), AtomState(g2.atom, s2))
@@ -189,7 +189,7 @@ class TestEntropyFunction:
 
     def test_reservoir_entropy(self, world):
         res = add_reservoir(world, 2.0)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         sigma = joint(AtomState(res.atom, 3.0))
         assert entropy(ledger, res.system, sigma) == pytest.approx(1.5, abs=1e-12)
 
@@ -197,7 +197,7 @@ class TestEntropyFunction:
 class TestEntropyTheorem:
     def test_friction_increases_entropy(self, world):
         gas = add_ideal_gas(world)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         p = type1(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
         verdict = check_entropy_theorem(gas.system, p, ledger)
         assert verdict.passed
@@ -205,7 +205,7 @@ class TestEntropyTheorem:
 
     def test_reversible_leg_keeps_entropy(self, world):
         gas = add_ideal_gas(world)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         p = type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
         verdict = check_entropy_theorem(gas.system, p, ledger)
         assert verdict.passed and verdict.reversible
@@ -213,7 +213,7 @@ class TestEntropyTheorem:
 
     def test_synthetic_decrease_fails(self, world):
         gas = add_ideal_gas(world)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         bad = make_process({gas.atom: (GasState(2, 1), GasState(1, 1), -1.5)})
         verdict = check_entropy_theorem(gas.system, bad, ledger)
         assert not verdict.passed
@@ -222,7 +222,7 @@ class TestEntropyTheorem:
     def test_requires_work_process(self, world):
         gas = add_ideal_gas(world)
         res = add_reservoir(world, 1.0)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         p = type3(gas, res, GasState(1, 1), 2.0).slice(0.0, 1.0)
         with pytest.raises(NotWorkProcess):
             check_entropy_theorem(gas.system, p, ledger)
@@ -234,7 +234,7 @@ class TestQueriesLeaveTheWorldAlone:
     def test_each_query_mints_nothing(self, world):
         gas = add_ideal_gas(world)
         res = add_reservoir(world, 1.5)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         friction = type1(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
         adiabat = type2(gas, GasState(0.7, 1.3), 2.0).slice(0.0, 1.0)
         before = len(world.registry)
@@ -247,7 +247,7 @@ class TestQueriesLeaveTheWorldAlone:
 
     def test_registry_and_memory_stay_flat_over_5000_queries(self, world):
         gas = add_ideal_gas(world)
-        ledger = EntropyLedger.for_world(world)
+        ledger = EntropyLedger(world)
         rng = random.Random(11)
         before = len(world.registry)
 
@@ -320,7 +320,7 @@ def test_equal_state_change_heats_scale_with_temperature(world):
 def test_delta_entropy_ignores_uninvolved_atoms(world):
     gas = add_ideal_gas(world)
     other = add_ideal_gas(world)
-    ledger = EntropyLedger.for_world(world)
+    ledger = EntropyLedger(world)
     p = type1(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
     both = compose(gas.system, other.system)
     assert delta_entropy(ledger, both, p) == pytest.approx(1.5 * LN2, abs=1e-9)

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermokernel.errors import (
-    DepthExceeded,
     DomainError,
     OffIsotherm,
     PreconditionNotMet,
@@ -270,29 +269,10 @@ def test_run_segments(gas):
 
 
 class TestGasPlanner:
-    def test_friction_only_catalog(self, gas):
-        planner = GasPlanner(gas, kinds=("type1",))
-        assert planner.decide(GasState(1, 1), GasState(2, 1))
-        assert not planner.decide(GasState(2, 1), GasState(1, 1))
-        assert not planner.decide(GasState(1, 1), GasState(1, 2))
-        assert planner.decide(GasState(1, 1), GasState(1, 1))
-
-    def test_isolated_only_catalog(self, gas):
-        planner = GasPlanner(gas, kinds=("type2",))
-        end = type2(gas, GasState(1, 1), 2.0).state_at(1.0)[gas.atom]
-        assert planner.decide(GasState(1, 1), end)
-        assert planner.decide(end, GasState(1, 1))
-        assert not planner.decide(GasState(1, 1), GasState(2, 1))
-
     def test_full_catalog_decides_by_invariant(self, gas):
         planner = GasPlanner(gas)
         assert planner.decide(GasState(1, 1), GasState(3, 0.9))
         assert not planner.decide(GasState(3, 0.9), GasState(1, 1))
-
-    def test_depth_truncation_is_inconclusive(self, gas):
-        planner = GasPlanner(gas, depth=1)
-        with pytest.raises(DepthExceeded):
-            planner.decide(GasState(1, 1), GasState(2, 2))
 
     def test_routes_share_endpoints_and_work(self, gas):
         planner = GasPlanner(gas)

@@ -178,7 +178,7 @@ def test_reverse_negates_work_and_swaps_states(world, gas):
     )
     assert r.work_on(gas.atom) == pytest.approx(-p.work_on(gas.atom), abs=1e-12)
     # double reverse reproduces the footprint
-    assert reverse_of(r).same_footprint(p, atol=1e-9)
+    assert reverse_of(r).same_footprint(p)
     # the round trip classifies as an identity
     loop = concatenate(p, r)
     assert classify(gas.system, loop).catalytic

@@ -74,7 +74,7 @@ def test_slices_concatenate_exactly(gas):
     first = fam.slice(0.0, 0.4)
     second = fam.slice(0.4, 1.0)
     total = concatenate(first, second)
-    assert total.same_footprint(fam.slice(0.0, 1.0), atol=1e-9)
+    assert total.same_footprint(fam.slice(0.0, 1.0))
 
 
 def test_continuity_of_states_and_work(gas):

@@ -73,6 +73,13 @@ def test_malformed_file_exits_2(tmp_path):
     assert run_scenario(str(path)).exit_code == 2
 
 
+def test_integer_too_long_to_read_exits_2(tmp_path):
+    # valid JSON, but Python reads no integer of more than 4300 digits
+    path = tmp_path / "huge.json"
+    path.write_text('{"version": 1, "seed": 1' + "0" * 5000 + "}")
+    assert run_scenario(str(path)).exit_code == 2
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run_scenario(str(tmp_path / "absent.json")).exit_code == 2
 
@@ -240,6 +247,24 @@ def test_bad_scenario_exits_3_without_traceback(tmp_path, capsys, atoms, cmd):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1 and "Traceback" not in out
+
+
+@pytest.mark.parametrize(
+    "atoms, cmd, named",
+    [
+        pytest.param([GAS], dict(CONNECT, **{"from": [10**400, 1]}),
+                     "op 'connect': 'from' must be", id="from"),
+        pytest.param([dict(GAS, n=10**400)], CONNECT, "atom 'g': 'n' must be", id="n"),
+        pytest.param([GAS], dict(SEGMENTS, segments=[{"type": "type1", "p2": -10**400}]),
+                     "op 'segments': 'segments' must be", id="p2"),
+    ],
+)
+def test_integer_past_float_range_fails_validation(tmp_path, capsys, atoms, cmd, named):
+    # a 400-digit JSON integer is valid JSON but no float holds it
+    path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(named)
 
 
 @pytest.mark.parametrize(
