@@ -17,6 +17,7 @@ exits 2 with one ``bad THERMOKERNEL_TOL: <reason>`` line before it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import tolerances
@@ -25,6 +26,7 @@ from .scenario import run_scenario
 from .suites import SUITES, run_suites
 
 
+@functools.cache  # built once per process, however many times ``main`` runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thermokernel")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -26,6 +26,7 @@ calls them as shortcuts.
 from __future__ import annotations
 
 import math
+import sys
 from math import exp
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,8 +39,8 @@ from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
 
 GAS_KIND = "ideal-gas"
-# bound to a global: every ``GasState`` and leg built compares against it
-_INF = math.inf
+# every ``GasState`` and leg built compares against this global; an int past it is not finite
+_MAX = sys.float_info.max
 
 R_SI = 8.314462618  # J / (mol K)
 
@@ -53,8 +54,8 @@ class GasState:
 
     def __init__(self, p: float, V: float):
         floor = tolerances().numeric_floor
-        if not (floor < p < _INF and floor < V < _INF):
-            if not (math.isfinite(p) and math.isfinite(V)):
+        if not (floor < p <= _MAX and floor < V <= _MAX):
+            if not (-_MAX <= p <= _MAX and -_MAX <= V <= _MAX):
                 raise DomainError(f"gas state ({p}, {V}) is not finite")
             raise DomainError(f"gas state ({p}, {V}) below the positive floor")
         _set_p(self, p)
@@ -87,10 +88,10 @@ class GasModel:
     S0: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.n < _INF and 0 < self.R < _INF and 1 < self.gamma < _INF):
+        if not (0 < self.n <= _MAX and 0 < self.R <= _MAX and 1 < self.gamma <= _MAX):
             raise ValueError(f"need finite n > 0, R > 0, gamma > 1; got n={self.n} "
                              f"R={self.R} gamma={self.gamma}")
-        if not (-_INF < self.U0 < _INF and -_INF < self.S0 < _INF):
+        if not (-_MAX <= self.U0 <= _MAX and -_MAX <= self.S0 <= _MAX):
             raise ValueError(f"need finite U0 and S0; got U0={self.U0} S0={self.S0}")
 
     @property
@@ -107,7 +108,7 @@ class GasModel:
         return self.gamma / (self.gamma - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GasAtom:
     """Handle binding a gas atom to its model and world."""
 
@@ -115,9 +116,18 @@ class GasAtom:
     model: GasModel
     world: World
 
+    def __init__(self, atom: AtomId, model: GasModel, world: World):
+        _set_atom(self, atom)
+        _set_model(self, model)
+        _set_world(self, world)
+
     @property
     def system(self) -> System:
         return system(self.atom)
+
+
+_set_atom, _set_model, _set_world = (
+    GasAtom.atom.__set__, GasAtom.model.__set__, GasAtom.world.__set__)
 
 
 def add_ideal_gas(world: World, model: GasModel | None = None) -> GasAtom:
@@ -177,7 +187,7 @@ def adiabat_invariant(g: GasModel, s: GasState) -> float:
 
 def _bad_target(kind: str, key: str, value: float) -> DomainError:
     """The error for a leg target that is not finite or not above the positive floor."""
-    why = "is not finite" if not math.isfinite(value) else "below the positive floor"
+    why = "is not finite" if not -_MAX <= value <= _MAX else "below the positive floor"
     return DomainError(f"{kind} leg: target {key}={value} {why}")
 
 
@@ -186,7 +196,7 @@ def type1(gas: GasAtom, start: GasState, p2: float) -> QuasistaticFamily:
 
     Irreversible; a work process on the gas alone, so its heat rate is zero.
     """
-    if not -_INF < p2 < _INF:
+    if not -_MAX <= p2 <= _MAX:
         raise _bad_target("type1", "p2", p2)
     if p2 < start.p:
         raise PressureDecrease(f"friction cannot lower pressure: {p2} < {start.p}")
@@ -197,7 +207,7 @@ def type1(gas: GasAtom, start: GasState, p2: float) -> QuasistaticFamily:
 
 def type2(gas: GasAtom, start: GasState, V2: float) -> QuasistaticFamily:
     """Isolated compression/expansion along p V^gamma = const (reversible)."""
-    if not tolerances().numeric_floor < V2 < _INF:
+    if not tolerances().numeric_floor < V2 <= _MAX:
         raise _bad_target("type2", "V2", V2)
     if V2 == start.V:
         return identity_family({gas.atom: start}, tag="type2")
@@ -214,7 +224,7 @@ def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float,
     """
     g = gas.model
     cfg = tolerances()
-    if not cfg.numeric_floor < V2 < _INF:
+    if not cfg.numeric_floor < V2 <= _MAX:
         raise _bad_target("type3", "V2", V2)
     c = g.nR * res.theta
     if abs(start.p * start.V - c) > cfg.isotherm_rtol * max(1.0, abs(c)):
@@ -413,11 +423,15 @@ def connect_forward(g: GasModel, s1: GasState, s2: GasState) -> bool:
     Isolated legs keep the adiabat invariant p V^gamma and friction raises
     it, so a work process runs the way the invariant does not decrease;
     invariants equal to 1e-12 relative count as equal and run either way.
-    This is the one place that compares invariants: ``connect`` orients its
-    pair by it, and ``GasPlanner`` reads "raising" as ``connect_forward(a, b)``
-    and "one adiabat" as that in both directions.
+    Its ``_forward`` is the one place that compares invariants: ``connect``
+    orients its pair by it, and ``GasPlanner`` reads "raising" as
+    ``_forward(inv_a, inv_b)`` and "one adiabat" as that in both directions.
     """
-    inv1, inv2 = adiabat_invariant(g, s1), adiabat_invariant(g, s2)
+    return _forward(adiabat_invariant(g, s1), adiabat_invariant(g, s2))
+
+
+def _forward(inv1: float, inv2: float) -> bool:
+    """``connect_forward`` on the two states' adiabat invariants."""
     return inv1 - inv2 <= 1e-12 * max(abs(inv1), abs(inv2))
 
 
@@ -512,7 +526,7 @@ def qs_tangent_sets(g: GasModel, s: GasState):
 
 # --- reachability planning --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GasPlanner:
     """Plans work processes on a single gas atom from its segment vocabulary.
 
@@ -524,11 +538,8 @@ class GasPlanner:
 
     gas: GasAtom
 
-    def _close(self, a: GasState, b: GasState) -> bool:
-        """Equal volumes to 1e-12 relative, on one adiabat by ``connect_forward``."""
-        g = self.gas.model
-        return (abs(a.V - b.V) <= 1e-12 * max(a.V, b.V)
-                and connect_forward(g, a, b) and connect_forward(g, b, a))
+    def __init__(self, gas: GasAtom):
+        _set_gas(self, gas)
 
     def decide(self, a: GasState, b: GasState) -> bool:
         """Whether some work process on the gas maps ``a`` to ``b``."""
@@ -547,15 +558,15 @@ class GasPlanner:
         plan runs friction at ``b``'s volume: an isolated leg there, then
         friction up to ``b``'s adiabat.
         """
-        if not self.decide(a, b):
-            return []
         gas = self.gas
         g = gas.model
-        if self._close(a, b):
-            return [[identity_family({gas.atom: a}, tag="identity")]]
-        if connect_forward(g, a, b) and connect_forward(g, b, a):
+        inv_a, inv_b = adiabat_invariant(g, a), adiabat_invariant(g, b)
+        if not _forward(inv_a, inv_b):
+            return []
+        if _forward(inv_b, inv_a):
+            if abs(a.V - b.V) <= 1e-12 * max(a.V, b.V):
+                return [[identity_family({gas.atom: a}, tag="identity")]]
             return [[type2(gas, a, b.V)]]
-        inv_b = adiabat_invariant(g, b)
         # friction-leg volumes: geometric interpolants between the endpoints
         fractions = [1.0, 0.0, 0.5, 0.25, 0.75, 0.375, 0.625]
         plans: list[list[QuasistaticFamily]] = []
@@ -582,3 +593,6 @@ class GasPlanner:
                 plan.append(type2(gas, leg.state_at(1.0)[gas.atom], b.V))
             plans.append(plan)
         return plans
+
+
+_set_gas = GasPlanner.gas.__set__

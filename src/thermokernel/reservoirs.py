@@ -16,6 +16,7 @@ linear scale is then used elsewhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import tolerances
@@ -26,17 +27,20 @@ from .systems import AtomId, System, World, compose, system
 RESERVOIR_KIND = "reservoir"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReservoirModel:
     theta: float
 
-    def __post_init__(self):
-        if not 0 < self.theta < math.inf:
-            raise ValueError(
-                f"reservoir parameter theta must be positive and finite, got {self.theta}")
+    def __init__(self, theta: float):
+        if not 0 < theta <= sys.float_info.max:  # an int past it is not finite either
+            raise ValueError(f"reservoir parameter theta must be positive and finite, got {theta}")
+        _set_theta(self, theta)
 
 
-@dataclass(frozen=True)
+_set_theta = ReservoirModel.theta.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Reservoir:
     """Handle binding a reservoir atom to its model and world."""
 
@@ -45,6 +49,12 @@ class Reservoir:
     world: World
     energy: float = 0.0
 
+    def __init__(self, atom: AtomId, model: ReservoirModel, world: World, energy: float = 0.0):
+        _set_atom(self, atom)
+        _set_model(self, model)
+        _set_world(self, world)
+        _set_energy(self, energy)
+
     @property
     def theta(self) -> float:
         return self.model.theta
@@ -52,6 +62,11 @@ class Reservoir:
     @property
     def system(self) -> System:
         return system(self.atom)
+
+
+_set_atom, _set_model, _set_world, _set_energy = (
+    Reservoir.atom.__set__, Reservoir.model.__set__, Reservoir.world.__set__,
+    Reservoir.energy.__set__)
 
 
 def add_reservoir(world: World, theta: float, energy: float = 0.0) -> Reservoir:

@@ -157,7 +157,10 @@ class _Schema:
 def _check_types(where: str, obj: dict, keys: dict[str, _Key]) -> None:
     for key, (kind, ok) in keys.items():
         if key in obj and not ok(obj[key]):
-            raise ValidationError(f"{where}: {key!r} must be {kind}, got {obj[key]!r}")
+            got = repr(obj[key])
+            if len(got) > 80:  # the line names the key; the value only needs a start
+                got = f"{got[:80]}... ({len(got)} characters, cut)"
+            raise ValidationError(f"{where}: {key!r} must be {kind}, got {got}")
 
 
 def _gas_state(values) -> GasState:
@@ -285,7 +288,8 @@ def _expect(cmd: dict, label: str, got: float, key: str) -> None:
 def _write(out_dir: str, name: str, text: str, artifacts: list[str]) -> None:
     path = os.path.join(out_dir, name)
     try:
-        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
+        if os.path.dirname(name):  # ``run_scenario`` has made ``out_dir`` itself
+            os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -365,6 +369,7 @@ class _Runner:
         v_lo, v_hi, v_n = cmd.get("V", (0.5, 2.0, 5))
         uledger = EnergyLedger(self.world)
         sledger = EntropyLedger(self.world)
+        gas_system = gas.system
         rows = ["p,V,U,S,T_gas"]
         for i in range(p_n):
             p = p_lo * (p_hi / p_lo) ** (i / max(1, p_n - 1))
@@ -372,8 +377,8 @@ class _Runner:
                 v = v_lo * (v_hi / v_lo) ** (j / max(1, v_n - 1))
                 s = GasState(p, v)
                 sigma = joint(AtomState(gas.atom, s))
-                u = internal_energy(uledger, gas.system, sigma)
-                s_val = entropy(sledger, gas.system, sigma)
+                u = internal_energy(uledger, gas_system, sigma)
+                s_val = entropy(sledger, gas_system, sigma)
                 rows.append(_csv_row(p, v, u, s_val, gas_T(gas.model, s)))
         self.save_csv(cmd, rows)
         self.messages.append(f"entropy-table {cmd['gas']}: {len(rows) - 1} rows")

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import NotProperSubsystem, SizeLimit
 
 SUBSYSTEM_ENUM_LIMIT = 16
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class AtomId:
     """World-scoped atom identifier, compared and ordered by ``(id, kind)``.
 
@@ -28,11 +28,18 @@ class AtomId:
     id: int
     kind: str
 
+    def __init__(self, id: int, kind: str):
+        _set_id(self, id)
+        _set_kind(self, kind)
+
     def __hash__(self) -> int:
         return self.id
 
     def to_json(self) -> dict:
         return {"id": self.id, "kind": self.kind}
+
+
+_set_id, _set_kind = AtomId.id.__set__, AtomId.kind.__set__
 
 
 class _Disjoint:
@@ -59,17 +66,18 @@ class _Disjoint:
 Disjoint = _Disjoint()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class System:
     """A finite nonempty set of atoms."""
 
     atoms: frozenset[AtomId]
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, frozenset):
-            object.__setattr__(self, "atoms", frozenset(self.atoms))
-        if not self.atoms:
+    def __init__(self, atoms: Iterable[AtomId]):
+        if not isinstance(atoms, frozenset):
+            atoms = frozenset(atoms)
+        if not atoms:
             raise ValueError("a system must contain at least one atom")
+        _set_atoms(self, atoms)
 
     def __iter__(self) -> Iterator[AtomId]:
         return iter(self.sorted_atoms)
@@ -86,6 +94,9 @@ class System:
 
     def to_json(self) -> list[dict]:
         return [a.to_json() for a in self.sorted_atoms]
+
+
+_set_atoms = System.atoms.__set__
 
 
 def system(*atoms: AtomId) -> System:

@@ -16,6 +16,7 @@ from thermokernel.errors import (
 )
 from thermokernel.gas import (
     SEGMENT_KINDS,
+    AdiabatSegment,
     GasModel,
     GasPlanner,
     GasState,
@@ -58,8 +59,10 @@ def test_gas_state_floor():
 
 
 @pytest.mark.parametrize("p, V", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
-                                  (1.0, math.nan), (-math.inf, 1.0)])
+                                  (1.0, math.nan), (-math.inf, 1.0), (10**400, 1),
+                                  (1.0, -10**400)])
 def test_gas_state_must_be_finite(p, V):
+    """An int that no float holds is not finite either."""
     with pytest.raises(DomainError) as err:
         GasState(p, V)
     assert str(err.value) == f"gas state ({p}, {V}) is not finite"
@@ -79,7 +82,7 @@ def test_gas_state_is_a_frozen_slotted_value():
     assert [f.name for f in dataclasses.fields(GasState)] == ["p", "V"]
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, -10**400])
 def test_leg_targets_must_be_finite(gas, value):
     start = GasState(1, 1)
     res = add_reservoir(gas.world, 1.0)
@@ -327,6 +330,48 @@ def test_planner_decides_by_connect_forward(log_p, log_v, log_v2, log_rel, sign)
     b = GasState(inv_b * v2**-g.gamma, v2)
     assume(not values_close(a, b))
     assert GasPlanner(gas).decide(a, b) == connect_forward(g, a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_p=st.floats(-4, 4), log_v=st.floats(-4, 4), log_p2=st.floats(-4, 4),
+    log_v2=st.floats(-4, 4), log_rel=st.floats(-14, -6), sign=st.sampled_from((-1.0, 1.0)),
+    kind=st.sampled_from(("far", "near-adiabat", "same-volume", "one-adiabat", "one-ulp-p",
+                          "one-ulp-V", "equal")),
+    gamma=st.sampled_from((5.0 / 3.0, 1.4)),
+)
+def test_routes_follow_the_adiabat_rule(log_p, log_v, log_p2, log_v2, log_rel, sign, kind,
+                                        gamma):
+    """``routes`` is empty, one identity leg or one isolated leg exactly by ``connect_forward``.
+
+    "Close" is one volume to 1e-12 relative and one adiabat both ways.  Near
+    pairs differ in adiabat invariant, or in pressure at one volume, by a
+    relative 1e-14 to 1e-6 either way.
+    """
+    gas = add_ideal_gas(World(), GasModel(gamma=gamma))
+    g = gas.model
+    a = GasState(10.0**log_p, 10.0**log_v)
+    v2 = a.V if kind == "same-volume" else 10.0**log_v2
+    near = 1.0 + sign * 10.0**log_rel
+    b = {
+        "far": lambda: GasState(10.0**log_p2, v2),
+        "near-adiabat": lambda: GasState(adiabat_invariant(g, a) * near * v2**-g.gamma, v2),
+        "same-volume": lambda: GasState(a.p * near, v2),
+        "one-adiabat": lambda: GasState(adiabat_invariant(g, a) * v2**-g.gamma, v2),
+        "one-ulp-p": lambda: GasState(math.nextafter(a.p, sign * math.inf), a.V),
+        "one-ulp-V": lambda: GasState(a.p, math.nextafter(a.V, sign * math.inf)),
+        "equal": lambda: GasState(a.p, a.V),
+    }[kind]()
+    plans = GasPlanner(gas).routes(a, b, count=3)
+    forward, backward = connect_forward(g, a, b), connect_forward(g, b, a)
+    close = forward and backward and abs(a.V - b.V) <= 1e-12 * max(a.V, b.V)
+    assert (plans == []) == (not forward)
+    assert ([[f.tag for f in plan] for plan in plans] == [["identity"]]) == close
+    if forward and backward and not close:
+        assert [[type(f) for f in plan] for plan in plans] == [[AdiabatSegment]]
+    if kind in ("one-ulp-p", "one-ulp-V", "equal"):
+        assert close
+
 
 def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reservoir):
     """Every kind slices and integrates through the one QuasistaticFamily code

@@ -20,10 +20,17 @@ from thermokernel.processes import (
     eliminate_catalyst,
     make_process,
 )
-from thermokernel.reservoirs import add_reservoir, check_second_law, stir
+from thermokernel.reservoirs import ReservoirModel, add_reservoir, check_second_law, stir
 from thermokernel.systems import compose
 
 LN2 = math.log(2.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan, 10**400])
+def test_reservoir_parameter_must_be_positive_and_finite(theta):
+    """An int that no float holds is not finite either."""
+    with pytest.raises(ValueError, match="^reservoir parameter theta must be positive and finite"):
+        ReservoirModel(theta)
 
 
 class TestSecondLaw:

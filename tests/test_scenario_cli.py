@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermokernel.cli import main
+import thermokernel
+from thermokernel.cli import _build_parser, main
 from thermokernel.scenario import Scenario, fmt, run_scenario
 from thermokernel.errors import ValidationError
 
@@ -265,6 +268,21 @@ def test_integer_past_float_range_fails_validation(tmp_path, capsys, atoms, cmd,
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith(named)
+    got = line.split(", got ", 1)[1]
+    assert got.endswith(" characters, cut)") and len(got) < 110
+
+
+@pytest.mark.parametrize("sigma0, echo", [
+    pytest.param([1], "[1]", id="short"),
+    pytest.param([1, "x" * 73], repr([1, "x" * 73]), id="80-whole"),
+    pytest.param([1, "x" * 74], repr([1, "x" * 74])[:80] + "... (81 characters, cut)",
+                 id="81-cut"),
+])
+def test_validation_echoes_a_rejected_value_up_to_80_characters(tmp_path, capsys, sigma0, echo):
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [dict(GAS, sigma0=sigma0)]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"atom 'g': 'sigma0' must be a [p, V] pair of numbers, got {echo}"]
 
 
 @pytest.mark.parametrize(
@@ -398,6 +416,24 @@ class TestCli:
         assert sorted(os.listdir(out)) == names
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_main_runs_repeatedly_in_one_process_like_fresh_calls(self, tmp_path, capsys):
+        """One parser serves every call: stdout, stderr and exit codes match fresh processes."""
+        path = write_scenario(tmp_path, GOOD)
+        run = ["run", path, "--out", str(tmp_path / "out")]
+        calls = [run, ["verify", "scaling", "--seed", "1"], ["frobnicate"], run]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thermokernel.__file__)))
+        codes = []
+        for argv in calls:
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "thermokernel.cli", *argv], env=env,
+                                   capture_output=True, text=True)
+            assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [0, 0, 2, 0] and _build_parser() is _build_parser()
 
     def test_unknown_selector_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,17 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thermokernel.errors import NotProperSubsystem, SizeLimit
-from thermokernel.gas import GasState, gas_handle, type2
+from thermokernel.gas import GasAtom, GasModel, GasPlanner, GasState, gas_handle, type2
+from thermokernel.reservoirs import Reservoir, ReservoirModel
 from thermokernel.systems import (
+    AtomId,
     Disjoint,
     System,
     World,
@@ -140,3 +145,48 @@ def test_system_serialization(world):
     payload = json.loads(json.dumps(s.to_json()))
     assert payload == sorted(payload, key=lambda d: d["id"])
     assert {d["kind"] for d in payload} == {"abstract"}
+
+
+# --- value semantics of the per-query handles ----------------------------------
+
+def test_atom_id_hashes_to_its_id_and_orders_by_id_then_kind():
+    a = AtomId(7, "x")
+    assert hash(a) == 7 == hash(AtomId(7, "y"))
+    assert a != AtomId(7, "y") and a != (7, "x")
+    assert sorted([AtomId(2, "a"), AtomId(1, "b"), AtomId(1, "a")]) == [
+        AtomId(1, "a"), AtomId(1, "b"), AtomId(2, "a")]
+    assert AtomId(1, "b") < AtomId(2, "a") and AtomId(1, "a") <= AtomId(1, "a")
+
+
+def test_handles_are_frozen_slotted_values():
+    """repr, ==, hash, keyword construction, frozen slots, pickle and copy."""
+    atom, bath = AtomId(7, "ideal-gas"), AtomId(8, "reservoir")
+    model, theta = GasModel(), ReservoirModel(2.0)
+    # each handle built on a given world, and one field to try to set
+    handles = [
+        (lambda w: AtomId(7, "x"), "id"),
+        (lambda w: System([atom, bath]), "atoms"),
+        (lambda w: ReservoirModel(2.0), "theta"),
+        (lambda w: GasAtom(atom, model, w), "world"),
+        (lambda w: Reservoir(bath, theta, w, 0.5), "energy"),
+        (lambda w: GasPlanner(GasAtom(atom, model, w)), "gas"),
+    ]
+    world = World()
+    for build, field in handles:
+        value = build(world)
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        args = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(value) == f"{type(value).__name__}({args})"
+        assert value == build(world) == dataclasses.replace(value)
+        assert hash(value) == hash(build(world))
+        if not isinstance(value, AtomId):
+            assert hash(value) == hash(tuple(fields.values()))
+        if world in fields.values():  # the same handle on another world is another handle
+            assert value != build(World())
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+        twin_world, twin = pickle.loads(pickle.dumps((world, value)))
+        assert twin == build(twin_world)
+        assert copy.copy(value) == value
+    assert Reservoir(bath, theta, world) == Reservoir(bath, theta, world, 0.0)
