@@ -41,6 +41,8 @@ from .systems import AtomId, System, World, system
 GAS_KIND = "ideal-gas"
 # every ``GasState`` and leg built compares against this global; an int past it is not finite
 _MAX = sys.float_info.max
+# the tiers' ``numeric_floor``, read by the first ``GasState`` built, never at import
+_floor = math.inf
 
 R_SI = 8.314462618  # J / (mol K)
 
@@ -53,11 +55,13 @@ class GasState:
     V: float
 
     def __init__(self, p: float, V: float):
-        floor = tolerances().numeric_floor
-        if not (floor < p <= _MAX and floor < V <= _MAX):
-            if not (-_MAX <= p <= _MAX and -_MAX <= V <= _MAX):
-                raise DomainError(f"gas state ({p}, {V}) is not finite")
-            raise DomainError(f"gas state ({p}, {V}) below the positive floor")
+        global _floor
+        if not (_floor < p <= _MAX and _floor < V <= _MAX):
+            _floor = tolerances().numeric_floor  # a miss reads the tier and tests again
+            if not (_floor < p <= _MAX and _floor < V <= _MAX):
+                if not (-_MAX <= p <= _MAX and -_MAX <= V <= _MAX):
+                    raise DomainError(f"gas state ({p}, {V}) is not finite")
+                raise DomainError(f"gas state ({p}, {V}) below the positive floor")
         _set_p(self, p)
         _set_V(self, V)
 
@@ -239,17 +243,13 @@ class _Segment(QuasistaticFamily):
 
     ``keys`` are its numeric spec keys, in the order ``build`` takes them
     after ``(gas, start)``; ``gas_only`` kinds are work processes on the gas
-    alone.  It fills the base slots itself, so a leg costs no extra call.
+    alone.  Each kind fills all its slots itself, so a leg costs no extra call.
     """
 
     __slots__ = ("gas", "atom", "start")
 
-    def __init__(self, gas: GasAtom, start: GasState, atoms: tuple, tag: str, reversible: bool):
-        self.gas, self.atom, self.start = gas, gas.atom, start
-        self.atoms, self.tag, self.reversible = atoms, tag, reversible
-
     def work_rate(self, atom: AtomId) -> Rate | None:
-        return self._work if atom == self.atom else None
+        return self._work if atom is self.atom or atom == self.atom else None
 
 
 class FrictionSegment(_Segment):
@@ -262,7 +262,8 @@ class FrictionSegment(_Segment):
     keys, gas_only, build = ("p2",), True, staticmethod(type1)
 
     def __init__(self, gas: GasAtom, start: GasState, p2: float):
-        super().__init__(gas, start, (gas.atom,), "type1", False)
+        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atoms, self.tag, self.reversible = (gas.atom,), "type1", False
         self.dp = p2 - start.p
         self._work = ConstantRate(gas.model.cv_R * start.V * self.dp)
 
@@ -280,7 +281,8 @@ class AdiabatSegment(_Segment):
     keys, gas_only, build = ("V2",), True, staticmethod(type2)
 
     def __init__(self, gas: GasAtom, start: GasState, V2: float):
-        super().__init__(gas, start, (gas.atom,), "type2", True)
+        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atoms, self.tag, self.reversible = (gas.atom,), "type2", True
         self.gamma = gas.model.gamma
         self.inv = adiabat_invariant(gas.model, start)
         self.log_r = math.log(V2 / start.V)
@@ -314,7 +316,8 @@ class IsothermSegment(_Segment):
 
     def __init__(self, gas: GasAtom, res: Reservoir, start: GasState, V2: float,
                  reservoir_energy: float):
-        super().__init__(gas, start, (gas.atom, res.atom), "type3", True)
+        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atoms, self.tag, self.reversible = (gas.atom, res.atom), "type3", True
         self.res, self.bath, self.reservoir_energy = res, res.atom, reservoir_energy
         self.c = gas.model.nR * res.theta
         self.log_r = math.log(V2 / start.V)
@@ -339,9 +342,9 @@ class IsothermSegment(_Segment):
                 self.bath: (-self.q_total,)}
 
     def heat_rate(self, atom: AtomId) -> Rate | None:
-        if atom == self.atom:
+        if atom is self.atom or atom == self.atom:
             return self._heat
-        return self._work if atom == self.bath else None
+        return self._work if atom is self.bath or atom == self.bath else None
 
     def reversed(self) -> QuasistaticFamily:
         energy = self.reservoir_energy - self.q_total

@@ -87,7 +87,10 @@ def values_close(a: Any, b: Any, atol: float | None = None) -> bool:
         ca, cb = a.as_tuple(), b.as_tuple()
     else:
         ca, cb = value_components(a), value_components(b)
-    return len(ca) == len(cb) and all(abs(float(x) - float(y)) <= atol for x, y in zip(ca, cb))
+    for x, y in zip(ca, cb):  # a loop: ``all`` over a generator costs a frame per call
+        if not abs(float(x) - float(y)) <= atol:
+            return False
+    return len(ca) == len(cb)
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -7,7 +7,8 @@ its distance from the embedded 7-point Gauss value the error.  The cuts
 summed errors exceed the target, the panel with the largest error is
 bisected.  The target is the absolute ``quad_tol`` floored at rounding,
 ``50 * eps`` times the Kronrod integral of ``|f|``, so integrands of large
-magnitude converge instead of refining forever.
+magnitude converge instead of refining forever.  A single panel meeting
+``tol`` returns at once, as in QUADPACK's QAG: no heap, no ``|f|`` integral.
 """
 
 from __future__ import annotations
@@ -46,19 +47,18 @@ WG0 = 0.417959183673469387755102040816327
 ROUNDING = 50.0 * sys.float_info.epsilon
 
 
-def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
-    """K15 value, |K15 - G7| and the K15 value of ``|f|`` on ``[lo, hi]``.
+def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple:
+    """K15 value, |K15 - G7| and the nodes that ``_magnitude`` reads on ``[lo, hi]``.
 
     No node is an end, so an integrand that jumps at a cut is read one-sided.
     A panel too narrow for its outer nodes to fall strictly inside is
-    integrated by its midpoint value alone, with no error estimate.
+    integrated by its midpoint value alone, with no error estimate and no nodes.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     d1 = h * XK1
     if not lo < c - d1 < c + d1 < hi:
-        fc = f(c)
-        return fc * (hi - lo), 0.0, abs(fc) * (hi - lo)
+        return f(c) * (hi - lo), 0.0, None
     d2, d3, d4, d5, d6, d7 = h * XK2, h * XK3, h * XK4, h * XK5, h * XK6, h * XK7
     f0 = f(c)
     l1, r1 = f(c - d1), f(c + d1)
@@ -72,11 +72,19 @@ def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, 
     gauss = WG0 * f0 + WG2 * s2 + WG4 * s4 + WG6 * s6
     kronrod = (WK0 * f0 + WK1 * (l1 + r1) + WK2 * s2 + WK3 * (l3 + r3) + WK4 * s4
                + WK5 * (l5 + r5) + WK6 * s6 + WK7 * (l7 + r7))
-    mag = (WK0 * abs(f0) + WK1 * (abs(l1) + abs(r1)) + WK2 * (abs(l2) + abs(r2))
-           + WK3 * (abs(l3) + abs(r3)) + WK4 * (abs(l4) + abs(r4))
-           + WK5 * (abs(l5) + abs(r5)) + WK6 * (abs(l6) + abs(r6))
-           + WK7 * (abs(l7) + abs(r7)))
-    return h * kronrod, h * abs(kronrod - gauss), h * mag
+    return h * kronrod, h * abs(kronrod - gauss), (h, f0, l1, r1, l2, r2, l3, r3, l4, r4,
+                                                   l5, r5, l6, r6, l7, r7)
+
+
+def _magnitude(value: float, nodes: tuple | None) -> float:
+    """The K15 value of ``|f|`` on a panel, from its ``_kronrod`` value and nodes."""
+    if nodes is None:  # a midpoint panel: |f(c)| (hi - lo) is |value| exactly
+        return abs(value)
+    h, f0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = nodes
+    return h * (WK0 * abs(f0) + WK1 * (abs(l1) + abs(r1)) + WK2 * (abs(l2) + abs(r2))
+                + WK3 * (abs(l3) + abs(r3)) + WK4 * (abs(l4) + abs(r4))
+                + WK5 * (abs(l5) + abs(r5)) + WK6 * (abs(l6) + abs(r6))
+                + WK7 * (abs(l7) + abs(r7)))
 
 
 def adaptive_simpson(
@@ -111,7 +119,10 @@ def adaptive_simpson(
     value = err = mag = 0.0
     lo = a
     for hi in (*sorted({k for k in knots if a < k < b}), b) if knots else (b,):
-        k, e, m = _kronrod(f, lo, hi)
+        k, e, nodes = _kronrod(f, lo, hi)
+        if e <= tol and hi == b and not panels:  # the first-panel exit
+            return sign * (0.0 + k)  # ``0.0 +`` reads a -0.0 as ``value`` would
+        m = _magnitude(k, nodes)
         panels.append((-e, 0, lo, hi, k, m))
         value += k
         err += e
@@ -133,8 +144,9 @@ def adaptive_simpson(
                 f"quadrature on [{a}, {b}] did not reach tol={tol} at max depth"
             )
         mid = 0.5 * (lo + hi)
-        k1, e1, m1 = _kronrod(f, lo, mid)
-        k2, e2, m2 = _kronrod(f, mid, hi)
+        k1, e1, n1 = _kronrod(f, lo, mid)
+        k2, e2, n2 = _kronrod(f, mid, hi)
+        m1, m2 = _magnitude(k1, n1), _magnitude(k2, n2)
         heapq.heappush(panels, (-e1, depth + 1, lo, mid, k1, m1))
         heapq.heappush(panels, (-e2, depth + 1, mid, hi, k2, m2))
         err += e1 + e2 + neg_e

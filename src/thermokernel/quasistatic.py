@@ -18,6 +18,7 @@ adaptive quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -31,6 +32,8 @@ from .systems import AtomId
 
 
 Rate = Callable[[float], float]
+# the tags of a slice of a family tagged ``tag``: one shared set per recent tag
+_tag_set = functools.lru_cache(maxsize=64)(lambda tag: frozenset((tag,) if tag else ()))
 
 
 class ConstantRate:
@@ -106,15 +109,15 @@ class QuasistaticFamily:
             raise OutOfDomain(f"slice bounds ({lo}, {hi}) outside 0 <= lo <= hi <= 1")
         start = self.evaluate(lo)
         end = self.evaluate(hi)
-        entries = {
-            a: ProcessEntry(AtomState(a, start[a]), AtomState(a, end[a]),
-                            float(self.work_between(a, lo, hi)))
-            for a in self.atoms
-        }
+        work_rate, knots = self.work_rate, self.knots  # read once, not per ``work_between``
+        entries = {}  # a loop: before Python 3.12 a comprehension is a call of its own
+        for a in self.atoms:
+            entries[a] = ProcessEntry(AtomState(a, start[a]), AtomState(a, end[a]),
+                                      float(_integral(work_rate(a), lo, hi, knots)))
         witness = None
         if self.reversible:
             witness = lambda: self.reversed().slice(1.0 - hi, 1.0 - lo)
-        return Process(entries, witness, frozenset((self.tag,) if self.tag else ()))
+        return Process(entries, witness, _tag_set(self.tag))
 
     def reversed(self) -> "QuasistaticFamily":
         raise OutOfDomain("family carries no reverse constructor")

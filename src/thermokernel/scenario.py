@@ -139,9 +139,9 @@ class _Schema:
         for key, kind in self.refs.items():
             ref = obj.get(key)
             if not isinstance(ref, str) or ref not in kinds:
-                raise ValidationError(f"{where} references unknown atom {ref!r}")
+                raise ValidationError(f"{where} references unknown atom {_echo(ref)}")
             if kinds[ref] != kind:
-                raise ValidationError(f"{where}: {key!r} must name a {kind} atom, not {ref!r}")
+                raise ValidationError(f"{where}: {key!r} must name a {kind} atom, not {_echo(ref)}")
         for key in self.required:
             if key not in obj:
                 raise ValidationError(f"{where} is missing key {key!r}")
@@ -150,17 +150,20 @@ class _Schema:
         if self.sizes is not None:
             sizes = dict.fromkeys(self.sizes(obj), COUNT)
             for key in obj.keys() - keys.keys() - sizes.keys() - {"op"}:
-                raise ValidationError(f"{where} takes no key {key!r}")
+                raise ValidationError(f"{where} takes no key {_echo(key)}")
             _check_types(where, obj, sizes)
+
+
+def _echo(value: Any) -> str:
+    """``repr(value)`` up to 80 characters: a rejected value only needs its start."""
+    got = repr(value)
+    return got if len(got) <= 80 else f"{got[:80]}... ({len(got)} characters, cut)"
 
 
 def _check_types(where: str, obj: dict, keys: dict[str, _Key]) -> None:
     for key, (kind, ok) in keys.items():
         if key in obj and not ok(obj[key]):
-            got = repr(obj[key])
-            if len(got) > 80:  # the line names the key; the value only needs a start
-                got = f"{got[:80]}... ({len(got)} characters, cut)"
-            raise ValidationError(f"{where}: {key!r} must be {kind}, got {got}")
+            raise ValidationError(f"{where}: {key!r} must be {kind}, got {_echo(obj[key])}")
 
 
 def _gas_state(values) -> GasState:
@@ -228,37 +231,37 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ValidationError("scenario top level must be an object")
         if raw.get("version") != SCENARIO_VERSION:
-            raise ValidationError(f"unsupported scenario version {raw.get('version')!r}")
+            raise ValidationError(f"unsupported scenario version {_echo(raw.get('version'))}")
         atoms = raw.get("atoms", [])
         script = raw.get("script", [])
         if not isinstance(atoms, list) or not isinstance(script, list):
             raise ValidationError("'atoms' and 'script' must be arrays")
         seed = raw.get("seed", 42)
         if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValidationError(f"'seed' must be an integer, got {seed!r}")
+            raise ValidationError(f"'seed' must be an integer, got {_echo(seed)}")
         return cls(version=SCENARIO_VERSION, seed=seed, atoms=atoms, script=script)
 
     def validate(self) -> None:
         kinds: dict[str, str] = {}
         for spec in self.atoms:
             if not isinstance(spec, dict):
-                raise ValidationError(f"atom must be an object: {spec!r}")
+                raise ValidationError(f"atom must be an object: {_echo(spec)}")
             name = spec.get("name")
             if not isinstance(name, str) or not name:
-                raise ValidationError(f"atom is missing a name: {spec!r}")
+                raise ValidationError(f"atom is missing a name: {_echo(spec)}")
             if name in kinds:
-                raise ValidationError(f"duplicate atom name {name!r}")
+                raise ValidationError(f"duplicate atom name {_echo(name)}")
             kind = spec.get("kind")
             if not isinstance(kind, str) or kind not in ATOM_KINDS:
-                raise ValidationError(f"unknown atom kind in {spec!r}")
-            ATOM_KINDS[kind][1].check(f"atom {name!r}", spec, kinds)
+                raise ValidationError(f"unknown atom kind in {_echo(spec)}")
+            ATOM_KINDS[kind][1].check(f"atom {_echo(name)}", spec, kinds)
             kinds[name] = kind
         for cmd in self.script:
             if not isinstance(cmd, dict):
-                raise ValidationError(f"script command must be an object: {cmd!r}")
+                raise ValidationError(f"script command must be an object: {_echo(cmd)}")
             op = cmd.get("op")
             if not isinstance(op, str) or op not in OPS:
-                raise ValidationError(f"unknown op {op!r}")
+                raise ValidationError(f"unknown op {_echo(op)}")
             OPS[op].check(f"op {op!r}", cmd, kinds)
 
 

@@ -67,3 +67,46 @@ def test_verify_engine_error_exits_3_in_one_line():
     assert out.stdout.startswith("ENGINE ERROR: DomainError: ")
     assert len(out.stdout.splitlines()) == 1
     assert out.stderr == ""
+
+
+def _python(raw, code):
+    src = os.path.dirname(os.path.dirname(thermokernel.__file__))
+    env = dict(os.environ, THERMOKERNEL_TOL=raw, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_gas_state_reads_the_floor_tier():
+    out = _python("numeric_floor=2", """
+from thermokernel.errors import DomainError
+from thermokernel.gas import GasState
+for p, V in ((1.5, 3), (3, 1.5), (1.5, 3)):
+    try:
+        GasState(p, V)
+    except DomainError as exc:
+        print(exc)
+print(GasState(2.5, 3))
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "gas state (1.5, 3) below the positive floor",
+        "gas state (3, 1.5) below the positive floor",
+        "gas state (1.5, 3) below the positive floor",
+        "GasState(p=2.5, V=3)",
+    ]
+
+
+def test_malformed_tier_fails_on_first_use_not_at_import():
+    out = _python("numeric_floor=x", """
+import thermokernel, thermokernel.gas, thermokernel.suites, thermokernel.scenario, thermokernel.cli
+print("imported")
+for _ in range(2):
+    try:
+        thermokernel.gas.GasState(1.0, 1.0)
+    except ValueError as exc:
+        print(exc)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["imported"] + [
+        "numeric_floor must be a finite number > 0, got 'x'"] * 2

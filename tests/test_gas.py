@@ -44,7 +44,7 @@ from thermokernel.quasistatic import (
     integrate_form,
 )
 from thermokernel.reservoirs import add_reservoir
-from thermokernel.systems import World
+from thermokernel.systems import AtomId, World
 
 LN2 = math.log(2.0)
 # analytic: integral of -p dV along p V^(5/3) = 1 from V=1 to V=2
@@ -387,3 +387,17 @@ def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reserv
             assert getattr(type(fam), name) is getattr(QuasistaticFamily, name)
     with pytest.raises(ValueError, match="no derivative"):
         integrate_form(lambda point: (1.0, 0.0), joined, 0.0, 1.0)
+
+
+def test_leg_rates_answer_an_equal_atom_not_only_the_same_object(gas, unit_reservoir):
+    start = GasState(1.0, 1.0)
+    legs = [type1(gas, start, 2.0), type2(gas, start, 2.0), type3(gas, unit_reservoir, start, 2.0)]
+    copy_of = lambda a: AtomId(a.id, a.kind)  # equal, but another object
+    stranger = AtomId(10**6, "ideal-gas")
+    for fam in legs:
+        assert fam.work_rate(copy_of(gas.atom)) is fam.work_rate(gas.atom) is not None
+        assert fam.work_rate(stranger) is None and fam.heat_rate(stranger) is None
+    iso = legs[2]
+    assert iso.heat_rate(copy_of(gas.atom)) is iso.heat_rate(gas.atom) is not None
+    assert iso.heat_rate(copy_of(unit_reservoir.atom)) is iso.heat_rate(unit_reservoir.atom)
+    assert iso.heat_rate(unit_reservoir.atom) is not None

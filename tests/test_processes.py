@@ -352,3 +352,49 @@ def test_values_close_is_the_componentwise_rule(pair, atol):
     assert values_close(b, a, atol) is _componentwise_close(b, a, atol)
     if atol == 1e-12:
         assert values_close(a, b) is want
+
+
+def _raw_gas_state(p, V):
+    """A ``GasState`` holding ``(p, V)`` unchecked, to compare payloads no leg builds."""
+    s = object.__new__(GasState)
+    GasState.p.__set__(s, p)
+    GasState.V.__set__(s, V)
+    return s
+
+
+def _gas_state_pairs():
+    atol = 1e-12
+    up, down = math.nextafter(atol, 1.0), math.nextafter(atol, 0.0)
+    for d in (atol, up, down, 0.0, 2 * atol):
+        yield GasState(1.0, 0.75), GasState(1.0, 0.75 + d)
+        yield GasState(0.75 + d, 3), GasState(0.75, 3)
+    yield GasState(1, 2), GasState(1, 2)
+    yield GasState(1, 2), GasState(1.0, 2.0)
+    yield GasState(1, 2), GasState(1, 3)
+    yield GasState(10**6, 7), GasState(10**6 + 1e-13, 7)
+    for bad in (math.nan, math.inf, -math.inf):
+        for a, b in ((_raw_gas_state(bad, 1.0), GasState(1.0, 1.0)),
+                     (GasState(1.0, 1.0), _raw_gas_state(1.0, bad)),
+                     (_raw_gas_state(bad, 1.0), _raw_gas_state(bad, 1.0)),
+                     (_raw_gas_state(1.0, bad), _raw_gas_state(1.0, -bad))):
+            yield a, b
+
+
+@pytest.mark.parametrize("a, b", list(_gas_state_pairs()))
+def test_values_close_on_gas_states_is_the_componentwise_rule(a, b):
+    atol = 1e-12
+    for x, y in ((a, b), (b, a)):
+        assert values_close(x, y) is _componentwise_close(x, y, atol)
+        for t in (atol, math.nextafter(atol, 1.0), math.nextafter(atol, 0.0), 0.0, math.inf):
+            assert values_close(x, y, t) is _componentwise_close(x, y, t)
+
+
+def test_values_close_on_gas_states_at_the_ulps_around_state_atol():
+    atol = 1e-12
+    a = GasState(1.0, 1.0)
+    d = math.nextafter(1.0 + atol, 1.0) - 1.0  # an exact difference at state_atol
+    b = GasState(1.0, 1.0 + d)
+    assert values_close(a, b, d) and values_close(b, a, d)
+    assert not values_close(a, b, math.nextafter(d, 0.0))
+    assert not values_close(b, a, math.nextafter(d, 0.0))
+    assert values_close(a, b, math.nextafter(d, 1.0))

@@ -285,6 +285,39 @@ def test_validation_echoes_a_rejected_value_up_to_80_characters(tmp_path, capsys
         f"atom 'g': 'sigma0' must be a [p, V] pair of numbers, got {echo}"]
 
 
+BIG = 10**400  # valid JSON; its repr alone is 401 characters
+
+
+@pytest.mark.parametrize("payload, named", [
+    pytest.param({"version": BIG}, "unsupported scenario version ", id="version"),
+    pytest.param({"version": 1, "seed": "7" * 400}, "'seed' must be an integer, got ", id="seed"),
+    pytest.param({"version": 1, "atoms": [[BIG]]}, "atom must be an object: ", id="atom-list"),
+    pytest.param({"version": 1, "atoms": [{"kind": "gas", "n": BIG}]},
+                 "atom is missing a name: ", id="atom-no-name"),
+    pytest.param({"version": 1, "atoms": [{"name": "g", "kind": BIG}]},
+                 "unknown atom kind in ", id="atom-kind"),
+    pytest.param({"version": 1, "atoms": [{"name": "n" * 400, "kind": "gas", "n": "a"}]},
+                 "atom 'nnnn", id="atom-name"),
+    pytest.param({"version": 1, "atoms": [{"name": "g" * 400, "kind": "gas"}] * 2},
+                 "duplicate atom name ", id="duplicate-name"),
+    pytest.param({"version": 1, "script": [[BIG]]},
+                 "script command must be an object: ", id="command"),
+    pytest.param({"version": 1, "script": [{"op": BIG}]}, "unknown op ", id="op-int"),
+    pytest.param({"version": 1, "script": [{"op": "x" * 400}]}, "unknown op ", id="op-name"),
+    pytest.param({"version": 1, "script": [{"op": "connect", "gas": "g" * 400}]},
+                 "op 'connect' references unknown atom ", id="ref"),
+    pytest.param({"version": 1, "atoms": [{"name": "g", "kind": "gas"}],
+                  "script": [{"op": "verify", "suite": "scaling", "k" * 400: 1}]},
+                 "op 'verify' takes no key ", id="extra-key"),
+])
+def test_validation_cuts_every_echoed_value(tmp_path, capsys, payload, named):
+    path = write_scenario(tmp_path, payload)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(named)
+    assert " characters, cut)" in line and len(line) < 160
+
+
 @pytest.mark.parametrize(
     "cmd, named",
     [
