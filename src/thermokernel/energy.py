@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .config import fold_worst, tolerances
 from .errors import DepthExceeded, Unreachable
-from .gas import GasAtom, GasModel, GasPlanner, GasState, gas_U
+from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, gas_U
 from .processes import JointState, Process, work_of
 from .reservoirs import RESERVOIR_KIND, ReservoirModel
 from .systems import AtomId, System, World, atoms_of
@@ -41,20 +41,44 @@ class EnergyLedger:
     world: World
 
     def atom_energy(self, atom: AtomId, payload: Any) -> float:
-        """Energy of one atom's state, constructed via connecting work processes."""
+        """Energy of one atom's state: ``atom_energies`` of one payload."""
+        return next(self.atom_energies(atom, (payload,)))
+
+    def atom_energies(self, atom: AtomId, payloads: Iterable[Any]) -> Iterator[float]:
+        """Energies of one atom's states, one per payload, in order, as they are pulled.
+
+        One call resolves the binding, anchor and planner once and integrates
+        each isolated leg, keyed by its start and target volume, once: the
+        routes from the anchor to one volume share it.  Nothing outlives the call.
+        """
         binding = self.world.binding(atom) if atom in self.world else None
         if atom.kind == RESERVOIR_KIND or isinstance(binding, ReservoirModel):
-            return float(payload)
+            yield from map(float, payloads)
+            return
         if not isinstance(binding, GasModel):
             raise Unreachable(f"no energy reference registered for {atom}")
         sigma0, u0 = binding.sigma0, gas_U(binding, binding.sigma0)
         planner = GasPlanner(GasAtom(atom, binding, self.world))
-        for plan in planner.routes(sigma0, payload, count=1):
-            return u0 + sum(f.work_between(atom, 0.0, 1.0) for f in plan)
-        for plan in planner.routes(payload, sigma0, count=1):
-            return u0 - sum(f.work_between(atom, 0.0, 1.0) for f in plan)
-        raise Unreachable(  # pragma: no cover - the full gas vocabulary always connects
-            f"no work process connects {sigma0} and {payload}")
+        works: dict[tuple[GasState, float], float] = {}
+
+        def work(leg) -> float:
+            if type(leg) is not AdiabatSegment:
+                return leg.work_between(atom, 0.0, 1.0)
+            key = (leg.start, leg.end.V)
+            w = works.get(key)
+            if w is None:
+                w = works[key] = leg.work_between(atom, 0.0, 1.0)
+            return w
+
+        for payload in payloads:
+            plans = planner.routes(sigma0, payload, count=1)
+            if plans:
+                yield u0 + sum(map(work, plans[0]))
+                continue
+            plans = planner.routes(payload, sigma0, count=1)
+            if not plans:  # pragma: no cover - the full gas vocabulary always connects
+                raise Unreachable(f"no work process connects {sigma0} and {payload}")
+            yield u0 - sum(map(work, plans[0]))
 
 
 @dataclass(frozen=True)
@@ -118,9 +142,8 @@ def delta_u(ledger: EnergyLedger, s: System, p: Process) -> float:
         entry = p.entries.get(atom)
         if entry is None:
             continue
-        total += ledger.atom_energy(atom, entry.final.value) - ledger.atom_energy(
-            atom, entry.initial.value
-        )
+        final, initial = ledger.atom_energies(atom, (entry.final.value, entry.initial.value))
+        total += final - initial
     return total
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .config import tolerances
 from .energy import EnergyLedger, heat_of
@@ -199,13 +199,25 @@ class EntropyLedger:
     scale: TemperatureScale = NATURAL_SCALE
 
     def atom_entropy(self, atom: AtomId, payload: Any) -> float:
+        """Entropy of one atom's state: ``atom_entropies`` of one payload."""
+        return next(self.atom_entropies(atom, (payload,)))
+
+    def atom_entropies(self, atom: AtomId, payloads: Iterable[Any]) -> Iterator[float]:
+        """Entropies of one atom's states, one per payload, in order, as they are pulled.
+
+        The binding, anchor and ``GasAtom`` are resolved once per call;
+        nothing outlives the call.
+        """
         binding = self.world.binding(atom)
         if isinstance(binding, ReservoirModel):
-            return float(payload) / self.scale.absolute(binding.theta)
+            t = self.scale.absolute(binding.theta)
+            yield from (float(payload) / t for payload in payloads)
+            return
         if not isinstance(binding, GasModel):
             raise NotWorkProcess(f"no entropy reference for {atom}")
-        gas = GasAtom(atom, binding, self.world)
-        return binding.S0 + self._gas_delta(gas, binding.sigma0, payload)
+        gas, s0, sigma0 = GasAtom(atom, binding, self.world), binding.S0, binding.sigma0
+        for payload in payloads:
+            yield s0 + self._gas_delta(gas, sigma0, payload)
 
     def _gas_delta(self, gas: GasAtom, start: GasState, end: GasState) -> float:
         if start == end:
@@ -230,9 +242,8 @@ def delta_entropy(ledger: EntropyLedger, s: System, p: Process) -> float:
         entry = p.entries.get(atom)
         if entry is None:
             continue
-        total += ledger.atom_entropy(atom, entry.final.value) - ledger.atom_entropy(
-            atom, entry.initial.value
-        )
+        final, initial = ledger.atom_entropies(atom, (entry.final.value, entry.initial.value))
+        total += final - initial
     return total
 
 

@@ -183,8 +183,14 @@ def gas_U_sv(g: GasModel, s_value: float, V: float) -> float:
 
 
 def adiabat_invariant(g: GasModel, s: GasState) -> float:
-    """p V^gamma, conserved on isolated segments and raised by friction."""
-    return s.p * s.V**g.gamma
+    """p V^gamma, conserved on isolated segments and raised by friction; never infinite."""
+    try:
+        inv = s.p * s.V**g.gamma
+    except OverflowError:
+        inv = math.inf
+    if inv > _MAX:
+        raise DomainError(f"gas state ({s.p}, {s.V}) has no finite p V^gamma at gamma={g.gamma}")
+    return inv
 
 
 # --- segment kinds -----------------------------------------------------------

@@ -27,12 +27,13 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import tee
 from pathlib import PurePath
 from typing import Any, Callable
 
 from .carnot import build_carnot
-from .energy import EnergyLedger, internal_energy
-from .entropy import EntropyLedger, entropy
+from .energy import EnergyLedger
+from .entropy import EntropyLedger
 from .errors import (
     ArtifactWriteError, ParseError, ScenarioAssertionFailed, ThermoError, ValidationError,
 )
@@ -40,7 +41,7 @@ from .gas import (
     SEGMENT_KINDS, GasAtom, GasModel, GasState, add_ideal_gas, connect, connect_forward, gas_T,
     run_segments, segment_family,
 )
-from .processes import AtomState, joint, work_of
+from .processes import work_of
 from .reservoirs import Reservoir, add_reservoir
 from .scaling import UVState, check_concavity, entropy_uv, max_entropy_split
 from .suites import SUITES
@@ -370,19 +371,17 @@ class _Runner:
         gas = self.handles[cmd["gas"]]
         p_lo, p_hi, p_n = cmd.get("p", (0.5, 2.0, 5))
         v_lo, v_hi, v_n = cmd.get("V", (0.5, 2.0, 5))
-        uledger = EnergyLedger(self.world)
-        sledger = EntropyLedger(self.world)
-        gas_system = gas.system
+        # lazy: cell by cell, each cell's state, energy and entropy run in that order
+        cells, for_u, for_s = tee((
+            GasState(p, v_lo * (v_hi / v_lo) ** (j / max(1, v_n - 1)))
+            for p in (p_lo * (p_hi / p_lo) ** (i / max(1, p_n - 1)) for i in range(p_n))
+            for j in range(v_n)
+        ), 3)
+        energies = EnergyLedger(self.world).atom_energies(gas.atom, for_u)
+        entropies = EntropyLedger(self.world).atom_entropies(gas.atom, for_s)
         rows = ["p,V,U,S,T_gas"]
-        for i in range(p_n):
-            p = p_lo * (p_hi / p_lo) ** (i / max(1, p_n - 1))
-            for j in range(v_n):
-                v = v_lo * (v_hi / v_lo) ** (j / max(1, v_n - 1))
-                s = GasState(p, v)
-                sigma = joint(AtomState(gas.atom, s))
-                u = internal_energy(uledger, gas_system, sigma)
-                s_val = entropy(sledger, gas_system, sigma)
-                rows.append(_csv_row(p, v, u, s_val, gas_T(gas.model, s)))
+        for s, u, s_val in zip(cells, energies, entropies):
+            rows.append(_csv_row(s.p, s.V, u, s_val, gas_T(gas.model, s)))
         self.save_csv(cmd, rows)
         self.messages.append(f"entropy-table {cmd['gas']}: {len(rows) - 1} rows")
 

@@ -14,7 +14,7 @@ from thermokernel.energy import (
     state_function_delta,
 )
 from thermokernel.entropy import assign_heat_temperature
-from thermokernel.errors import DepthExceeded
+from thermokernel.errors import DepthExceeded, DomainError
 from thermokernel.gas import (
     GasModel,
     GasPlanner,
@@ -33,6 +33,8 @@ from thermokernel.processes import (
 )
 from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.systems import compose
+
+from conftest import grid_with_shared_columns
 
 LN2 = math.log(2.0)
 
@@ -272,3 +274,72 @@ class TestQueriesKeepNothing:
         assert len(world.registry) == before
         # 4500 retained states of any kind would take several hundred KB.
         assert grown < 64 * 1024
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBatchedEnergies:
+    """``atom_energies`` shares each isolated leg among its own payloads only;
+    every value keeps the bits of a query on its own."""
+
+    @staticmethod
+    def _unshared(gas, s):
+        """The first route's energy, integrated leg by leg with nothing shared."""
+        g = gas.model
+        u0, planner = gas_U(g, g.sigma0), GasPlanner(gas)
+        for plan in planner.routes(g.sigma0, s, count=1):
+            return u0 + sum(f.work_between(gas.atom, 0.0, 1.0) for f in plan)
+        (plan,) = planner.routes(s, g.sigma0, count=1)
+        return u0 - sum(f.work_between(gas.atom, 0.0, 1.0) for f in plan)
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 7.0 / 5.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_matches_one_at_a_time_to_the_bit(self, world, gamma, seed):
+        gas = add_ideal_gas(world, GasModel(gamma=gamma, sigma0=GasState(1.3, 0.8)))
+        states = grid_with_shared_columns(random.Random(seed), gas.model.sigma0)
+        up = [GasPlanner(gas).decide(gas.model.sigma0, s) for s in states]
+        assert any(up) and not all(up)
+        ledger = EnergyLedger(world)
+        batch = list(ledger.atom_energies(gas.atom, states))
+        assert _hexes(batch) == _hexes(ledger.atom_energy(gas.atom, s) for s in states)
+        assert _hexes(batch) == _hexes(self._unshared(gas, s) for s in states)
+
+    def test_reservoir_atom(self, world, unit_reservoir):
+        ledger = EnergyLedger(world)
+        payloads = [0.0, -2.5, 3, 0.0, 1e300]
+        batch = list(ledger.atom_energies(unit_reservoir.atom, payloads))
+        assert _hexes(batch) == _hexes(ledger.atom_energy(unit_reservoir.atom, x)
+                                       for x in payloads)
+
+    def test_empty_batch(self, world, gas):
+        assert list(EnergyLedger(world).atom_energies(gas.atom, [])) == []
+
+    def test_values_are_computed_as_they_are_pulled(self, world):
+        stiff = add_ideal_gas(world, GasModel(gamma=50.0))
+        good = [GasState(1.0, 1.0), GasState(2.0, 1.1), GasState(0.5, 0.9)]
+        bad = GasState(1.0, 1e7)  # p V^50 overflows
+        pulled = []
+
+        def payloads():
+            for s in good[:2] + [bad] + good[2:]:
+                pulled.append(s)
+                yield s
+
+        values = EnergyLedger(world).atom_energies(stiff.atom, payloads())
+        assert pulled == []
+        assert next(values) == EnergyLedger(world).atom_energy(stiff.atom, good[0])
+        next(values)
+        assert pulled == good[:2]
+        with pytest.raises(DomainError, match=r"gamma=50\.0"):
+            next(values)
+        assert pulled == good[:2] + [bad]
+
+    def test_batch_adds_no_atom_to_the_world(self, world, gas, unit_reservoir):
+        ledger = EnergyLedger(world)
+        before = len(world.registry)
+        states = grid_with_shared_columns(random.Random(5), gas.model.sigma0)
+        list(ledger.atom_energies(gas.atom, states))
+        list(ledger.atom_energies(unit_reservoir.atom, [1.0, 2.0]))
+        assert len(world.registry) == before

@@ -16,6 +16,7 @@ from thermokernel.entropy import (
     records_from_legs,
 )
 from thermokernel.errors import (
+    DomainError,
     NotCyclic,
     NotWorkProcess,
     NoTemperature,
@@ -23,19 +24,25 @@ from thermokernel.errors import (
     ZeroHeat,
 )
 from thermokernel.gas import (
+    GasModel,
     GasState,
     add_ideal_gas,
     conduct,
+    connect_forward,
     connect_reversible,
     gas_S,
+    gas_T,
+    isotherm_leg,
     reservoir_contact,
     type1,
     type2,
     type3,
 )
 from thermokernel.processes import AtomState, joint, make_identity, make_process
-from thermokernel.reservoirs import TemperatureScale, add_reservoir
+from thermokernel.reservoirs import TemperatureScale, add_reservoir, detached_reservoir
 from thermokernel.systems import compose
+
+from conftest import grid_with_shared_columns
 
 LN2 = math.log(2.0)
 
@@ -324,3 +331,74 @@ def test_delta_entropy_ignores_uninvolved_atoms(world):
     p = type1(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
     both = compose(gas.system, other.system)
     assert delta_entropy(ledger, both, p) == pytest.approx(1.5 * LN2, abs=1e-9)
+
+
+class TestBatchedEntropies:
+    """``atom_entropies`` resolves its atom once per call; every value keeps
+    the bits of a query on its own."""
+
+    @pytest.mark.parametrize("scale", [None, TemperatureScale(theta_ref=1.0, t_ref=273.16)])
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 7.0 / 5.0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_batch_matches_one_at_a_time_to_the_bit(self, world, gamma, seed, scale):
+        gas = add_ideal_gas(world, GasModel(gamma=gamma, sigma0=GasState(1.3, 0.8), S0=0.25))
+        states = grid_with_shared_columns(random.Random(seed), gas.model.sigma0)
+        up = [connect_forward(gas.model, gas.model.sigma0, s) for s in states]
+        assert any(up) and not all(up)
+        ledger = EntropyLedger(world) if scale is None else EntropyLedger(world, scale)
+        batch = list(ledger.atom_entropies(gas.atom, states))
+        assert [x.hex() for x in batch] == [
+            ledger.atom_entropy(gas.atom, s).hex() for s in states]
+        assert [x.hex() for x in batch] == [self._unbatched(ledger, gas, s).hex() for s in states]
+
+    @staticmethod
+    def _unbatched(ledger, gas, s):
+        """``S0`` plus the heat over temperature of the one isotherm leg from ``sigma0``."""
+        g = gas.model
+        if s == g.sigma0:
+            return g.S0 + 0.0
+        theta = math.sqrt(gas_T(g, g.sigma0) * gas_T(g, s))
+        leg = isotherm_leg(gas, detached_reservoir(theta), g.sigma0, s)
+        return g.S0 + leg.heat_between(gas.atom, 0.0, 1.0) / ledger.scale.absolute(theta)
+
+    def test_reservoir_atom_on_a_scale(self, world):
+        res = add_reservoir(world, 1.5)
+        ledger = EntropyLedger(world, TemperatureScale(theta_ref=2.0, t_ref=300.0))
+        payloads = [0.0, -2.5, 3, 0.0, 7.25]
+        batch = list(ledger.atom_entropies(res.atom, payloads))
+        assert [x.hex() for x in batch] == [
+            ledger.atom_entropy(res.atom, x).hex() for x in payloads]
+
+    def test_empty_batch(self, world):
+        gas = add_ideal_gas(world)
+        assert list(EntropyLedger(world).atom_entropies(gas.atom, [])) == []
+
+    def test_values_are_computed_as_they_are_pulled(self, world):
+        stiff = add_ideal_gas(world, GasModel(gamma=50.0))
+        good = [GasState(1.0, 1.0), GasState(2.0, 1.1), GasState(0.5, 0.9)]
+        bad = GasState(1.0, 1e7)  # p V^50 overflows
+        pulled = []
+
+        def payloads():
+            for s in good[:2] + [bad] + good[2:]:
+                pulled.append(s)
+                yield s
+
+        values = EntropyLedger(world).atom_entropies(stiff.atom, payloads())
+        assert pulled == []
+        assert next(values) == EntropyLedger(world).atom_entropy(stiff.atom, good[0])
+        next(values)
+        assert pulled == good[:2]
+        with pytest.raises(DomainError, match=r"gamma=50\.0"):
+            next(values)
+        assert pulled == good[:2] + [bad]
+
+    def test_batch_adds_no_atom_to_the_world(self, world):
+        gas = add_ideal_gas(world)
+        res = add_reservoir(world, 2.0)
+        ledger = EntropyLedger(world)
+        before = len(world.registry)
+        states = grid_with_shared_columns(random.Random(5), gas.model.sigma0)
+        list(ledger.atom_entropies(gas.atom, states))
+        list(ledger.atom_entropies(res.atom, [1.0, 2.0]))
+        assert len(world.registry) == before

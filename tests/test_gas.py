@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from thermokernel.energy import EnergyLedger
+from thermokernel.entropy import EntropyLedger
 from thermokernel.errors import (
     DomainError,
     OffIsotherm,
@@ -92,6 +94,27 @@ def test_leg_targets_must_be_finite(gas, value):
     for kind, key, build in legs:
         with pytest.raises(DomainError, match=rf"^{kind} leg: target {key}={value} is not finite$"):
             build()
+
+
+def test_stiff_gas_invariant_overflow_is_a_domain_error():
+    """p V^50 at V = 1e7 overflows the power; at p = 1e300, V = 10 the product is infinite."""
+    world = World()
+    gas = add_ideal_gas(world, GasModel(gamma=50.0))
+    big = GasState(1.0, 1e7)
+    named = r"^gas state \(1\.0, 10000000\.0\) has no finite p V\^gamma at gamma=50\.0$"
+    for query in (lambda: adiabat_invariant(gas.model, big),
+                  lambda: type2(gas, big, 2.0),
+                  lambda: connect(gas, GasState(1.0, 1.0), big),
+                  lambda: connect(gas, big, GasState(1.0, 1.0)),
+                  lambda: EnergyLedger(world).atom_energy(gas.atom, big),
+                  lambda: EntropyLedger(world).atom_entropy(gas.atom, big)):
+        with pytest.raises(DomainError, match=named):
+            query()
+    with pytest.raises(DomainError, match=r"^gas state \(1e\+300, 10\.0\) has no finite"):
+        adiabat_invariant(gas.model, GasState(1e300, 10.0))
+    # a finite invariant keeps its bits
+    s = GasState(1.5, 1.2)
+    assert adiabat_invariant(gas.model, s).hex() == (s.p * s.V**50.0).hex()
 
 
 def test_closed_forms():

@@ -403,6 +403,34 @@ def test_entropy_table_just_off_a_small_reference_adiabat(tmp_path):
     rows = (tmp_path / "out" / "t.csv").read_text().splitlines()
     assert rows[2].split(",")[:3] == ["0.00100001", "0.001", "1.500015e-06"]
 
+def test_stiff_gas_overflow_exits_3_with_a_domain_error(tmp_path, capsys):
+    """p V^50 at V = 1e7 is past any float: the run names the state and gamma."""
+    stiff = dict(GAS, gamma=50)
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [stiff],
+                                     "script": [dict(CONNECT, **{"from": [1, 1e7]})]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "ENGINE ERROR: DomainError: gas state (1.0, 10000000.0) has no finite p V^gamma "
+        "at gamma=50.0"]
+
+
+def test_failing_entropy_table_fails_on_the_same_cell(tmp_path, capsys):
+    """Each cell's state, energy and entropy run in that order, cell after cell.
+
+    This wide grid first fails in its second cell's entropy; a table that
+    computed every energy first would report its third cell's energy error.
+    """
+    table = {"op": "entropy-table", "gas": "g", "save": "t.csv",
+             "p": [2.6063724020172056e-07, 2435059510.4801073, 3],
+             "V": [1115804.7376608981, 29294449192517.543, 3]}
+    path = write_scenario(tmp_path, {"version": 1, "script": [table],
+                                     "atoms": [{"name": "g", "kind": "gas", "gamma": 1.1}]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "ENGINE ERROR: DomainError: gas state (2.8361409127082e+17, 1.361080505768499e-16) "
+        "below the positive floor"]
+
+
 def test_scenario_parse_validates_types():
     with pytest.raises(ValidationError):
         Scenario.parse(json.dumps({"version": 1, "atoms": {}, "script": []})).validate()

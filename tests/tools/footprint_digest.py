@@ -8,8 +8,9 @@ and ``PYTHONHASHSEED=0`` and writes one line per value, every float as its
 and of knotted slices of concatenated legs; ``records_from_legs`` and
 ``clausius_sum`` of reversible and friction cycles; ``build_carnot`` runs
 and ``temperature_ratio``; energy and entropy ledger values and an
-``entropy_integral``.  The suite lines of ``verify`` print three digits, so
-a last-bit drift shows only here:
+``entropy_integral``; ledger values over p x V grids at four exponents.  The
+suite lines of ``verify`` print three digits, so a last-bit drift shows
+only here:
 
     python tests/tools/footprint_digest.py BASE digest-base.txt
     python tests/tools/footprint_digest.py . digest-head.txt
@@ -45,7 +46,7 @@ def emit(out) -> None:
     from thermokernel.carnot import build_carnot, temperature_ratio
     from thermokernel.energy import EnergyLedger
     from thermokernel.entropy import EntropyLedger, clausius_sum, records_from_legs
-    from thermokernel.gas import GasState, add_ideal_gas, connect, gas_T, type2, type3
+    from thermokernel.gas import GasModel, GasState, add_ideal_gas, connect, gas_T, type2, type3
     from thermokernel.quasistatic import concat_families, entropy_integral
     from thermokernel.reservoirs import add_reservoir
     from thermokernel.suites import (random_friction_cycle, random_gas_state,
@@ -101,6 +102,23 @@ def emit(out) -> None:
         line(f"carnot {i}", f"q1={run.q1!r} q2={run.q2!r} w={run.w!r} n={run.n!r} "
                             f"{_process(run.process)}")
         line(f"temperature-ratio {i}", repr(temperature_ratio(r1, r2)))
+
+    # ledger values over p x V grids: each V-column shares its volume, and
+    # the rows lie on both sides of the reference adiabat
+    rng = random.Random(SEED + 1)
+    for gamma in (5.0 / 3.0, 7.0 / 5.0, 1.1, 3.0):
+        grid_world = World()
+        sigma0 = random_gas_state(rng, 0.5, 2.0)
+        grid_gas = add_ideal_gas(grid_world, GasModel(gamma=gamma, sigma0=sigma0))
+        energy, entropy = EnergyLedger(grid_world), EntropyLedger(grid_world)
+        ps = sorted(sigma0.p * math.exp(rng.uniform(-3.0, 3.0)) for _ in range(4))
+        vs = sorted(sigma0.V * math.exp(rng.uniform(-2.0, 2.0)) for _ in range(4))
+        for p in ps:
+            for v in vs:
+                s = GasState(p, v)
+                line(f"grid {gamma!r} {s.as_tuple()!r}",
+                     f"U={energy.atom_energy(grid_gas.atom, s)!r} "
+                     f"S={entropy.atom_entropy(grid_gas.atom, s)!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

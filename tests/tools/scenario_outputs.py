@@ -10,7 +10,9 @@ OUT_DIR/NNN/artifacts`` on ``CHECKOUT/src``, in a fresh interpreter with
 ``THERMOKERNEL_TOL`` unset and ``PYTHONHASHSEED=0``.  Next to each
 ``artifacts`` directory it keeps ``stdout.txt`` (stderr included, with
 ``OUT_DIR`` replaced by ``OUT`` and ``CHECKOUT/src`` by ``SRC``) and
-``exit_code.txt``, so the trees of two checkouts compare with ``diff -r``:
+``exit_code.txt``.  The failing entropy-table grids of
+``tests/data/entropy_table_edges`` run after them the same way, each into
+``OUT_DIR/edges/NAME``.  The trees of two checkouts compare with ``diff -r``:
 
     python tests/tools/scenario_outputs.py BASE out-base
     python tests/tools/scenario_outputs.py . out-head
@@ -32,6 +34,7 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 import workloads  # noqa: E402
 
 SEED = 1
+EDGES = os.path.join(ROOT, "tests", "data", "entropy_table_edges")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,9 +50,11 @@ def main(argv: list[str] | None = None) -> int:
     env["PYTHONPATH"] = src
     env["PYTHONHASHSEED"] = "0"
     items = workloads.ScenarioFiles(SEED, os.path.join(out_root, "scenarios")).items
+    runs = [(path, os.path.join(out_root, f"{k:03d}")) for k, (path, _, _) in enumerate(items)]
+    runs += [(os.path.join(EDGES, name), os.path.join(out_root, "edges", name[:-5]))
+             for name in sorted(os.listdir(EDGES)) if name.endswith(".json")]
     codes: dict[int, int] = {}
-    for k, (path, _, _) in enumerate(items):
-        item = os.path.join(out_root, f"{k:03d}")
+    for path, item in runs:
         os.makedirs(item, exist_ok=True)
         proc = subprocess.run(
             [sys.executable, "-m", "thermokernel.cli", "run", path,
@@ -60,7 +65,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.path.join(item, "exit_code.txt"), "w", encoding="utf-8") as fh:
             fh.write(f"{proc.returncode}\n")
         codes[proc.returncode] = codes.get(proc.returncode, 0) + 1
-    print(f"{len(items)} scenarios on {src}: exit codes {dict(sorted(codes.items()))}")
+    print(f"{len(items)} scenarios and {len(runs) - len(items)} failing grids on {src}: "
+          f"exit codes {dict(sorted(codes.items()))}")
     return 0
 
 
