@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import tolerances
 from .errors import SameReservoir
-from .gas import GasModel, GasState, add_ideal_gas, type1, type2, type3
+from .gas import GasAtom, GasModel, GasState, add_ideal_gas, type1, type2, type3
 from .processes import (
     AtomState,
     Process,
@@ -86,35 +86,39 @@ def _assemble(
     return CarnotRun(r1, r2, machine, process, q1, q2, w, is_reversible(process), segments, n)
 
 
+def _working_gas(r1: Reservoir, r2: Reservoir, n: float) -> tuple[GasAtom, GasState, float]:
+    """A fresh γ = 5/3, R = 1 gas of amount ``n`` in ``r1``'s world, its start at V = 1 on
+    ``r1``'s isotherm, and ``hop``, the volume factor of an isolated leg to ``r2``'s isotherm."""
+    gas = add_ideal_gas(r1.world, GasModel(n=n))
+    g = gas.model
+    return gas, GasState(g.nR * r1.theta, 1.0), (r1.theta / r2.theta) ** (1.0 / (g.gamma - 1.0))
+
+
 def build_carnot(
     r1: Reservoir,
     r2: Reservoir,
     q_target: float,
     volume_ratio: float = 2.0,
     n: float | None = None,
-    v_start: float = 1.0,
-    gamma: float = 5.0 / 3.0,
-    R: float = 1.0,
 ) -> CarnotRun:
     """Construct a reversible cycle whose heat into ``r1`` equals ``q_target``.
 
-    Heats scale linearly with the gas amount, so with the volume ratio fixed
-    the machine's ``n`` is solved from the target; passing ``n`` explicitly
-    solves the volume ratio instead.  A positive target runs the cycle in
-    the pumping direction (compression on the first isotherm).  The working
-    gas is a fresh atom minted in the first reservoir's world; to leave a
-    world alone, pass reservoirs of a scratch ``World``, as
-    ``temperature_ratio`` does.
+    The working gas is a fresh γ = 5/3, R = 1 gas minted in ``r1``'s world,
+    and the cycle starts at V = 1 on ``r1``'s isotherm; to leave a world
+    alone, pass reservoirs of a scratch ``World``, as ``temperature_ratio``
+    does.  Heats scale linearly with the gas amount, so with the volume
+    ratio fixed ``n`` is solved from the target; passing ``n`` solves the
+    volume ratio instead.  A positive target runs the cycle in the pumping
+    direction (compression on the first isotherm).
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
-    world = r1.world
-    th1, th2 = r1.theta, r2.theta
+    th1 = r1.theta
     if q_target == 0.0:
-        gas = add_ideal_gas(world, GasModel(n=1.0, R=R, gamma=gamma))
-        start = GasState(1.0 * R * th1 / v_start, v_start)
+        # not ``_working_gas``: its hop overflows past a ratio of about 1e205
+        gas = add_ideal_gas(r1.world, GasModel())
         sigma = joint(
-            AtomState(gas.atom, start),
+            AtomState(gas.atom, GasState(gas.model.nR * th1, 1.0)),
             AtomState(r1.atom, 0.0),
             AtomState(r2.atom, 0.0),
         )
@@ -125,30 +129,27 @@ def build_carnot(
     if n is None:
         if volume_ratio <= 0 or volume_ratio == 1.0:
             raise ValueError("volume ratio must be positive and != 1")
-        n = abs(q_target) / (R * th1 * abs(math.log(volume_ratio)))
+        n = abs(q_target) / (th1 * abs(math.log(volume_ratio)))
         log_r = math.log(volume_ratio)
     else:
         if n <= 0:
             raise ValueError("gas amount must be positive")
-        log_r = abs(q_target) / (n * R * th1)
+        log_r = abs(q_target) / (n * th1)
     # Expansion on the first isotherm pulls heat out of r1 (q1 < 0).
     if q_target < 0:
         log_r = abs(log_r)
     else:
         log_r = -abs(log_r)
 
-    gas = add_ideal_gas(world, GasModel(n=n, R=R, gamma=gamma))
-    g = gas.model
-    a = GasState(g.nR * th1 / v_start, v_start)
-    v_b = v_start * math.exp(log_r)
-    hop = (th1 / th2) ** (1.0 / (g.gamma - 1.0))
+    gas, a, hop = _working_gas(r1, r2, n)
+    v_b = math.exp(log_r)
     seg1 = type3(gas, r1, a, v_b)
     b = seg1.state_at(1.0)[gas.atom]
     seg2 = type2(gas, b, v_b * hop)
     c = seg2.state_at(1.0)[gas.atom]
-    seg3 = type3(gas, r2, c, v_start * hop)
+    seg3 = type3(gas, r2, c, hop)
     d = seg3.state_at(1.0)[gas.atom]
-    seg4 = type2(gas, d, v_start)
+    seg4 = type2(gas, d, 1.0)
     return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
 
 
@@ -185,41 +186,30 @@ def same_temperature(r1: Reservoir, r2: Reservoir) -> bool:
     return abs(temperature_ratio(r1, r2) - 1.0) <= tolerances().same_temperature
 
 
-def build_degraded_carnot(
-    r1: Reservoir,
-    r2: Reservoir,
-    volume_ratio: float = 2.0,
-    n: float = 1.0,
-    v_start: float = 1.0,
-    gamma: float = 5.0 / 3.0,
-    R: float = 1.0,
-) -> CarnotRun:
+def build_degraded_carnot(r1: Reservoir, r2: Reservoir, volume_ratio: float = 2.0) -> CarnotRun:
     """A cycle closed by a friction leg instead of the second isolated leg.
 
-    Requires the first reservoir to be hotter.  The friction leg makes the
-    cycle irreversible and strictly lowers -q1/q2 below the reversible
-    ratio: some of the heat drawn from the hot side is wasted re-heating
-    the gas instead of being pumped.
+    One unit of a γ = 5/3, R = 1 gas starts at V = 1 on ``r1``'s isotherm
+    and expands there by ``volume_ratio``; ``r1`` must be the hotter.  The
+    friction leg makes the cycle irreversible and strictly lowers -q1/q2
+    below the reversible ratio: some of the heat drawn from the hot side is
+    wasted re-heating the gas instead of being pumped.
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
-    th1, th2 = r1.theta, r2.theta
-    if not th1 > th2:
+    if not r1.theta > r2.theta:
         raise ValueError("the degraded cycle needs the first reservoir hotter")
-    if not (volume_ratio > 1.0 and n > 0):
-        raise ValueError("need an expansion ratio > 1 and positive gas amount")
-    gas = add_ideal_gas(r1.world, GasModel(n=n, R=R, gamma=gamma))
-    g = gas.model
-    a = GasState(g.nR * th1 / v_start, v_start)
-    hop = (th1 / th2) ** (1.0 / (g.gamma - 1.0))
-    seg1 = type3(gas, r1, a, v_start * volume_ratio)
+    if not volume_ratio > 1.0:
+        raise ValueError("need an expansion ratio > 1")
+    gas, a, hop = _working_gas(r1, r2, 1.0)
+    seg1 = type3(gas, r1, a, float(volume_ratio))
     b = seg1.state_at(1.0)[gas.atom]
     seg2 = type2(gas, b, b.V * hop)
     c = seg2.state_at(1.0)[gas.atom]
-    seg3 = type3(gas, r2, c, v_start)
+    seg3 = type3(gas, r2, c, 1.0)
     d = seg3.state_at(1.0)[gas.atom]
     seg4 = type1(gas, d, a.p)
-    return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
+    return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), 1.0)
 
 
 def machine_cyclic(run: CarnotRun) -> bool:

@@ -15,9 +15,8 @@ constant and as test oracles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import fold_worst, tolerances
 from .errors import DepthExceeded, Unreachable
@@ -135,16 +134,21 @@ def internal_energy(ledger: EnergyLedger, s: System, sigma: JointState) -> float
     return sum(ledger.atom_energy(a, sigma[a].value) for a in atoms_of(s))
 
 
-def delta_u(ledger: EnergyLedger, s: System, p: Process) -> float:
-    """Energy change of ``s`` under ``p``; uninvolved atoms contribute zero."""
+def ledger_delta(values: Callable[..., Iterator[float]], s: System, p: Process) -> float:
+    """Change of a ledger's state function on ``s`` under ``p``: one ``values`` batch per atom."""
     total = 0.0
     for atom in atoms_of(s):
         entry = p.entries.get(atom)
         if entry is None:
             continue
-        final, initial = ledger.atom_energies(atom, (entry.final.value, entry.initial.value))
+        final, initial = values(atom, (entry.final.value, entry.initial.value))
         total += final - initial
     return total
+
+
+def delta_u(ledger: EnergyLedger, s: System, p: Process) -> float:
+    """Energy change of ``s`` under ``p``; uninvolved atoms contribute zero."""
+    return ledger_delta(ledger.atom_energies, s, p)
 
 
 def heat_of(ledger: EnergyLedger, s: System, p: Process) -> float:
@@ -163,9 +167,6 @@ class FirstLawReport:
 
     def to_json(self) -> dict:
         return {"pairs_checked": self.pairs_checked, "violations": self.violations}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def check_first_law(

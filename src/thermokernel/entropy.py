@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from .config import tolerances
-from .energy import EnergyLedger, heat_of
+from .energy import EnergyLedger, heat_of, ledger_delta
 from .errors import (
     NoTemperature,
     NotCyclic,
@@ -208,7 +208,7 @@ class EntropyLedger:
         The binding, anchor and ``GasAtom`` are resolved once per call;
         nothing outlives the call.
         """
-        binding = self.world.binding(atom)
+        binding = self.world.binding(atom) if atom in self.world else None
         if isinstance(binding, ReservoirModel):
             t = self.scale.absolute(binding.theta)
             yield from (float(payload) / t for payload in payloads)
@@ -237,14 +237,8 @@ def entropy(ledger: EntropyLedger, s: System, sigma: JointState) -> float:
 
 
 def delta_entropy(ledger: EntropyLedger, s: System, p: Process) -> float:
-    total = 0.0
-    for atom in atoms_of(s):
-        entry = p.entries.get(atom)
-        if entry is None:
-            continue
-        final, initial = ledger.atom_entropies(atom, (entry.final.value, entry.initial.value))
-        total += final - initial
-    return total
+    """Entropy change of ``s`` under ``p``; uninvolved atoms contribute zero."""
+    return ledger_delta(ledger.atom_entropies, s, p)
 
 
 @dataclass(frozen=True)
@@ -268,20 +262,19 @@ def check_entropy_theorem(s: System, p: Process, ledger: EntropyLedger) -> Entro
     return EntropyVerdict(passed=passed, delta_s=ds, reversible=rev)
 
 
-def records_from_legs(
-    legs: Iterable, gas: GasAtom, scale: TemperatureScale = NATURAL_SCALE
-) -> list[HeatFlowRecord]:
+def records_from_legs(legs: Iterable, gas: GasAtom) -> list[HeatFlowRecord]:
     """Build Clausius records from quasistatic legs, one slice per leg.
 
-    Isothermal legs carry their reservoir temperature; isolated and friction
-    legs carry zero heat and no temperature.
+    Isothermal legs carry their reservoir's temperature on the natural scale,
+    its ``theta``; isolated and friction legs carry zero heat and no
+    temperature.
     """
     records = []
     for fam in legs:
         proc = fam.slice(0.0, 1.0)
         if isinstance(fam, IsothermSegment):
             q = fam.heat_between(gas.atom, 0.0, 1.0)
-            records.append(HeatFlowRecord(proc, q, scale.absolute(fam.res.theta)))
+            records.append(HeatFlowRecord(proc, q, fam.res.theta))
         else:
             records.append(HeatFlowRecord(proc, 0.0, None))
     return records

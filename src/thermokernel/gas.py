@@ -183,13 +183,14 @@ def gas_U_sv(g: GasModel, s_value: float, V: float) -> float:
 
 
 def adiabat_invariant(g: GasModel, s: GasState) -> float:
-    """p V^gamma, conserved on isolated segments and raised by friction; never infinite."""
+    """p V^gamma, conserved on isolated segments and raised by friction; positive and finite."""
     try:
         inv = s.p * s.V**g.gamma
     except OverflowError:
         inv = math.inf
-    if inv > _MAX:
-        raise DomainError(f"gas state ({s.p}, {s.V}) has no finite p V^gamma at gamma={g.gamma}")
+    if not 0.0 < inv <= _MAX:
+        what = "no finite p V^gamma" if inv else "a p V^gamma that underflows to 0"
+        raise DomainError(f"gas state ({s.p}, {s.V}) has {what} at gamma={g.gamma}")
     return inv
 
 
@@ -292,7 +293,11 @@ class AdiabatSegment(_Segment):
         self.gamma = gas.model.gamma
         self.inv = adiabat_invariant(gas.model, start)
         self.log_r = math.log(V2 / start.V)
-        self.end = GasState(self.inv * V2**-self.gamma, V2)
+        try:
+            self.end = GasState(self.inv * V2**-self.gamma, V2)
+        except OverflowError:
+            raise DomainError(f"type2 leg from gas state ({start.p}, {start.V}) has no finite "
+                              f"end state at V2={V2}, gamma={self.gamma}") from None
         v0, log_r, neg_inv, k = start.V, self.log_r, -self.inv, 1.0 - self.gamma
         self._work = lambda lam: neg_inv * (v0 * exp(lam * log_r)) ** k * log_r
 
@@ -392,18 +397,13 @@ def conduct(
     )
 
 
-def reservoir_contact(
-    gas: GasAtom,
-    start: GasState,
-    res: Reservoir,
-    q: float,
-    reservoir_energy: float = 0.0,
-) -> Process:
+def reservoir_contact(gas: GasAtom, start: GasState, res: Reservoir, q: float) -> Process:
     """Irreversible heat exchange with a reservoir at constant gas volume.
 
     ``q > 0`` sends heat from the gas into the reservoir and requires the
     gas to stay at or above the reservoir's isotherm; ``q < 0`` is the
-    opposite.  Zero work on both sides.
+    opposite.  The reservoir starts at its handle's ``energy``.  Zero work
+    on both sides.
     """
     if q == 0:
         raise PreconditionNotMet("contact must exchange a non-zero heat")
@@ -418,7 +418,7 @@ def reservoir_contact(
     return make_process(
         {
             gas.atom: (start, final, 0.0),
-            res.atom: (reservoir_energy, reservoir_energy + q, 0.0),
+            res.atom: (res.energy, res.energy + q, 0.0),
         },
         tags=("reservoir-contact",),
     )
@@ -493,8 +493,14 @@ def isotherm_leg(gas: GasAtom, res: Reservoir, s1: GasState, s2: GasState) -> Qu
     g = gas.model
     c = g.nR * res.theta
     inv_on = adiabat_invariant(g, s1)
-    v_on = (inv_on / c) ** g.cv_R
-    v_off = (adiabat_invariant(g, s2) / c) ** g.cv_R
+    s = s1  # the state whose meeting volume is taken next
+    try:
+        v_on = (inv_on / c) ** g.cv_R
+        s = s2
+        v_off = (adiabat_invariant(g, s2) / c) ** g.cv_R
+    except OverflowError:
+        raise DomainError(f"the adiabat of gas state ({s.p}, {s.V}) meets the theta={res.theta} "
+                          f"isotherm at no finite volume at gamma={g.gamma}") from None
     return type3(gas, res, GasState(inv_on * v_on**-g.gamma, v_on), v_off)
 
 

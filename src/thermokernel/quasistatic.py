@@ -292,7 +292,7 @@ def entropy_integral(f: QuasistaticFamily, heat_rate: Rate | None, temp_profile)
     return adaptive_simpson(integrand, 0.0, 1.0, knots=knots)
 
 
-def check_qs_postulates(gas, states, pairs=None, tangent_sets=None, rng=None) -> dict:
+def check_qs_postulates(gas, states, pairs=None, tangent_sets=None) -> dict:
     """Verify the quasistatic structure of the shipped gas model.
 
     At each sampled state the two constructor directions must be linearly

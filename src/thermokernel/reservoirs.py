@@ -84,11 +84,11 @@ def detached_reservoir(theta: float) -> Reservoir:
     return Reservoir(atom=AtomId(-1, RESERVOIR_KIND), model=ReservoirModel(theta), world=World())
 
 
-def reservoir_handle(world: World, atom: AtomId, energy: float = 0.0) -> Reservoir:
+def reservoir_handle(world: World, atom: AtomId) -> Reservoir:
     model = world.binding(atom)
     if not isinstance(model, ReservoirModel):
         raise TypeError(f"{atom} is not bound to a reservoir model")
-    return Reservoir(atom=atom, model=model, world=world, energy=energy)
+    return Reservoir(atom=atom, model=model, world=world)
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,16 @@ class TemperatureScale:
 NATURAL_SCALE = TemperatureScale()
 
 
-def stir(res: Reservoir, work: float, energy: float | None = None) -> Process:
-    """Dump work into a reservoir, raising its energy by the same amount.
+def stir(res: Reservoir, work: float) -> Process:
+    """Dump work into a reservoir, raising its energy from the handle's by the same amount.
 
     Work on a reservoir is finite and never negative; the constructor
     depends only on the energy difference.
     """
     if not 0 <= work < math.inf:
         raise PreconditionNotMet(f"stirring work must be finite and non-negative, got {work}")
-    e0 = res.energy if energy is None else energy
     return make_process(
-        {res.atom: (e0, e0 + work, float(work))},
+        {res.atom: (res.energy, res.energy + work, float(work))},
         tags=("stir",),
     )
 

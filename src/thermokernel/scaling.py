@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import fold_worst
 from .errors import IncompatibleBases, NonPositiveScale, OptimizerFailed
-from .gas import GasModel, GasState, gas_S, gas_U
+from .gas import GasModel, GasState, add_ideal_gas, gas_S, gas_U
 from .processes import Process, make_process
 from .systems import World
 
@@ -71,7 +71,6 @@ def scaled_state(s: GasState, lam) -> GasState:
 
 
 def classify_variable(
-    name: str,
     probe: Callable[[GasModel, GasState], float],
     base: GasModel,
     states: Sequence[GasState],
@@ -143,8 +142,6 @@ def remove_constraint(
     t2 = UVState(f2 * total.U, f2 * total.V)
     if world is None:
         world = World()
-    from .gas import add_ideal_gas
-
     a1 = add_ideal_gas(world, g1.model)
     a2 = add_ideal_gas(world, g2.model)
     start1, end1 = uv_to_gas(g1.model, s1), uv_to_gas(g1.model, t1)
@@ -265,9 +262,6 @@ class ConcavityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def rows(self) -> list[tuple]:
-        return [(self.checked, self.min_slack, len(self.violations))]
 
 
 def check_concavity(

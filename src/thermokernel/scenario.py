@@ -43,8 +43,8 @@ from .gas import (
 )
 from .processes import work_of
 from .reservoirs import Reservoir, add_reservoir
-from .scaling import UVState, check_concavity, entropy_uv, max_entropy_split
-from .suites import SUITES
+from .scaling import check_concavity, entropy_uv, max_entropy_split
+from .suites import SUITES, random_splits, random_uv_pairs
 from .systems import World
 
 SCENARIO_VERSION = 1
@@ -218,7 +218,6 @@ OPS: dict[str, _Schema] = {
 
 @dataclass
 class Scenario:
-    version: int
     seed: int
     atoms: list[dict]
     script: list[dict]
@@ -240,7 +239,7 @@ class Scenario:
         seed = raw.get("seed", 42)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValidationError(f"'seed' must be an integer, got {_echo(seed)}")
-        return cls(version=SCENARIO_VERSION, seed=seed, atoms=atoms, script=script)
+        return cls(seed=seed, atoms=atoms, script=script)
 
     def validate(self) -> None:
         kinds: dict[str, str] = {}
@@ -271,10 +270,6 @@ class ScenarioResult:
     exit_code: int
     messages: list[str] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
-
-
-def _build_atoms(world: World, specs: list[dict]) -> dict[str, Any]:
-    return {spec["name"]: ATOM_KINDS[spec["kind"]][0](world, spec) for spec in specs}
 
 
 def _expect(cmd: dict, label: str, got: float, key: str) -> None:
@@ -312,7 +307,8 @@ class _Runner:
         self.messages: list[str] = []
 
     def run(self) -> None:
-        self.handles = _build_atoms(self.world, self.scenario.atoms)
+        self.handles = {spec["name"]: ATOM_KINDS[spec["kind"]][0](self.world, spec)
+                        for spec in self.scenario.atoms}
         for cmd in self.scenario.script:
             self.dispatch(cmd)
 
@@ -409,12 +405,9 @@ class _Runner:
             raise ScenarioAssertionFailed(f"suite {cmd['suite']} failed")
 
     def op_max_entropy_report(self, cmd: dict) -> None:
-        rng = random.Random(self.seed)
         base = GasModel()
         rows = ["lambda,U,V,U1,V1,S_max,S_unconstrained"]
-        for _ in range(cmd.get("draws", 20)):
-            lam = rng.uniform(0.1, 0.9)
-            total = UVState(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
+        for lam, total in random_splits(random.Random(self.seed), cmd.get("draws", 20)):
             res = max_entropy_split(base, lam, total)
             u1, v1 = res.split[0].as_tuple()
             s_free = entropy_uv(base, total.U, total.V)
@@ -423,16 +416,8 @@ class _Runner:
         self.messages.append(f"max-entropy-report: {len(rows) - 1} rows")
 
     def op_concavity_report(self, cmd: dict) -> None:
-        rng = random.Random(self.seed)
-        base = GasModel()
-        pairs = [
-            (
-                UVState(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)),
-                UVState(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)),
-            )
-            for _ in range(cmd.get("samples", 200))
-        ]
-        rep = check_concavity(base, pairs)
+        pairs = random_uv_pairs(random.Random(self.seed), cmd.get("samples", 200))
+        rep = check_concavity(GasModel(), pairs)
         row = _csv_row(rep.checked, rep.min_slack, len(rep.violations))
         self.save_csv(cmd, ["checked,min_slack,violations", row])
         self.messages.append(

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .carnot import build_carnot, build_degraded_carnot, machine_cyclic, temperature_ratio
 from .config import fold_worst
@@ -41,7 +41,7 @@ from .gas import (
 )
 from .processes import Process, concatenate
 from .quasistatic import QuasistaticFamily
-from .reservoirs import add_reservoir
+from .reservoirs import add_reservoir, check_second_law
 from .scaling import (
     UVState,
     check_concavity,
@@ -101,6 +101,16 @@ def random_gas_state(rng: random.Random, lo: float = 0.5, hi: float = 2.0) -> Ga
     )
 
 
+def _isolated_or_contact(
+    gas: GasAtom, state: GasState, isolated: bool, factor: float
+) -> QuasistaticFamily:
+    """An isolated leg, or an isothermal contact with a fresh reservoir, to ``factor`` times V."""
+    if isolated:
+        return type2(gas, state, state.V * factor)
+    res = add_reservoir(gas.world, gas_T(gas.model, state))
+    return type3(gas, res, state, state.V * factor)
+
+
 def random_reversible_legs(
     gas: GasAtom, rng: random.Random, start: GasState, moves: int = 2
 ) -> list[QuasistaticFamily]:
@@ -114,11 +124,7 @@ def random_reversible_legs(
     state = start
     for _ in range(moves):
         factor = math.exp(rng.uniform(-0.5, 0.5))
-        if rng.random() < 0.5:
-            fam = type2(gas, state, state.V * factor)
-        else:
-            res = add_reservoir(gas.world, gas_T(gas.model, state))
-            fam = type3(gas, res, state, state.V * factor)
+        fam = _isolated_or_contact(gas, state, rng.random() < 0.5, factor)
         legs.append(fam)
         state = fam.state_at(1.0)[gas.atom]
     theta_home = math.sqrt(
@@ -138,11 +144,9 @@ def random_friction_cycle(
     for i in range(moves + frictions):
         if i < frictions:
             fam = type1(gas, state, state.p * (1.0 + rng.uniform(0.1, 1.0)))
-        elif rng.random() < 0.5:
-            fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.5, 0.5)))
         else:
-            res = add_reservoir(gas.world, gas_T(gas.model, state))
-            fam = type3(gas, res, state, state.V * math.exp(rng.uniform(-0.5, 0.5)))
+            isolated = rng.random() < 0.5
+            fam = _isolated_or_contact(gas, state, isolated, math.exp(rng.uniform(-0.5, 0.5)))
         legs.append(fam)
         state = fam.state_at(1.0)[gas.atom]
     theta_home = math.sqrt(
@@ -169,17 +173,31 @@ def random_work_process(
     return process
 
 
-def random_reversible_work_process(
-    gas: GasAtom, rng: random.Random, start: GasState, segments: int = 2
-) -> Process:
+def random_reversible_work_process(gas: GasAtom, rng: random.Random, start: GasState) -> Process:
+    """Two random isolated legs in a row: a reversible work process on the gas."""
     state = start
     process: Process | None = None
-    for _ in range(segments):
+    for _ in range(2):
         fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.6, 0.6)))
         piece = fam.slice(0.0, 1.0)
         process = piece if process is None else concatenate(process, piece)
         state = piece.final_of(gas.atom).value
     return process
+
+
+def random_splits(rng: random.Random, n: int) -> Iterator[tuple[float, UVState]]:
+    """``n`` draws of a split fraction in [0.1, 0.9] and a total (U, V) in [1, 5]^2, as pulled."""
+    for _ in range(n):
+        lam = rng.uniform(0.1, 0.9)
+        yield lam, UVState(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
+
+
+def random_uv_pairs(rng: random.Random, n: int) -> list[tuple[UVState, UVState]]:
+    """``n`` pairs of (U, V) states in [0.5, 5]^2."""
+    def draw() -> UVState:
+        return UVState(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
+
+    return [(draw(), draw()) for _ in range(n)]
 
 
 # --- suites -------------------------------------------------------------------
@@ -204,8 +222,6 @@ def suite_first_law(seed: int = 42, pairs: int = 40) -> SuiteReport:
 
 
 def suite_second_law(seed: int = 42, n: int = 25) -> SuiteReport:
-    from .reservoirs import check_second_law
-
     rng = random.Random(seed)
     report = SuiteReport("second-law")
     worst = math.inf
@@ -389,9 +405,7 @@ def suite_max_entropy(seed: int = 42, draws: int = 100, pairs: int = 1000) -> Su
     base = GasModel()
     worst_arg = 0.0
     worst_val = 0.0
-    for _ in range(draws):
-        lam = rng.uniform(0.1, 0.9)
-        total = UVState(rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0))
+    for lam, total in random_splits(rng, draws):
         result = max_entropy_split(base, lam, total)
         span = max(abs(total.U), total.V)
         worst_arg = fold_worst(
@@ -413,14 +427,7 @@ def suite_max_entropy(seed: int = 42, draws: int = 100, pairs: int = 1000) -> Su
         worst_val <= 1e-8,
         f"worst |dS|={worst_val:.2e}",
     )
-    sample = [
-        (
-            UVState(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)),
-            UVState(rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)),
-        )
-        for _ in range(pairs)
-    ]
-    rep = check_concavity(base, sample)
+    rep = check_concavity(base, random_uv_pairs(rng, pairs))
     report.add(
         "entropy is midpoint concave in (U, V)",
         rep.passed,
@@ -442,7 +449,7 @@ def suite_scaling(seed: int = 42, samples: int = 12) -> SuiteReport:
         "gas-temperature": ("intensive", gas_T),
     }
     for name, (want, probe) in expected.items():
-        got = classify_variable(name, probe, base, states)
+        got = classify_variable(probe, base, states)
         report.add(f"{name} classifies {want}", got == want, f"got {got}")
 
     worst = 0.0

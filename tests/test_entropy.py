@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from thermokernel.energy import EnergyLedger
 from thermokernel.entropy import (
     EntropyLedger,
     HeatFlowRecord,
@@ -21,6 +22,7 @@ from thermokernel.errors import (
     NotWorkProcess,
     NoTemperature,
     UnassignedTemperature,
+    Unreachable,
     ZeroHeat,
 )
 from thermokernel.gas import (
@@ -40,7 +42,7 @@ from thermokernel.gas import (
 )
 from thermokernel.processes import AtomState, joint, make_identity, make_process
 from thermokernel.reservoirs import TemperatureScale, add_reservoir, detached_reservoir
-from thermokernel.systems import compose
+from thermokernel.systems import AtomId, compose
 
 from conftest import grid_with_shared_columns
 
@@ -275,6 +277,27 @@ class TestQueriesLeaveTheWorldAlone:
         assert len(world.registry) == before
         # 4500 retained entries of any kind would take several hundred KB.
         assert grown < 64 * 1024
+
+
+@pytest.mark.parametrize("kind", ["ideal-gas", "reservoir"])
+def test_an_atom_the_world_does_not_hold_has_no_reference(world, kind):
+    """Both ledgers read a missing binding as none: no bare ``KeyError``.
+
+    A reservoir's energy is its payload whatever its world holds, so only
+    the energy of a gas-kind atom has no reference.
+    """
+    add_ideal_gas(world)
+    add_reservoir(world, 2.0)
+    stranger = AtomId(5, kind)
+    payload = GasState(1.0, 1.0) if kind == "ideal-gas" else 3.0
+    with pytest.raises(NotWorkProcess, match=r"^no entropy reference for "):
+        EntropyLedger(world).atom_entropy(stranger, payload)
+    energy = EnergyLedger(world)
+    if kind == "reservoir":
+        assert energy.atom_energy(stranger, payload) == 3.0
+    else:
+        with pytest.raises(Unreachable, match=r"^no energy reference registered for "):
+            energy.atom_energy(stranger, payload)
 
 
 def test_zero_net_heat_still_moves_entropy(world):

@@ -96,6 +96,29 @@ def test_leg_targets_must_be_finite(gas, value):
             build()
 
 
+@pytest.mark.parametrize("query, named", [
+    pytest.param(lambda w: type2(add_ideal_gas(w, GasModel(gamma=50.0)), GasState(1, 1), 1e-7),
+                 r"^type2 leg from gas state \(1, 1\) has no finite end state "
+                 r"at V2=1e-07, gamma=50\.0$", id="adiabat-end-overflows"),
+    pytest.param(lambda w: EntropyLedger(w).atom_entropy(
+                     add_ideal_gas(w, GasModel(gamma=1.1)).atom, GasState(1e300, 1.0)),
+                 r"^the adiabat of gas state \(1e\+300, 1\.0\) meets the theta=1e\+150 "
+                 r"isotherm at no finite volume at gamma=1\.1$", id="isotherm-volume-overflows"),
+    pytest.param(lambda w: EnergyLedger(w).atom_energy(
+                     add_ideal_gas(w, GasModel(gamma=50.0)).atom, GasState(1.0, 1e-7)),
+                 r"^gas state \(1\.0, 1e-07\) has a p V\^gamma that underflows to 0 "
+                 r"at gamma=50\.0$", id="invariant-underflows"),
+])
+def test_powers_past_the_floats_name_the_callers_state(query, named):
+    """A power that overflows, or an invariant that underflows to 0, is a ``DomainError``.
+
+    Each used to escape as a bare ``OverflowError`` or name a state the
+    caller never gave, ``(0.0, 1.0)``.
+    """
+    with pytest.raises(DomainError, match=named):
+        query(World())
+
+
 def test_stiff_gas_invariant_overflow_is_a_domain_error():
     """p V^50 at V = 1e7 overflows the power; at p = 1e300, V = 10 the product is infinite."""
     world = World()

@@ -62,12 +62,12 @@ def test_energy_and_entropy_scale_linearly():
 
 
 def test_classify_variables():
-    assert classify_variable("V", lambda m, s: s.V, BASE, STATES) == "extensive"
-    assert classify_variable("p", lambda m, s: s.p, BASE, STATES) == "intensive"
-    assert classify_variable("S", gas_S, BASE, STATES) == "extensive"
-    assert classify_variable("T", gas_T, BASE, STATES) == "intensive"
+    assert classify_variable(lambda m, s: s.V, BASE, STATES) == "extensive"
+    assert classify_variable(lambda m, s: s.p, BASE, STATES) == "intensive"
+    assert classify_variable(gas_S, BASE, STATES) == "extensive"
+    assert classify_variable(gas_T, BASE, STATES) == "intensive"
     assert (
-        classify_variable("pV2", lambda m, s: s.p * s.V**2, BASE, STATES) == "neither"
+        classify_variable(lambda m, s: s.p * s.V**2, BASE, STATES) == "neither"
     )
 
 

@@ -414,6 +414,26 @@ def test_stiff_gas_overflow_exits_3_with_a_domain_error(tmp_path, capsys):
         "at gamma=50.0"]
 
 
+@pytest.mark.parametrize("gamma, cmd, line", [
+    pytest.param(50, dict(SEGMENTS, segments=[{"type": "type2", "V2": 1e-7}]),
+                 "type2 leg from gas state (1.0, 1.0) has no finite end state at V2=1e-07, "
+                 "gamma=50.0", id="adiabat-end-overflows"),
+    pytest.param(1.1, {"op": "entropy-table", "gas": "g", "save": "t.csv",
+                       "p": [1e300, 1e300, 1], "V": [1, 1, 1]},
+                 "the adiabat of gas state (1e+300, 1.0) meets the theta=1e+150 isotherm at no "
+                 "finite volume at gamma=1.1", id="isotherm-volume-overflows"),
+    pytest.param(50, dict(CONNECT, **{"from": [1, 1e-7]}),
+                 "gas state (1.0, 1e-07) has a p V^gamma that underflows to 0 at gamma=50.0",
+                 id="invariant-underflows"),
+])
+def test_powers_past_the_floats_exit_3_with_a_domain_error(tmp_path, capsys, gamma, cmd, line):
+    """Each used to print a bare ``OverflowError`` or a state the scenario never gave."""
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [dict(GAS, gamma=gamma)],
+                                     "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [f"ENGINE ERROR: DomainError: {line}"]
+
+
 def test_failing_entropy_table_fails_on_the_same_cell(tmp_path, capsys):
     """Each cell's state, energy and entropy run in that order, cell after cell.
 

@@ -19,6 +19,23 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)]))
 THRESHOLD_PARAMS = {"tol", "atol", "rtol", "max_depth"}
 TAKES_THRESHOLD = {"processes.values_close", "quadrature.adaptive_simpson"}
 
+# (module, function, parameter) -> why the body never reads it: each is a
+# protocol method whose callers pass what other implementations need
+UNREAD_PARAMETERS_ALLOWED = {
+    ("gas", "FrictionSegment.derivative", "lam"): "the friction leg's tangent is constant",
+    ("quasistatic", "ConstantRate.__call__", "lam"): "a constant rate does not vary along a leg",
+    ("quasistatic", "QuasistaticFamily.work_rate", "atom"): "the base family does no work",
+    ("quasistatic", "QuasistaticFamily.heat_rate", "atom"): "the base family takes up no heat",
+    ("quasistatic", "_Identity.evaluate", "lam"): "an identity family is constant",
+}
+
+# (module, function) -> why it imports inside its body
+LOCAL_IMPORTS_ALLOWED = {
+    ("quasistatic", "check_qs_postulates"): "gas imports quasistatic, so a top-level import cycles",
+    ("quadrature", "adaptive_simpson"): "heapq loads only for an integral that refines, "
+                                        "which keeps it out of resident memory otherwise",
+}
+
 # name -> why a module imports it without using it
 UNUSED_IMPORTS_ALLOWED = {
     ("quasistatic", "make_process"):
@@ -81,3 +98,55 @@ def test_every_import_is_used():
         tree = ast.parse((PACKAGE_DIR / f"{modname}.py").read_text(encoding="utf-8"))
         unused |= {(modname, name) for name in _unused_imports(tree)}
     assert unused == set(UNUSED_IMPORTS_ALLOWED)
+
+
+def _functions(tree: ast.Module):
+    """``(qualified name, node)`` for every function and method, nested ones included."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, prefix + child.name + ".")
+            else:
+                yield from visit(child, prefix)
+    yield from visit(tree, "")
+
+
+def _module_trees():
+    for modname in MODULES:
+        yield modname, ast.parse((PACKAGE_DIR / f"{modname}.py").read_text(encoding="utf-8"))
+
+
+def _is_abstract(fn: ast.FunctionDef) -> bool:
+    """A body that is at most a docstring and ``raise NotImplementedError``."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads is a setting that changes nothing; receivers and stubs are exempt."""
+    unread = set()
+    for modname, tree in _module_trees():
+        for qual, fn in _functions(tree):
+            if _is_abstract(fn):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            if params and params[0] in ("self", "cls"):
+                params = params[1:]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {(modname, qual, p) for p in params if p not in read}
+    assert unread == set(UNREAD_PARAMETERS_ALLOWED)
+
+
+def test_no_function_local_imports():
+    """Imports sit at the top of a module unless one breaks a cycle or saves resident memory."""
+    local = {(modname, qual) for modname, tree in _module_trees() for qual, fn in _functions(tree)
+             if any(isinstance(n, (ast.Import, ast.ImportFrom))
+                    for stmt in fn.body for n in ast.walk(stmt))}
+    assert local == set(LOCAL_IMPORTS_ALLOWED)

@@ -8,9 +8,11 @@ and ``PYTHONHASHSEED=0`` and writes one line per value, every float as its
 and of knotted slices of concatenated legs; ``records_from_legs`` and
 ``clausius_sum`` of reversible and friction cycles; ``build_carnot`` runs
 and ``temperature_ratio``; energy and entropy ledger values and an
-``entropy_integral``; ledger values over p x V grids at four exponents.  The
-suite lines of ``verify`` print three digits, so a last-bit drift shows
-only here:
+``entropy_integral``; ledger values over p x V grids at four exponents;
+``build_degraded_carnot`` runs, ``reservoir_contact`` and ``stir``
+footprints, and the ``classify_variable`` verdicts that ``suite_scaling``
+reports.  The suite lines of ``verify`` print three digits, so a last-bit
+drift shows only here:
 
     python tests/tools/footprint_digest.py BASE digest-base.txt
     python tests/tools/footprint_digest.py . digest-head.txt
@@ -43,14 +45,16 @@ def emit(out) -> None:
     import math
     import random
 
-    from thermokernel.carnot import build_carnot, temperature_ratio
+    from thermokernel.carnot import build_carnot, build_degraded_carnot, temperature_ratio
     from thermokernel.energy import EnergyLedger
     from thermokernel.entropy import EntropyLedger, clausius_sum, records_from_legs
-    from thermokernel.gas import GasModel, GasState, add_ideal_gas, connect, gas_T, type2, type3
+    from thermokernel.gas import (GasModel, GasState, add_ideal_gas, connect, gas_T,
+                                  reservoir_contact, type2, type3)
     from thermokernel.quasistatic import concat_families, entropy_integral
-    from thermokernel.reservoirs import add_reservoir
+    from thermokernel.reservoirs import add_reservoir, stir
     from thermokernel.suites import (random_friction_cycle, random_gas_state,
-                                     random_reversible_legs, random_work_process)
+                                     random_reversible_legs, random_work_process,
+                                     suite_scaling)
     from thermokernel.systems import World
 
     def line(label, value):
@@ -119,6 +123,36 @@ def emit(out) -> None:
                 line(f"grid {gamma!r} {s.as_tuple()!r}",
                      f"U={energy.atom_energy(grid_gas.atom, s)!r} "
                      f"S={entropy.atom_entropy(grid_gas.atom, s)!r}")
+
+    # friction-degraded cycles, irreversible contacts and stirring; every
+    # contact reservoir keeps the default energy 0
+    rng = random.Random(SEED + 2)
+    for i in range(ROUNDS):
+        run_world = World()
+        th2 = math.exp(rng.uniform(-1.5, 1.5))
+        r1 = add_reservoir(run_world, th2 * rng.uniform(1.2, 4.0))
+        r2 = add_reservoir(run_world, th2)
+        run = build_degraded_carnot(r1, r2, volume_ratio=math.exp(rng.uniform(0.1, 1.5)))
+        line(f"degraded-carnot {i}", f"q1={run.q1!r} q2={run.q2!r} w={run.w!r} n={run.n!r} "
+                                     f"{_process(run.process)}")
+
+        contact_world = World()
+        contact_gas = add_ideal_gas(contact_world)
+        start = random_gas_state(rng, 0.25, 4.0)
+        t = gas_T(contact_gas.model, start)
+        hot_bath = add_reservoir(contact_world, t * rng.uniform(0.3, 0.9))
+        cold_bath = add_reservoir(contact_world, t * rng.uniform(1.1, 3.0))
+        give = rng.uniform(0.05, 0.5) * (t - hot_bath.theta) * contact_gas.model.cv_R
+        take = -rng.uniform(0.05, 0.5) * (cold_bath.theta - t) * contact_gas.model.cv_R
+        line(f"contact {i} out", _process(reservoir_contact(contact_gas, start, hot_bath, give)))
+        line(f"contact {i} in", _process(reservoir_contact(contact_gas, start, cold_bath, take)))
+
+        stirred = add_reservoir(contact_world, t, rng.uniform(-5.0, 5.0))
+        line(f"stir {i}", _process(stir(stirred, rng.uniform(0.0, 3.0))))
+
+    for seed in range(8):
+        for k, text in enumerate(suite_scaling(seed=SEED + seed, samples=2 + seed).lines()):
+            line(f"scaling {seed}.{k}", text)
 
 
 def main(argv: list[str] | None = None) -> int:
