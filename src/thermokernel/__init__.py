@@ -38,7 +38,6 @@ from .processes import (
 from .quasistatic import (
     PiecewiseConstantProfile,
     QuasistaticFamily,
-    check_qs_postulates,
     concat_families,
     entropy_integral,
     identity_family,
@@ -53,6 +52,7 @@ from .gas import (
     R_SI,
     add_ideal_gas,
     adiabat_invariant,
+    check_qs_postulates,
     conduct,
     connect,
     connect_reversible,

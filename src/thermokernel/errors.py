@@ -32,7 +32,7 @@ class Overlap(ThermoError):
 
 
 class NoReverseWitness(ThermoError):
-    """Reverse requested for a process without a reverse constructor."""
+    """Reverse requested for a process that is not marked reversible."""
 
 
 class NotWorkProcess(ThermoError):
@@ -84,10 +84,7 @@ class UnassignedTemperature(ThermoError):
 
 
 class OutOfDomain(ThermoError):
-    """A family parameter outside [0, 1] or out of slice order.
-
-    Also raised when an irreversible family is asked for its reverse.
-    """
+    """A family parameter outside [0, 1] or out of slice order."""
 
 
 class ToleranceNotMet(ThermoError):

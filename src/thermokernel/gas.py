@@ -1,4 +1,5 @@
-"""Ideal-gas model: segment constructors, closed forms, connection templates.
+"""Ideal-gas model: segment constructors, closed forms, connection templates,
+and the check of its quasistatic postulates.
 
 The gas lives on the open positive quadrant (p, V).  A ``GasState`` is a
 frozen slotted value, checked whenever one is built, computed ones included.
@@ -225,13 +226,12 @@ def type2(gas: GasAtom, start: GasState, V2: float) -> QuasistaticFamily:
     return AdiabatSegment(gas, start, V2)
 
 
-def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float,
-          reservoir_energy: float = 0.0) -> QuasistaticFamily:
+def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float) -> QuasistaticFamily:
     """Isothermal reservoir contact along p V = nR theta (reversible).
 
     The gas must already sit on the reservoir's isotherm.  The reservoir
     does zero work and its energy moves opposite to the heat taken up by the
-    gas; only the energy difference matters, never the absolute value.
+    gas; only the energy difference matters, so the bath starts at 0.0.
     """
     g = gas.model
     cfg = tolerances()
@@ -241,8 +241,8 @@ def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float,
     if abs(start.p * start.V - c) > cfg.isotherm_rtol * max(1.0, abs(c)):
         raise OffIsotherm(f"state ({start.p}, {start.V}) is not on the theta={res.theta} isotherm")
     if V2 == start.V:
-        return identity_family({gas.atom: start, res.atom: reservoir_energy}, tag="type3")
-    return IsothermSegment(gas, res, start, V2, reservoir_energy)
+        return identity_family({gas.atom: start, res.atom: 0.0}, tag="type3")
+    return IsothermSegment(gas, res, start, V2)
 
 
 class _Segment(QuasistaticFamily):
@@ -310,9 +310,6 @@ class AdiabatSegment(_Segment):
         p = self.inv * v**-self.gamma
         return {self.atom: (-self.gamma * p * self.log_r, v * self.log_r)}
 
-    def reversed(self) -> QuasistaticFamily:
-        return type2(self.gas, self.end, self.start.V)
-
 
 class IsothermSegment(_Segment):
     """``type3``: the volume runs geometrically to ``V2`` at constant p V = c.
@@ -321,15 +318,13 @@ class IsothermSegment(_Segment):
     work on it and the reservoir's heat both run at the constant ``-c log r``.
     """
 
-    __slots__ = ("res", "bath", "end", "c", "log_r", "q_total", "reservoir_energy",
-                 "_heat", "_work")
+    __slots__ = ("res", "bath", "end", "c", "log_r", "q_total", "_heat", "_work")
     keys, gas_only = ("theta", "V2"), False
 
-    def __init__(self, gas: GasAtom, res: Reservoir, start: GasState, V2: float,
-                 reservoir_energy: float):
+    def __init__(self, gas: GasAtom, res: Reservoir, start: GasState, V2: float):
         self.gas, self.atom, self.start = gas, gas.atom, start
         self.atoms, self.tag, self.reversible = (gas.atom, res.atom), "type3", True
-        self.res, self.bath, self.reservoir_energy = res, res.atom, reservoir_energy
+        self.res, self.bath = res, res.atom
         self.c = gas.model.nR * res.theta
         self.log_r = math.log(V2 / start.V)
         self.q_total = self.c * self.log_r
@@ -345,7 +340,7 @@ class IsothermSegment(_Segment):
     def evaluate(self, lam: float):
         v = self.start.V * exp(lam * self.log_r)
         return {self.atom: GasState(self.c / v, v),
-                self.bath: self.reservoir_energy - lam * self.q_total}
+                self.bath: 0.0 - lam * self.q_total}
 
     def derivative(self, lam: float):
         v = self.start.V * exp(lam * self.log_r)
@@ -357,10 +352,6 @@ class IsothermSegment(_Segment):
             return self._heat
         return self._work if atom is self.bath or atom == self.bath else None
 
-    def reversed(self) -> QuasistaticFamily:
-        energy = self.reservoir_energy - self.q_total
-        return type3(self.gas, self.res, self.end, self.start.V, energy)
-
 
 def conduct(
     hot: GasAtom, hot_state: GasState, cold: GasAtom, cold_state: GasState, q: float
@@ -369,7 +360,7 @@ def conduct(
 
     Heat ``q > 0`` flows from the hotter gas to the colder one with zero
     work on both; the transfer must not overshoot temperature equality.
-    Irreversible: no reverse witness.
+    Irreversible.
     """
     if hot.atom == cold.atom:
         raise PreconditionNotMet("conduction needs two distinct gases")
@@ -501,7 +492,12 @@ def isotherm_leg(gas: GasAtom, res: Reservoir, s1: GasState, s2: GasState) -> Qu
     except OverflowError:
         raise DomainError(f"the adiabat of gas state ({s.p}, {s.V}) meets the theta={res.theta} "
                           f"isotherm at no finite volume at gamma={g.gamma}") from None
-    return type3(gas, res, GasState(inv_on * v_on**-g.gamma, v_on), v_off)
+    try:
+        p_on = inv_on * v_on**-g.gamma
+    except (OverflowError, ZeroDivisionError):  # v_on subnormal or 0.0
+        raise DomainError(f"the adiabat of gas state ({s1.p}, {s1.V}) meets the theta={res.theta} "
+                          f"isotherm at V={v_on} with no finite pressure at gamma={g.gamma}") from None
+    return type3(gas, res, GasState(p_on, v_on), v_off)
 
 
 SEGMENT_KINDS = {"type1": FrictionSegment, "type2": AdiabatSegment, "type3": IsothermSegment}
@@ -537,6 +533,44 @@ def qs_tangent_sets(g: GasModel, s: GasState):
         ("work-pair", (isochore, adiabat)),
         ("reversible-pair", (adiabat, isotherm)),
     ]
+
+
+def check_qs_postulates(gas, states, pairs=None, tangent_sets=None) -> dict:
+    """Verify the quasistatic structure of the shipped gas model.
+
+    At each sampled state the two constructor directions must be linearly
+    independent (normalized determinant above the configured threshold), for
+    both the work-process pair (isochore/adiabat) and the reversible pair
+    (adiabat/isotherm).  Additionally the connection templates must succeed
+    for the sampled state pairs.  Returns a report dict; injected
+    ``tangent_sets`` (state -> iterable of 2x2 tangent pairs) replace the
+    analytic tangents, which lets degenerate constructors be flagged.
+    """
+    det_min = tolerances().tangent_det_min
+    failures = []
+    checked = 0
+    for sigma in states:
+        sets = tangent_sets(sigma) if tangent_sets else qs_tangent_sets(gas.model, sigma)
+        for label, (t1, t2) in sets:
+            checked += 1
+            n1 = (t1[0] ** 2 + t1[1] ** 2) ** 0.5
+            n2 = (t2[0] ** 2 + t2[1] ** 2) ** 0.5
+            det = (t1[0] * t2[1] - t1[1] * t2[0]) / (n1 * n2)
+            if abs(det) < det_min:
+                failures.append(
+                    {"state": (sigma.p, sigma.V), "pair": label, "det": det}
+                )
+    connected = 0
+    for s1, s2 in pairs or ():  # both templates raise on a pair they cannot connect
+        connect(gas, s1, s2)
+        connect_reversible(gas, s1, s2, gas_T(gas.model, s1))
+        connected += 1
+    return {
+        "tangent_checks": checked,
+        "pairs_connected": connected,
+        "failures": failures,
+        "passed": not failures,
+    }
 
 
 # --- reachability planning --------------------------------------------------

@@ -8,15 +8,16 @@ that produced it.
 
 ``AtomState``, ``ProcessEntry`` and ``Process`` are frozen slotted values.
 
-Reversibility is witness-based: constructors that know how to undo
-themselves attach a ``reverse_witness`` callable producing the reverse
-process.  Witness-free processes are treated as irreversible.
+A process is reversible when the process with swapped initial and final
+states and negated work also exists.  Constructors that know the reverse
+exists set the ``reversible`` flag, and ``reverse_of`` builds that reverse
+from the footprint itself.  A process without the flag is irreversible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .config import tolerances
 from .errors import (
@@ -114,14 +115,14 @@ class Process:
     """
 
     entries: Mapping[AtomId, ProcessEntry]
-    reverse_witness: Callable[[], "Process"] | None
+    reversible: bool
     tags: frozenset[str]
 
-    def __init__(self, entries, reverse_witness=None, tags=frozenset()):
+    def __init__(self, entries, reversible=False, tags=frozenset()):
         if not entries:
             raise ValueError("a process involves at least one atom")
         _set_entries(self, entries)
-        _set_witness(self, reverse_witness)
+        _set_reversible(self, reversible)
         _set_tags(self, tags)
 
     @property
@@ -169,7 +170,7 @@ class Process:
                 }
                 for atom, e in sorted(self.entries.items())
             ],
-            "reversible": self.reverse_witness is not None,
+            "reversible": self.reversible,
             "tags": sorted(self.tags),
         }
 
@@ -177,19 +178,19 @@ class Process:
 _set_atom, _set_value = AtomState.atom.__set__, AtomState.value.__set__
 _set_initial, _set_final, _set_work = (
     ProcessEntry.initial.__set__, ProcessEntry.final.__set__, ProcessEntry.work.__set__)
-_set_entries, _set_witness, _set_tags = (
-    Process.entries.__set__, Process.reverse_witness.__set__, Process.tags.__set__)
+_set_entries, _set_reversible, _set_tags = (
+    Process.entries.__set__, Process.reversible.__set__, Process.tags.__set__)
 
 
 def make_process(
     entries: Mapping[AtomId, tuple[Any, Any, float]],
-    reverse_witness: Callable[[], Process] | None = None,
+    reversible: bool = False,
     tags: Iterable[str] | None = None,
 ) -> Process:
     """Build a process from ``atom -> (initial_value, final_value, work)``."""
     built = {atom: ProcessEntry(AtomState(atom, ini), AtomState(atom, fin), float(w))
              for atom, (ini, fin, w) in entries.items()}
-    return Process(built, reverse_witness, frozenset(tags or ()))
+    return Process(built, reversible, frozenset(tags or ()))
 
 
 def concatenate(p: Process, q: Process) -> Process:
@@ -210,10 +211,7 @@ def concatenate(p: Process, q: Process) -> Process:
         if not values_close(pe.final.value, qe.initial.value):
             raise StateMismatch(atom, pe.final.value, qe.initial.value)
         entries[atom] = ProcessEntry(pe.initial, qe.final, pe.work + qe.work)
-    witness = None
-    if p.reverse_witness is not None and q.reverse_witness is not None:
-        witness = lambda: concatenate(reverse_of(q), reverse_of(p))
-    return Process(entries, witness, p.tags | q.tags)
+    return Process(entries, p.reversible and q.reversible, p.tags | q.tags)
 
 
 def work_of(s: System, p: Process) -> float:
@@ -232,11 +230,7 @@ def make_identity(s: System, sigma: JointState) -> Process:
     if missing:
         raise ValueError(f"joint state does not cover atoms {missing}")
     entries = {a: (sigma[a].value, sigma[a].value, 0.0) for a in atoms_of(s)}
-    return make_process(
-        entries,
-        reverse_witness=lambda: make_identity(s, sigma),
-        tags=("identity",),
-    )
+    return make_process(entries, reversible=True, tags=("identity",))
 
 
 class Classification(NamedTuple):
@@ -273,27 +267,28 @@ def eliminate_catalyst(s: System, c: System, p: Process) -> Process:
         raise NotWorkProcess("process is not a work process on the combined system")
     if not classify(c, p).catalytic:
         raise NotCatalytic("process is not catalytic on the stated part")
-    witness = None
-    if p.reverse_witness is not None:
-        witness = lambda: eliminate_catalyst(s, c, reverse_of(p))
-    return Process({a: p.entries[a] for a in atoms_of(s)}, witness, p.tags)
+    return Process({a: p.entries[a] for a in atoms_of(s)}, p.reversible, p.tags)
 
 
 def reverse_of(p: Process) -> Process:
-    if p.reverse_witness is None:
-        raise NoReverseWitness(f"process tagged {sorted(p.tags)} carries no reverse constructor")
-    return p.reverse_witness()
+    """The footprint with every atom's endpoints swapped and its work negated.
+
+    Exact: reversing twice gives back equal entries.  ``0.0 - w`` keeps a
+    zero work at ``+0.0``.  An irreversible process has no reverse.
+    """
+    if not p.reversible:
+        raise NoReverseWitness(f"process tagged {sorted(p.tags)} is not reversible")
+    return Process({a: ProcessEntry(e.final, e.initial, 0.0 - e.work)
+                    for a, e in p.entries.items()}, True, p.tags)
 
 
 def is_reversible(p: Process) -> bool:
-    return p.reverse_witness is not None
+    return p.reversible
 
 
 def join(p1: Process, p2: Process) -> Process:
     """Parallel execution of work processes on disjoint systems."""
     if p1.involved & p2.involved:
         raise Overlap(f"joint processes must not share atoms: {p1.involved & p2.involved}")
-    witness = None
-    if p1.reverse_witness is not None and p2.reverse_witness is not None:
-        witness = lambda: join(reverse_of(p1), reverse_of(p2))
-    return Process({**p1.entries, **p2.entries}, witness, p1.tags | p2.tags)
+    return Process({**p1.entries, **p2.entries}, p1.reversible and p2.reversible,
+                   p1.tags | p2.tags)

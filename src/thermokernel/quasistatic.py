@@ -5,7 +5,8 @@ work and heat rates (the one-forms pulled back through the parametrization).
 Slicing a family at ``(lo, hi)`` produces the process with endpoints on the
 curve and per-atom work equal to the path integral of the work rate; slices
 compose exactly, ``slice(x, x)`` is an identity, and a reversible family
-hands every slice a reverse witness.
+marks every slice reversible, so ``reverse_of`` builds its reverse from the
+footprint.
 
 A family is a slotted ``QuasistaticFamily`` subclass that computes its
 states in ``evaluate`` and its rates in ``work_rate`` and ``heat_rate``:
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .config import tolerances
 from .errors import OutOfDomain, StateMismatch, ToleranceNotMet
 from .processes import (AtomState, Process, ProcessEntry, make_process, value_components,
                         values_close)  # make_process: perfbench/tests/test_spans.py reads it
@@ -70,8 +70,8 @@ class QuasistaticFamily:
     Subclasses compute the joint state at a parameter in ``evaluate`` and
     may override ``knots`` (interior breakpoints where C1 smoothness may
     fail, so quadratures split there), ``derivative`` (per-atom component
-    derivatives away from the knots), ``work_rate``, ``heat_rate`` and
-    ``reversed``; never ``slice``, ``work_between`` or ``heat_between``.
+    derivatives away from the knots), ``work_rate`` and ``heat_rate``;
+    never ``slice``, ``work_between`` or ``heat_between``.
     An atom without a work (heat) rate takes no work (heat).
     """
 
@@ -114,17 +114,11 @@ class QuasistaticFamily:
         for a in self.atoms:
             entries[a] = ProcessEntry(AtomState(a, start[a]), AtomState(a, end[a]),
                                       float(_integral(work_rate(a), lo, hi, knots)))
-        witness = None
-        if self.reversible:
-            witness = lambda: self.reversed().slice(1.0 - hi, 1.0 - lo)
-        return Process(entries, witness, _tag_set(self.tag))
-
-    def reversed(self) -> "QuasistaticFamily":
-        raise OutOfDomain("family carries no reverse constructor")
+        return Process(entries, self.reversible, _tag_set(self.tag))
 
 
 class _Identity(QuasistaticFamily):
-    """Constant family at ``payloads``; it is its own reverse."""
+    """Constant family at ``payloads``; every slice is reversible."""
 
     __slots__ = ("payloads",)
 
@@ -134,9 +128,6 @@ class _Identity(QuasistaticFamily):
 
     def evaluate(self, lam: float) -> dict[AtomId, Any]:
         return dict(self.payloads)
-
-    def reversed(self) -> QuasistaticFamily:
-        return self
 
 
 def identity_family(payloads: Mapping[AtomId, Any], tag: str = "identity") -> QuasistaticFamily:
@@ -186,11 +177,6 @@ class _Concat(QuasistaticFamily):
 
     def heat_rate(self, atom: AtomId) -> Rate | None:
         return _joined(self.f.heat_rate(atom), self.g.heat_rate(atom))
-
-    def reversed(self) -> QuasistaticFamily:
-        if not self.reversible:
-            return super().reversed()
-        return concat_families(self.g.reversed(), self.f.reversed())
 
 
 def concat_families(f: QuasistaticFamily, g: QuasistaticFamily) -> QuasistaticFamily:
@@ -290,43 +276,3 @@ def entropy_integral(f: QuasistaticFamily, heat_rate: Rate | None, temp_profile)
         return heat_rate(lam) / profile(lam)
 
     return adaptive_simpson(integrand, 0.0, 1.0, knots=knots)
-
-
-def check_qs_postulates(gas, states, pairs=None, tangent_sets=None) -> dict:
-    """Verify the quasistatic structure of the shipped gas model.
-
-    At each sampled state the two constructor directions must be linearly
-    independent (normalized determinant above the configured threshold), for
-    both the work-process pair (isochore/adiabat) and the reversible pair
-    (adiabat/isotherm).  Additionally the connection templates must succeed
-    for the sampled state pairs.  Returns a report dict; injected
-    ``tangent_sets`` (state -> iterable of 2x2 tangent pairs) replace the
-    analytic tangents, which lets degenerate constructors be flagged.
-    """
-    from .gas import connect, connect_reversible, gas_T, qs_tangent_sets
-
-    det_min = tolerances().tangent_det_min
-    failures = []
-    checked = 0
-    for sigma in states:
-        sets = tangent_sets(sigma) if tangent_sets else qs_tangent_sets(gas.model, sigma)
-        for label, (t1, t2) in sets:
-            checked += 1
-            n1 = (t1[0] ** 2 + t1[1] ** 2) ** 0.5
-            n2 = (t2[0] ** 2 + t2[1] ** 2) ** 0.5
-            det = (t1[0] * t2[1] - t1[1] * t2[0]) / (n1 * n2)
-            if abs(det) < det_min:
-                failures.append(
-                    {"state": (sigma.p, sigma.V), "pair": label, "det": det}
-                )
-    connected = 0
-    for s1, s2 in pairs or ():  # both templates raise on a pair they cannot connect
-        connect(gas, s1, s2)
-        connect_reversible(gas, s1, s2, gas_T(gas.model, s1))
-        connected += 1
-    return {
-        "tangent_checks": checked,
-        "pairs_connected": connected,
-        "failures": failures,
-        "passed": not failures,
-    }

@@ -151,10 +151,7 @@ def remove_constraint(
         a1.atom: (start1, end1, 0.0),
         a2.atom: (start2, end2, 0.0),
     }
-    witness = None
-    if proportional:
-        witness = lambda: remove_constraint(g1, g2, s1, s2, world)[0]
-    p = make_process(entries, reverse_witness=witness, tags=("constraint-removal",))
+    p = make_process(entries, reversible=proportional, tags=("constraint-removal",))
     return p, total
 
 

@@ -280,7 +280,7 @@ def test_10_algebra_laws():
         # concatenation state rule: solo atoms keep their own endpoint states
         if r.initial_of(atoms[3]).value != 7.0 or r.final_of(atoms[0]).value != 1.0:
             ok, detail = False, "concatenation state rule broke"
-    # reverse negation on witnessed constructors
+    # reverse negation on constructors flagged reversible
     world2 = World()
     gas = add_ideal_gas(world2)
     res = add_reservoir(world2, 1.0)

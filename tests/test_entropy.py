@@ -40,7 +40,7 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import AtomState, joint, make_identity, make_process
+from thermokernel.processes import AtomState, joint, make_identity, make_process, reverse_of
 from thermokernel.reservoirs import TemperatureScale, add_reservoir, detached_reservoir
 from thermokernel.systems import AtomId, compose
 
@@ -151,7 +151,7 @@ class TestClausiusSum:
         res = add_reservoir(world, 1.0)
         fam = type3(gas, res, GasState(1, 1), 2.0)
         out = fam.slice(0.0, 1.0)
-        back = fam.reversed().slice(0.0, 1.0)
+        back = reverse_of(out)
         records = [
             HeatFlowRecord(out, q=LN2, temperature=None),
             HeatFlowRecord(back, q=-LN2, temperature=1.0),

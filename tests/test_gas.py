@@ -45,7 +45,7 @@ from thermokernel.quasistatic import (
     identity_family,
     integrate_form,
 )
-from thermokernel.reservoirs import add_reservoir
+from thermokernel.reservoirs import Reservoir, add_reservoir
 from thermokernel.systems import AtomId, World
 
 LN2 = math.log(2.0)
@@ -108,6 +108,19 @@ def test_leg_targets_must_be_finite(gas, value):
                      add_ideal_gas(w, GasModel(gamma=50.0)).atom, GasState(1.0, 1e-7)),
                  r"^gas state \(1\.0, 1e-07\) has a p V\^gamma that underflows to 0 "
                  r"at gamma=50\.0$", id="invariant-underflows"),
+    # the reference adiabat meets the isotherm at a subnormal V, then at V = 0.0
+    pytest.param(lambda w: EntropyLedger(w).atom_entropy(
+                     add_ideal_gas(w, GasModel(gamma=1.1, sigma0=GasState(1, 1e-10))).atom,
+                     GasState(1e56, 1e-6)),
+                 r"^the adiabat of gas state \(1, 1e-10\) meets the theta=1e\+20 isotherm "
+                 r"at V=1\.0000000000006e-310 with no finite pressure at gamma=1\.1$",
+                 id="isotherm-start-overflows"),
+    pytest.param(lambda w: EntropyLedger(w).atom_entropy(
+                     add_ideal_gas(w, GasModel(gamma=1.1, sigma0=GasState(1, 1e-10))).atom,
+                     GasState(6.3e58, 1e-6)),
+                 r"^the adiabat of gas state \(1, 1e-10\) meets the theta=\S+ isotherm "
+                 r"at V=0\.0 with no finite pressure at gamma=1\.1$",
+                 id="isotherm-start-divides-by-zero"),
 ])
 def test_powers_past_the_floats_name_the_callers_state(query, named):
     """A power that overflows, or an invariant that underflows to 0, is a ``DomainError``.
@@ -177,7 +190,7 @@ def test_type2_endpoint_and_work(gas):
     ident = type2(gas, GasState(1, 1), 1.0).slice(0.0, 1.0)
     assert ident.work_on(gas.atom) == 0.0
     # forward then reverse is an identity footprint
-    back = fam.reversed().slice(0.0, 1.0)
+    back = type2(gas, end, 1.0).slice(0.0, 1.0)
     assert back.initial_of(gas.atom).value == end
     from thermokernel.processes import concatenate
 
@@ -199,15 +212,16 @@ def test_type3_heat_and_errors(gas, unit_reservoir):
 
 
 def test_type3_translation_invariance(gas, unit_reservoir):
-    """Reservoir constructors depend on energy differences only."""
-    lo = type3(gas, unit_reservoir, GasState(1, 1), 2.0, reservoir_energy=0.0)
-    hi = type3(gas, unit_reservoir, GasState(1, 1), 2.0, reservoir_energy=123.5)
-    p_lo, p_hi = lo.slice(0.0, 1.0), hi.slice(0.0, 1.0)
-    assert p_lo.work_on(gas.atom) == p_hi.work_on(gas.atom)
-    assert p_lo.final_of(gas.atom).value == p_hi.final_of(gas.atom).value
-    d_lo = p_lo.final_of(unit_reservoir.atom).value - p_lo.initial_of(unit_reservoir.atom).value
-    d_hi = p_hi.final_of(unit_reservoir.atom).value - p_hi.initial_of(unit_reservoir.atom).value
-    assert d_lo == pytest.approx(d_hi, abs=1e-12)
+    """Reservoir constructors depend on energy differences only: the bath
+    starts at 0.0, so a handle shifted to energy 123.5 moves nothing."""
+    res = unit_reservoir
+    shifted = Reservoir(res.atom, res.model, res.world, 123.5)
+    for V2 in (2.0, 1.0):  # a leg, and the identity of a zero-length one
+        p_lo = type3(gas, res, GasState(1, 1), V2).slice(0.0, 1.0)
+        p_hi = type3(gas, shifted, GasState(1, 1), V2).slice(0.0, 1.0)
+        assert p_lo.entries == p_hi.entries
+        assert p_hi.entries[res.atom].initial.value == 0.0
+        assert p_hi.entries[res.atom].work == 0.0
 
 
 def test_connect_orientation_and_work(gas):
@@ -426,7 +440,7 @@ def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reserv
     legs = [type1(gas, start, 2.0), type2(gas, start, 2.0), type3(gas, unit_reservoir, start, 2.0)]
     for fam in legs:
         assert type(fam) is SEGMENT_KINDS[fam.tag]
-    joined = concat_families(legs[1], legs[1].reversed())
+    joined = concat_families(legs[1], type2(gas, legs[1].state_at(1.0)[gas.atom], start.V))
     for fam in legs + [identity_family({gas.atom: start}), joined]:
         assert not hasattr(fam, "__dict__")
         for name in ("slice", "work_between", "heat_between"):

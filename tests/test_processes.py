@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from thermokernel.errors import (
     Overlap,
     StateMismatch,
 )
-from thermokernel.gas import GasState, add_ideal_gas, type1, type2
+from thermokernel.carnot import build_carnot
+from thermokernel.gas import GasState, add_ideal_gas, connect, gas_T, type1, type2, type3
 from thermokernel.processes import (
     AtomState,
     Process,
@@ -33,6 +35,8 @@ from thermokernel.processes import (
     values_close,
     work_of,
 )
+from thermokernel.reservoirs import add_reservoir
+from thermokernel.suites import random_gas_state
 from thermokernel.systems import World, compose, system
 
 from conftest import make_abstract_atoms
@@ -184,6 +188,42 @@ def test_reverse_negates_work_and_swaps_states(world, gas):
     assert classify(gas.system, loop).catalytic
 
 
+def _assert_exact_reverse(p):
+    r = reverse_of(p)
+    assert r.involved == p.involved and r.tags == p.tags and is_reversible(r)
+    for atom, e in p.entries.items():
+        assert r.initial_of(atom) == e.final and r.final_of(atom) == e.initial
+        assert r.work_on(atom) == -e.work
+    assert reverse_of(r).entries == p.entries
+
+
+def test_reverse_is_exact_on_seeded_footprints():
+    """Endpoints swap and works negate bit for bit on slices of reversible legs,
+    one-adiabat ``connect`` plans, Carnot runs, and their compositions."""
+    rng = random.Random(18)
+    world = World()
+    gas, other = add_ideal_gas(world), add_ideal_gas(world)
+    for _ in range(40):
+        start = random_gas_state(rng, 0.25, 4.0)
+        v2 = start.V * math.exp(rng.uniform(-1.0, 1.0))
+        lo, hi = sorted((rng.random(), rng.random()))
+        res = add_reservoir(world, gas_T(gas.model, start), rng.uniform(-5.0, 5.0))
+        adiabat, isotherm = type2(gas, start, v2), type3(gas, res, start, v2)
+        end = adiabat.state_at(1.0)[gas.atom]
+        whole = adiabat.slice(0.0, 1.0)
+        beside = type2(other, start, v2).slice(lo, hi)
+        resting = make_identity(other.system, joint(AtomState(other.atom, start)))
+        run_world = World()
+        th1, th2 = (math.exp(rng.uniform(-1.5, 1.5)) for _ in range(2))
+        run = build_carnot(add_reservoir(run_world, th1), add_reservoir(run_world, th2),
+                           rng.uniform(-2.0, 2.0), volume_ratio=math.exp(rng.uniform(0.1, 1.0)))
+        onward = type2(gas, end, end.V * math.exp(rng.uniform(-1.0, 1.0))).slice(0.0, 1.0)
+        for p in (adiabat.slice(lo, hi), isotherm.slice(lo, hi), connect(gas, start, end),
+                  run.process, concatenate(whole, onward), join(whole, beside),
+                  eliminate_catalyst(gas.system, other.system, join(whole, resting))):
+            _assert_exact_reverse(p)
+
+
 def test_friction_is_irreversible(world, gas):
     p = type1(gas, GasState(1.0, 1.0), 2.0).slice(0.0, 1.0)
     assert not is_reversible(p)
@@ -288,7 +328,7 @@ def test_process_is_a_frozen_slotted_value_equal_only_to_itself(world):
     p = make_process({a: (1.0, 2.0, 0.5)}, tags=("stir",))
     twin = make_process({a: (1.0, 2.0, 0.5)}, tags=("stir",))
     entry = ProcessEntry(AtomState(a, 1.0), AtomState(a, 2.0), 0.5)
-    assert repr(p) == (f"Process(entries={{{a!r}: {entry!r}}}, reverse_witness=None, "
+    assert repr(p) == (f"Process(entries={{{a!r}: {entry!r}}}, reversible=False, "
                        "tags=frozenset({'stir'}))")
     assert p == p and p != twin and p.same_footprint(twin)
     assert hash(p) == object.__hash__(p) and hash(p) != hash(twin)

@@ -11,6 +11,7 @@ from thermokernel.gas import (
     FrictionSegment,
     GasState,
     add_ideal_gas,
+    check_qs_postulates,
     gas_T,
     gas_U,
     qs_tangent_sets,
@@ -24,7 +25,6 @@ from thermokernel.quasistatic import (
     ConstantRate,
     PiecewiseConstantProfile,
     QuasistaticFamily,
-    check_qs_postulates,
     concat_families,
     entropy_integral,
     integrate_form,
@@ -127,7 +127,7 @@ def test_concat_families_two_segments(gas):
 
 def test_concat_forward_then_reverse_is_cyclic(gas):
     ad = type2(gas, GasState(1, 1), 2.0)
-    loop = concat_families(ad, ad.reversed())
+    loop = concat_families(ad, type2(gas, ad.state_at(1.0)[gas.atom], 1.0))
     p = loop.slice(0.0, 1.0)
     assert classify(gas.system, p).catalytic
     assert abs(p.work_on(gas.atom)) < 1e-10

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -18,10 +20,12 @@ from thermokernel.processes import (
     classify,
     concatenate,
     eliminate_catalyst,
+    is_reversible,
     make_process,
+    reverse_of,
 )
 from thermokernel.reservoirs import ReservoirModel, add_reservoir, check_second_law, stir
-from thermokernel.systems import compose
+from thermokernel.systems import World, compose
 
 LN2 = math.log(2.0)
 
@@ -117,6 +121,17 @@ class TestBuildCarnot:
         assert -run.q1 / run.q2 == pytest.approx(1.0, abs=1e-9)
         assert run.w == pytest.approx(0.0, abs=1e-9)
 
+    def test_footprint_keeps_no_world_alive(self):
+        """A reversible footprint holds states and works, not the legs that made it."""
+        world = World()
+        run = build_carnot(add_reservoir(world, 2.0), add_reservoir(world, 1.0), q_target=1.0)
+        process, ref = run.process, weakref.ref(world)
+        del world, run
+        gc.collect()
+        assert ref() is None
+        assert is_reversible(process)
+        assert reverse_of(process).involved == process.involved
+
     def test_same_reservoir_rejected(self, world):
         r = add_reservoir(world, 1.0)
         with pytest.raises(SameReservoir):
@@ -160,9 +175,7 @@ class TestBuildCarnot:
         de2 = reduced.final_of(r2.atom).value - reduced.initial_of(r2.atom).value
         assert de1 == pytest.approx(-0.8, abs=1e-9)
         assert de2 == pytest.approx(+0.8, abs=1e-9)
-        # elimination keeps the reverse witness alive
-        from thermokernel.processes import reverse_of
-
+        # elimination keeps the process reversible
         back = reverse_of(reduced)
         assert back.final_of(r1.atom).value == pytest.approx(
             reduced.initial_of(r1.atom).value, abs=1e-9

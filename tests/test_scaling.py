@@ -11,7 +11,7 @@ import thermokernel
 from thermokernel import scaling
 from thermokernel.errors import IncompatibleBases, NonPositiveScale, OptimizerFailed
 from thermokernel.gas import GasModel, GasState, gas_S, gas_T, gas_U
-from thermokernel.processes import is_reversible
+from thermokernel.processes import is_reversible, reverse_of
 from thermokernel.scaling import (
     UVState,
     check_concavity,
@@ -24,6 +24,7 @@ from thermokernel.scaling import (
     scaled_state,
     uv_to_gas,
 )
+from thermokernel.systems import World
 
 BASE = GasModel()
 STATES = [GasState(0.5, 0.7), GasState(1, 1), GasState(2, 3), GasState(3, 0.4)]
@@ -99,6 +100,16 @@ class TestRemoveConstraint:
         for e in p.entries.values():
             assert e.initial.value == e.final.value
         assert is_reversible(p)
+
+    def test_reverse_of_proportional_removal_mints_nothing(self):
+        """The reverse is read off the footprint: the same two atoms, no new ones."""
+        world = World()
+        g1, g2 = scale(BASE, Fraction(1, 4)), scale(BASE, Fraction(3, 4))
+        p, _ = remove_constraint(g1, g2, UVState(1.0, 2.0), UVState(3.0, 6.0), world)
+        before = world.registry
+        back = reverse_of(p)
+        assert back.involved == p.involved
+        assert world.registry == before
 
     def test_incompatible_bases(self):
         g1 = scale(BASE, Fraction(1, 2))

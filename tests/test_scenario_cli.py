@@ -434,6 +434,36 @@ def test_powers_past_the_floats_exit_3_with_a_domain_error(tmp_path, capsys, gam
     assert capsys.readouterr().out.splitlines() == [f"ENGINE ERROR: DomainError: {line}"]
 
 
+def test_isotherm_start_pressure_past_the_floats_exits_3_with_a_domain_error(tmp_path, capsys):
+    """The reference adiabat meets the isotherm at a subnormal volume, whose V^-gamma overflows."""
+    gas = dict(GAS, gamma=1.1, sigma0=[1, 1e-10])
+    table = {"op": "entropy-table", "gas": "g", "save": "t.csv",
+             "p": [1e56, 1e56, 1], "V": [1e-6, 1e-6, 1]}
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [gas], "script": [table]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "ENGINE ERROR: DomainError: the adiabat of gas state (1.0, 1e-10) meets the theta=1e+20 "
+        "isotherm at V=1.0000000000006e-310 with no finite pressure at gamma=1.1"]
+
+
+def test_reservoir_energy_leaves_the_carnot_heats_alone(tmp_path):
+    """A reservoir's ``energy`` is validated and never read: the baths start at 0.0,
+    so a bath far above the heats (ulp 16 at 1e17) still yields them to the last bit."""
+    blobs = []
+    for energy in (None, 1e17):
+        atoms = copy.deepcopy(GOOD["atoms"])
+        if energy is not None:
+            atoms[1]["energy"] = atoms[2]["energy"] = energy
+        out = tmp_path / f"out-{energy}"
+        path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": GOOD["script"][:1]})
+        assert run_scenario(path, out_dir=str(out)).exit_code == 0
+        blobs.append((out / "carnot.json").read_text())
+    assert blobs[0] == blobs[1]
+    blob = json.loads(blobs[1])
+    assert blob["q1"] == pytest.approx(-2.0, abs=1e-9)
+    assert blob["q2"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_failing_entropy_table_fails_on_the_same_cell(tmp_path, capsys):
     """Each cell's state, energy and entropy run in that order, cell after cell.
 

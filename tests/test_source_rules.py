@@ -31,7 +31,6 @@ UNREAD_PARAMETERS_ALLOWED = {
 
 # (module, function) -> why it imports inside its body
 LOCAL_IMPORTS_ALLOWED = {
-    ("quasistatic", "check_qs_postulates"): "gas imports quasistatic, so a top-level import cycles",
     ("quadrature", "adaptive_simpson"): "heapq loads only for an integral that refines, "
                                         "which keeps it out of resident memory otherwise",
 }
