@@ -35,21 +35,13 @@ from .processes import (
     reverse_of,
     work_of,
 )
-from .quasistatic import (
-    PiecewiseConstantProfile,
-    QuasistaticFamily,
-    concat_families,
-    entropy_integral,
-    identity_family,
-    integrate_form,
-)
+from .quasistatic import QuasistaticFamily, identity_family
 from .quadrature import adaptive_simpson
 from .gas import (
     GasAtom,
     GasModel,
     GasPlanner,
     GasState,
-    R_SI,
     add_ideal_gas,
     adiabat_invariant,
     check_qs_postulates,

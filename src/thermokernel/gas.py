@@ -45,8 +45,6 @@ _MAX = sys.float_info.max
 # the tiers' ``numeric_floor``, read by the first ``GasState`` built, never at import
 _floor = math.inf
 
-R_SI = 8.314462618  # J / (mol K)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class GasState:
@@ -277,9 +275,6 @@ class FrictionSegment(_Segment):
     def evaluate(self, lam: float):
         return {self.atom: GasState(self.start.p + lam * self.dp, self.start.V)}
 
-    def derivative(self, lam: float):
-        return {self.atom: (self.dp, 0.0)}
-
 
 class AdiabatSegment(_Segment):
     """``type2``: the volume runs geometrically to ``V2`` at constant p V^gamma."""
@@ -304,11 +299,6 @@ class AdiabatSegment(_Segment):
     def evaluate(self, lam: float):
         v = self.start.V * exp(lam * self.log_r)
         return {self.atom: GasState(self.inv * v**-self.gamma, v)}
-
-    def derivative(self, lam: float):
-        v = self.start.V * exp(lam * self.log_r)
-        p = self.inv * v**-self.gamma
-        return {self.atom: (-self.gamma * p * self.log_r, v * self.log_r)}
 
 
 class IsothermSegment(_Segment):
@@ -341,11 +331,6 @@ class IsothermSegment(_Segment):
         v = self.start.V * exp(lam * self.log_r)
         return {self.atom: GasState(self.c / v, v),
                 self.bath: 0.0 - lam * self.q_total}
-
-    def derivative(self, lam: float):
-        v = self.start.V * exp(lam * self.log_r)
-        return {self.atom: (-(self.c / v) * self.log_r, v * self.log_r),
-                self.bath: (-self.q_total,)}
 
     def heat_rate(self, atom: AtomId) -> Rate | None:
         if atom is self.atom or atom == self.atom:
@@ -393,8 +378,8 @@ def reservoir_contact(gas: GasAtom, start: GasState, res: Reservoir, q: float) -
 
     ``q > 0`` sends heat from the gas into the reservoir and requires the
     gas to stay at or above the reservoir's isotherm; ``q < 0`` is the
-    opposite.  The reservoir starts at its handle's ``energy``.  Zero work
-    on both sides.
+    opposite.  Only the energy difference matters, so the reservoir starts
+    at 0.0.  Zero work on both sides.
     """
     if q == 0:
         raise PreconditionNotMet("contact must exchange a non-zero heat")
@@ -409,7 +394,7 @@ def reservoir_contact(gas: GasAtom, start: GasState, res: Reservoir, q: float) -
     return make_process(
         {
             gas.atom: (start, final, 0.0),
-            res.atom: (res.energy, res.energy + q, 0.0),
+            res.atom: (0.0, 0.0 + q, 0.0),
         },
         tags=("reservoir-contact",),
     )

@@ -1,21 +1,21 @@
-"""Adaptive Gauss–Kronrod (G7/K15) quadrature for piecewise-smooth integrands.
+"""Adaptive Gauss–Kronrod (G7/K15) quadrature for smooth integrands.
 
 The rule is QK15 of QUADPACK (Piessens, de Doncker-Kapenga, Überhuber,
 Kahaner, 1983): on each panel the 15-point Kronrod value is the estimate and
-its distance from the embedded 7-point Gauss value the error.  The cuts
-(the ends and the interior knots) split the interval into panels; while the
-summed errors exceed the target, the panel with the largest error is
-bisected.  The target is the absolute ``quad_tol`` floored at rounding,
-``50 * eps`` times the Kronrod integral of ``|f|``, so integrands of large
-magnitude converge instead of refining forever.  A single panel meeting
-``tol`` returns at once, as in QUADPACK's QAG: no heap, no ``|f|`` integral.
+its distance from the embedded 7-point Gauss value the error.  The whole
+interval is the first panel; while the summed errors exceed the target, the
+panel with the largest error is bisected.  The target is the absolute
+``quad_tol`` floored at rounding, ``50 * eps`` times the Kronrod integral of
+``|f|``, so integrands of large magnitude converge instead of refining
+forever.  A first panel meeting ``tol`` returns at once, as in QUADPACK's
+QAG: no heap, no ``|f|`` integral.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable
 
 from .config import tolerances
 from .errors import ToleranceNotMet
@@ -50,9 +50,9 @@ ROUNDING = 50.0 * sys.float_info.epsilon
 def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple:
     """K15 value, |K15 - G7| and the nodes that ``_magnitude`` reads on ``[lo, hi]``.
 
-    No node is an end, so an integrand that jumps at a cut is read one-sided.
-    A panel too narrow for its outer nodes to fall strictly inside is
-    integrated by its midpoint value alone, with no error estimate and no nodes.
+    No node is an end, so ``f`` is never read at ``lo`` or ``hi``.  A panel
+    too narrow for its outer nodes to fall strictly inside is integrated by
+    its midpoint value alone, with no error estimate and no nodes.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -93,13 +93,11 @@ def adaptive_simpson(
     b: float,
     tol: float | None = None,
     max_depth: int | None = None,
-    knots: Sequence[float] = (),
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` by adaptive G7/K15 to an absolute ``tol``.
 
-    The name is historical: the rule is Gauss–Kronrod, not Simpson.  Interior
-    ``knots`` (where smoothness may fail) cut the interval into panels, and
-    ``f`` is never evaluated at a cut.  The summed error estimates must reach
+    The name is historical: the rule is Gauss–Kronrod, not Simpson.  ``f``
+    is never evaluated at ``a`` or ``b``.  The summed error estimates must reach
     ``max(tol, 50 * eps * integral of |f|)``; ``ToleranceNotMet`` is raised
     when a panel already bisected ``max_depth`` times needs splitting again,
     or when an estimate is not finite.
@@ -115,26 +113,17 @@ def adaptive_simpson(
     if b < a:
         a, b = b, a
         sign = -1.0
-    panels = []
-    value = err = mag = 0.0
-    lo = a
-    for hi in (*sorted({k for k in knots if a < k < b}), b) if knots else (b,):
-        k, e, nodes = _kronrod(f, lo, hi)
-        if e <= tol and hi == b and not panels:  # the first-panel exit
-            return sign * (0.0 + k)  # ``0.0 +`` reads a -0.0 as ``value`` would
-        m = _magnitude(k, nodes)
-        panels.append((-e, 0, lo, hi, k, m))
-        value += k
-        err += e
-        mag += m
-        lo = hi
-    if err <= tol or err <= ROUNDING * mag:
-        return sign * value
+    k, err, nodes = _kronrod(f, a, b)
+    if err <= tol:  # the first-panel exit
+        return sign * (0.0 + k)  # ``0.0 +`` turns a -0.0 into 0.0, as a sum of panels does
+    mag = _magnitude(k, nodes)
+    if err <= ROUNDING * mag:
+        return sign * (0.0 + k)
     # Imported here: loading heapq's extension module costs ~0.14 MB of
     # resident memory, and most integrals never get this far.
     import heapq
 
-    heapq.heapify(panels)
+    panels = [(-err, 0, a, b, k, mag)]  # one entry is already a heap
     while not (err <= tol or err <= ROUNDING * mag):
         if not err < math.inf:
             raise ToleranceNotMet(f"quadrature on [{a}, {b}] has a non-finite error estimate")

@@ -47,13 +47,11 @@ class Reservoir:
     atom: AtomId
     model: ReservoirModel
     world: World
-    energy: float = 0.0
 
-    def __init__(self, atom: AtomId, model: ReservoirModel, world: World, energy: float = 0.0):
+    def __init__(self, atom: AtomId, model: ReservoirModel, world: World):
         _set_atom(self, atom)
         _set_model(self, model)
         _set_world(self, world)
-        _set_energy(self, energy)
 
     @property
     def theta(self) -> float:
@@ -64,15 +62,14 @@ class Reservoir:
         return system(self.atom)
 
 
-_set_atom, _set_model, _set_world, _set_energy = (
-    Reservoir.atom.__set__, Reservoir.model.__set__, Reservoir.world.__set__,
-    Reservoir.energy.__set__)
+_set_atom, _set_model, _set_world = (
+    Reservoir.atom.__set__, Reservoir.model.__set__, Reservoir.world.__set__)
 
 
-def add_reservoir(world: World, theta: float, energy: float = 0.0) -> Reservoir:
+def add_reservoir(world: World, theta: float) -> Reservoir:
     model = ReservoirModel(theta)
     atom = world.new_atom(RESERVOIR_KIND, model)
-    return Reservoir(atom=atom, model=model, world=world, energy=energy)
+    return Reservoir(atom=atom, model=model, world=world)
 
 
 def detached_reservoir(theta: float) -> Reservoir:
@@ -110,15 +107,15 @@ NATURAL_SCALE = TemperatureScale()
 
 
 def stir(res: Reservoir, work: float) -> Process:
-    """Dump work into a reservoir, raising its energy from the handle's by the same amount.
+    """Dump work into a reservoir, raising its energy from 0.0 by the same amount.
 
     Work on a reservoir is finite and never negative; the constructor
-    depends only on the energy difference.
+    depends only on the energy difference, so the reservoir starts at 0.0.
     """
     if not 0 <= work < math.inf:
         raise PreconditionNotMet(f"stirring work must be finite and non-negative, got {work}")
     return make_process(
-        {res.atom: (res.energy, res.energy + work, float(work))},
+        {res.atom: (0.0, 0.0 + work, float(work))},
         tags=("stir",),
     )
 

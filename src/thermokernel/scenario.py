@@ -13,8 +13,9 @@ file against them before anything runs; each op ``name`` runs as
 
 Exit codes: 0 all assertions pass; 1 an assertion failed, a NaN included;
 2 the file cannot be read or parsed, or an artifact cannot be written; 3 the
-scenario is invalid (an absolute ``save``, one with a ``..`` part, or one
-that would overwrite the scenario file included), or the engine rejected
+scenario is invalid (an absolute ``save``, one with a ``..`` part, one
+that would overwrite the scenario file, and an ``expect`` key the op does
+not read included), or the engine rejected
 it: a ``ThermoError``, a model's ``ValueError``, or float arithmetic that
 overflowed.
 """
@@ -126,15 +127,18 @@ class _Schema:
     """The keys of one atom kind or script op, with their types.
 
     ``refs`` maps each key that names an atom to the kind that atom must
-    have.  Keys the schema does not name are ignored, unless ``sizes`` is
-    set: it lists the count keys a command may add (a ``verify`` suite's
-    sizes), and any other key is refused.
+    have.  ``expects`` lists the keys an op's ``expect`` block may hold, its
+    ``tol`` included; an op without them takes no ``expect``.  Other keys
+    the schema does not name are ignored, unless ``sizes`` is set: it lists
+    the count keys a command may add (a ``verify`` suite's sizes), and any
+    other key is refused.
     """
 
     required: dict[str, _Key] = field(default_factory=dict)
     optional: dict[str, _Key] = field(default_factory=dict)
     refs: dict[str, str] = field(default_factory=dict)
     sizes: Callable[[dict], list[str]] | None = None
+    expects: tuple[str, ...] = ()
 
     def check(self, where: str, obj: dict, kinds: dict[str, str]) -> None:
         for key, kind in self.refs.items():
@@ -147,11 +151,20 @@ class _Schema:
             if key not in obj:
                 raise ValidationError(f"{where} is missing key {key!r}")
         keys = {**self.required, **self.optional}
+        if self.expects:
+            keys["expect"] = EXPECT
         _check_types(where, obj, keys)
+        if "expect" in obj and not self.expects:
+            raise ValidationError(f"{where} takes no key 'expect'")
+        for key in obj.get("expect", ()):
+            if key not in self.expects:
+                raise ValidationError(f"{where}: 'expect' takes no key {_echo(key)}, "
+                                      f"only {', '.join(map(repr, self.expects))}")
         if self.sizes is not None:
             sizes = dict.fromkeys(self.sizes(obj), COUNT)
-            for key in obj.keys() - keys.keys() - sizes.keys() - {"op"}:
-                raise ValidationError(f"{where} takes no key {_echo(key)}")
+            for key in obj:  # in file order, so that the first one named is the same every run
+                if key not in keys and key not in sizes and key != "op":
+                    raise ValidationError(f"{where} takes no key {_echo(key)}")
             _check_types(where, obj, sizes)
 
 
@@ -183,7 +196,8 @@ def _add_gas(world: World, spec: dict) -> GasAtom:
 
 
 def _add_reservoir(world: World, spec: dict) -> Reservoir:
-    return add_reservoir(world, float(spec["theta"]), float(spec.get("energy", 0.0)))
+    """A reservoir; its ``energy`` key is validated but unread, as a bath starts at 0.0."""
+    return add_reservoir(world, float(spec["theta"]))
 
 
 ATOM_KINDS: dict[str, tuple[Callable[[World, dict], Any], _Schema]] = {
@@ -197,20 +211,20 @@ def _suite_sizes(cmd: dict) -> list[str]:
     return [k for k in inspect.signature(SUITES[cmd["suite"]]).parameters if k != "seed"]
 
 
-_SAVE_EXPECT: dict[str, _Key] = {"save": SAVE, "expect": EXPECT}
 _SAVE: dict[str, _Key] = {"save": SAVE}
 _GAS = {"gas": "gas"}
 
 OPS: dict[str, _Schema] = {
     "carnot": _Schema(
-        optional={**_SAVE_EXPECT, "q_hot": NUMBER, "volume_ratio": NUMBER},
-        refs={"hot": "reservoir", "cold": "reservoir"},
+        optional={**_SAVE, "q_hot": NUMBER, "volume_ratio": NUMBER},
+        refs={"hot": "reservoir", "cold": "reservoir"}, expects=("ratio", "w", "tol"),
     ),
-    "connect": _Schema({"from": STATE, "to": STATE}, _SAVE_EXPECT, _GAS),
-    "segments": _Schema({"from": STATE}, {**_SAVE_EXPECT, "segments": SEGMENTS}, _GAS),
+    "connect": _Schema({"from": STATE, "to": STATE}, _SAVE, _GAS, expects=("delta_u", "tol")),
+    "segments": _Schema({"from": STATE}, {**_SAVE, "segments": SEGMENTS}, _GAS,
+                        expects=("w", "tol")),
     "entropy-table": _Schema(_SAVE, {"p": GRID, "V": GRID}, _GAS),
     "polyline": _Schema({**_SAVE, "segment": GAS_SEGMENT}, {"samples": COUNT}, _GAS),
-    "verify": _Schema({"suite": SUITE}, _SAVE_EXPECT, sizes=_suite_sizes),
+    "verify": _Schema({"suite": SUITE}, _SAVE, sizes=_suite_sizes),
     "max-entropy-report": _Schema(_SAVE, {"draws": COUNT}),
     "concavity-report": _Schema(_SAVE, {"samples": COUNT}),
 }

@@ -10,7 +10,6 @@ from thermokernel.gas import GasState, add_ideal_gas, type2
 from thermokernel.quadrature import (ROUNDING, WG0, WG2, WG4, WG6, WK0, WK1, WK2, WK3, WK4, WK5,
                                      WK6, WK7, XK1, XK2, XK3, XK4, XK5, XK6, XK7,
                                      adaptive_simpson)
-from thermokernel.quasistatic import concat_families
 from thermokernel.systems import World
 
 
@@ -34,12 +33,6 @@ def test_reversed_bounds_negate():
     assert adaptive_simpson(math.exp, 1.0, 0.0) == pytest.approx(-fwd, abs=1e-13)
 
 
-def test_knots_handle_kinks():
-    f = lambda x: abs(x - 0.5)
-    got = adaptive_simpson(f, 0.0, 1.0, tol=1e-12, knots=(0.5,))
-    assert got == pytest.approx(0.25, abs=1e-12)
-
-
 def test_tolerance_not_met():
     # a needle the refinement cap cannot resolve at an absurd tolerance
     needle = lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2)
@@ -56,18 +49,12 @@ def counted(f):
     return g
 
 
-def test_step_is_read_one_sided_at_its_knot():
-    poisoned = {0.0: math.nan, 0.5: math.nan, 1.0: math.nan}
+def test_ends_are_never_read():
+    # a step at the first bisection: the halves are read apart, and no panel reads an end
+    poisoned = {0.0: math.nan, 1.0: math.nan}
     f = counted(lambda x: poisoned.get(x, 1.0 if x < 0.5 else 2.0))
-    assert adaptive_simpson(f, 0.0, 1.0, knots=(0.5,)) == pytest.approx(1.5, abs=1e-15)
+    assert adaptive_simpson(f, 0.0, 1.0) == pytest.approx(1.5, abs=1e-15)
     assert not set(f.calls) & set(poisoned)
-
-
-def test_knots_a_few_ulps_apart():
-    k1 = 0.5
-    k2 = math.nextafter(math.nextafter(math.nextafter(k1, 1.0), 1.0), 1.0)
-    got = adaptive_simpson(lambda x: abs(x - 0.5), 0.0, 1.0, knots=(k2, k1))
-    assert got == pytest.approx(0.25, abs=1e-15)
 
 
 def test_smooth_type2_work_rate_takes_one_panel():
@@ -232,24 +219,14 @@ def test_adiabat_work_rates_match_the_oracle_bitwise():
             assert_same(rate, a, b)
 
 
-def test_knotted_work_rates_match_the_oracle_bitwise():
-    for rng, fam, _ in adiabat_rates(60):
-        end = fam.state_at(1.0)[fam.atom]
-        both = concat_families(fam, type2(fam.gas, end, end.V * math.exp(rng.uniform(-1, 1))))
-        rate = both.work_rate(fam.atom)
-        lo, hi = sorted((rng.random(), rng.random()))
-        for a, b in ((0.0, 1.0), (lo, hi), (hi, lo), (0.0, 0.5), (0.5, 1.0), (0.25, 0.5)):
-            assert_same(rate, a, b, knots=both.knots)
-
-
-def test_kinks_at_knots_match_the_oracle_bitwise():
+def test_kinks_match_the_oracle_bitwise():
     rng = random.Random(7)
     for _ in range(100):
         ks = sorted(rng.uniform(-1, 2) for _ in range(rng.randrange(1, 4)))
         f = lambda x, ks=ks: sum(abs(x - k) for k in ks) + math.sin(3 * x)
         a, b = rng.uniform(-1, 2), rng.uniform(-1, 2)
-        assert_same(f, a, b, knots=ks)
-        assert_same(f, a, b, knots=ks, tol=1e-13)
+        assert_same(f, a, b)
+        assert_same(f, a, b, tol=1e-13)
 
 
 @pytest.mark.parametrize("f, a, b, tol", [
@@ -274,7 +251,6 @@ def test_tight_tol_refines_and_matches_the_oracle_bitwise(f, a, b, tol):
 def test_large_magnitudes_match_the_oracle_bitwise(f):
     for a, b in ((0.0, 1.0), (1.0, 0.0), (0.1, 0.7)):
         assert_same(f, a, b)
-        assert_same(f, a, b, knots=(0.5,))
 
 
 @pytest.mark.parametrize("f", [
@@ -285,7 +261,6 @@ def test_large_magnitudes_match_the_oracle_bitwise(f):
 def test_zero_integrals_keep_their_sign_bit(f):
     for a, b in ((0.0, 1.0), (1.0, 0.0)):
         assert_same(f, a, b)
-        assert_same(f, a, b, knots=(0.25,))
 
 
 def test_narrow_panels_match_the_oracle_bitwise():
@@ -303,7 +278,7 @@ def test_narrow_panels_match_the_oracle_bitwise():
 @pytest.mark.parametrize("f, kwargs", [
     pytest.param(lambda x: math.nan, {}, id="nan"),
     pytest.param(lambda x: math.inf, {}, id="inf"),
-    pytest.param(lambda x: math.inf if x > 0.5 else 1.0, {"knots": (0.5,)}, id="inf-half"),
+    pytest.param(lambda x: math.inf if x > 0.5 else 1.0, {}, id="inf-half"),
     pytest.param(math.sqrt, {"tol": 1e-12, "max_depth": 0}, id="depth-0"),
     pytest.param(lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2), {"tol": 1e-16, "max_depth": 6},
                  id="needle-depth-6"),
@@ -314,16 +289,3 @@ def test_failures_raise_as_the_oracle_does(f, kwargs):
     with pytest.raises(type(want.value)) as got:
         adaptive_simpson(f, 0.0, 1.0, **kwargs)
     assert str(got.value) == str(want.value)
-
-
-def test_midpoint_panels_count_in_the_rounding_floor():
-    # Knots four ulps apart leave a panel too narrow for K15, read at its
-    # midpoint; its huge |f| integral lets the rough panels beside it stop.
-    k1 = k2 = 0.5
-    for _ in range(4):
-        k2 = math.nextafter(k2, 1.0)
-    f = counted(lambda x: 1e307 if k1 < x < k2 else 1e270 * math.sqrt(x))
-    want = reference_adaptive_simpson(f, 0.0, 1.0, knots=(k1, k2))
-    f.calls.clear()
-    assert bits(adaptive_simpson(f, 0.0, 1.0, knots=(k1, k2))) == bits(want)
-    assert len(f.calls) == 2 * 15 + 1  # no panel refined

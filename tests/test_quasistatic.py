@@ -21,14 +21,7 @@ from thermokernel.gas import (
 )
 from thermokernel.processes import classify, concatenate
 from thermokernel.quadrature import adaptive_simpson
-from thermokernel.quasistatic import (
-    ConstantRate,
-    PiecewiseConstantProfile,
-    QuasistaticFamily,
-    concat_families,
-    entropy_integral,
-    integrate_form,
-)
+from thermokernel.quasistatic import ConstantRate, QuasistaticFamily
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import World
 
@@ -92,43 +85,10 @@ def test_continuity_of_states_and_work(gas):
         prev_gap = gap
 
 
-def test_integrate_form_isotherm_oracle(gas):
-    # minus p dV over pV = 1, V from 1 to 2: analytic value -ln 2
-    res = add_reservoir(gas.world, 1.0)
-    fam = type3(gas, res, GasState(1, 1), 2.0)
-    form = lambda point: (0.0, -point[0])  # coefficients of (dp, dV)
-    got = integrate_form(form, fam, 0.0, 1.0, atom=gas.atom)
-    assert got == pytest.approx(-math.log(2.0), abs=1e-9)
-
-
-def test_integrate_form_isochore_oracle(gas):
-    # (3/2) V dp along V = 1, p from 1 to 2: analytic value 1.5
-    fam = type1(gas, GasState(1, 1), 2.0)
-    form = lambda point: (1.5 * point[1], 0.0)
-    got = integrate_form(form, fam, 0.0, 1.0)
-    assert got == pytest.approx(1.5, abs=1e-10)
-    assert integrate_form(form, fam, 0.3, 0.3) == 0.0
-
-
-def test_concat_families_two_segments(gas):
-    ad = type2(gas, GasState(1, 1), 2.0)
-    corner = ad.state_at(1.0)[gas.atom]
-    res = add_reservoir(gas.world, gas_T(gas.model, corner))
-    iso = type3(gas, res, corner, 1.5)
-    fam = concat_families(ad, iso)
-    assert 0.5 in fam.knots
-    p = fam.slice(0.0, 1.0)
-    assert p.initial_of(gas.atom).value == GasState(1, 1)
-    assert p.final_of(gas.atom).value.V == pytest.approx(1.5)
-    # work adds across the parts
-    expected = ad.slice(0, 1).work_on(gas.atom) + iso.slice(0, 1).work_on(gas.atom)
-    assert p.work_on(gas.atom) == pytest.approx(expected, abs=1e-9)
-
-
 def test_concat_forward_then_reverse_is_cyclic(gas):
     ad = type2(gas, GasState(1, 1), 2.0)
-    loop = concat_families(ad, type2(gas, ad.state_at(1.0)[gas.atom], 1.0))
-    p = loop.slice(0.0, 1.0)
+    back = type2(gas, ad.state_at(1.0)[gas.atom], 1.0)
+    p = concatenate(ad.slice(0.0, 1.0), back.slice(0.0, 1.0))
     assert classify(gas.system, p).catalytic
     assert abs(p.work_on(gas.atom)) < 1e-10
 
@@ -137,44 +97,7 @@ def test_concat_rejects_mismatched_endpoints(gas):
     ad = type2(gas, GasState(1, 1), 2.0)
     other = type2(gas, GasState(3, 3), 1.0)
     with pytest.raises(StateMismatch):
-        concat_families(ad, other)
-
-
-def test_entropy_integral_isotherm(gas):
-    # heat over temperature on an isotherm: nR ln(V2/V1) per unit temperature
-    res = add_reservoir(gas.world, 1.0)
-    fam = type3(gas, res, GasState(1, 1), 2.0)
-    got = entropy_integral(fam, None, 1.0)
-    assert got == pytest.approx(math.log(2.0), abs=1e-9)
-
-
-def test_entropy_integral_adiabat_zero(gas):
-    fam = type2(gas, GasState(1, 1), 2.0)
-    assert entropy_integral(fam, None, 0.7) == 0.0
-
-
-def test_entropy_integral_piecewise_profile_matches_discrete_sum(gas):
-    th1, th2 = 1.0, 2.0
-    r1 = add_reservoir(gas.world, th1)
-    iso1 = type3(gas, r1, GasState(1, 1), 2.0)
-    mid = iso1.state_at(1.0)[gas.atom]
-    fr = type1(gas, mid, mid.p * th2 / th1)  # jump isotherms at fixed volume
-    hot = fr.state_at(1.0)[gas.atom]
-    r2 = add_reservoir(gas.world, th2)
-    iso2 = type3(gas, r2, hot, 3.0)
-    fam = concat_families(concat_families(iso1, fr), iso2)
-    profile = PiecewiseConstantProfile(breaks=(0.5,), values=(th1, th2))
-    got = entropy_integral(fam, None, profile)
-    q1 = iso1.heat_between(gas.atom, 0.0, 1.0)
-    q2 = iso2.heat_between(gas.atom, 0.0, 1.0)
-    assert got == pytest.approx(q1 / th1 + q2 / th2, abs=1e-9)
-
-
-def test_entropy_integral_continuous_profile(gas):
-    # synthetic rate against a continuously varying temperature
-    fam = type2(gas, GasState(1, 1), 2.0)
-    got = entropy_integral(fam, lambda lam: 1.0, lambda lam: 1.0 + lam)
-    assert got == pytest.approx(math.log(2.0), abs=1e-9)
+        concatenate(ad.slice(0.0, 1.0), other.slice(0.0, 1.0))
 
 
 def test_work_and_heat_rates_decompose_energy_change(gas):

@@ -464,6 +464,36 @@ def test_reservoir_energy_leaves_the_carnot_heats_alone(tmp_path):
     assert blob["q2"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("cmd, line", [
+    pytest.param(dict(CARNOT, cold="cold", expect={"Ratio": 99}),
+                 "op 'carnot': 'expect' takes no key 'Ratio', only 'ratio', 'w', 'tol'",
+                 id="carnot"),
+    pytest.param(dict(CONNECT, expect={"delta_U": 12345}),
+                 "op 'connect': 'expect' takes no key 'delta_U', only 'delta_u', 'tol'",
+                 id="connect"),
+    pytest.param(dict(SEGMENTS, expect={"w": -0.5, "delta_u": 5}),
+                 "op 'segments': 'expect' takes no key 'delta_u', only 'w', 'tol'", id="segments"),
+    pytest.param({"op": "verify", "suite": "clausius", "cycles": 2, "expect": {"passed": 0}},
+                 "op 'verify' takes no key 'expect'", id="verify"),
+    pytest.param({"op": "entropy-table", "gas": "g", "save": "t.csv", "expect": {"rows": 25}},
+                 "op 'entropy-table' takes no key 'expect'", id="entropy-table"),
+])
+def test_expect_key_the_op_does_not_read_exits_3(tmp_path, capsys, cmd, line):
+    atoms = [GAS, HOT, dict(HOT, name="cold", theta=1.0)]
+    path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
+def test_verify_names_its_first_unknown_key_in_file_order(tmp_path, capsys):
+    keys = [f"k{i}" for i in range(8)]
+    for order in (keys, keys[::-1]):
+        cmd = {"op": "verify", "suite": "clausius", **dict.fromkeys(order, 1)}
+        path = write_scenario(tmp_path, {"version": 1, "script": [cmd]})
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().out.splitlines() == [f"op 'verify' takes no key {order[0]!r}"]
+
+
 def test_failing_entropy_table_fails_on_the_same_cell(tmp_path, capsys):
     """Each cell's state, energy and entropy run in that order, cell after cell.
 
@@ -559,7 +589,8 @@ class TestCli:
 MUTANT_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0, 0.0, -1, -0.5, 7,
                  "x", "nope", "g", "hot", None, True, [], {}, [1, 1], [0.5, 2.0, 3]]
 # Optional keys a mutation may add to an object, with one of those values.
-MUTANT_KEYS = ["n", "R", "gamma", "U0", "S0", "sigma0", "energy", "q_hot", "volume_ratio"]
+MUTANT_KEYS = ["n", "R", "gamma", "U0", "S0", "sigma0", "energy", "q_hot", "volume_ratio",
+               "delta_u", "ratio", "w"]
 # The op lines of the GOOD script and the artifact lines; any other line is a failure.
 PROGRESS = ("carnot ", "connect ", "entropy-table ", "wrote ")
 

@@ -168,7 +168,7 @@ def test_handles_are_frozen_slotted_values():
         (lambda w: System([atom, bath]), "atoms"),
         (lambda w: ReservoirModel(2.0), "theta"),
         (lambda w: GasAtom(atom, model, w), "world"),
-        (lambda w: Reservoir(bath, theta, w, 0.5), "energy"),
+        (lambda w: Reservoir(bath, theta, w), "model"),
         (lambda w: GasPlanner(GasAtom(atom, model, w)), "gas"),
     ]
     world = World()
@@ -189,4 +189,3 @@ def test_handles_are_frozen_slotted_values():
         twin_world, twin = pickle.loads(pickle.dumps((world, value)))
         assert twin == build(twin_world)
         assert copy.copy(value) == value
-    assert Reservoir(bath, theta, world) == Reservoir(bath, theta, world, 0.0)

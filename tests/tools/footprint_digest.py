@@ -4,11 +4,10 @@
 
 Runs ``CHECKOUT/src`` in a fresh interpreter with ``THERMOKERNEL_TOL`` unset
 and ``PYTHONHASHSEED=0`` and writes one line per value, every float as its
-``repr``: footprints of seeded ``random_work_process`` runs, of ``connect``
-and of knotted slices of concatenated legs; ``records_from_legs`` and
-``clausius_sum`` of reversible and friction cycles; ``build_carnot`` runs
-and ``temperature_ratio``; energy and entropy ledger values and an
-``entropy_integral``; ledger values over p x V grids at four exponents;
+``repr``: footprints of seeded ``random_work_process`` runs and of
+``connect``; ``records_from_legs`` and ``clausius_sum`` of reversible and
+friction cycles; ``build_carnot`` runs and ``temperature_ratio``; energy
+and entropy ledger values; ledger values over p x V grids at four exponents;
 ``build_degraded_carnot`` runs, ``reservoir_contact`` and ``stir``
 footprints, and the ``classify_variable`` verdicts that ``suite_scaling``
 reports.  The suite lines of ``verify`` print three digits, so a last-bit
@@ -51,8 +50,7 @@ def emit(out) -> None:
     from thermokernel.energy import EnergyLedger
     from thermokernel.entropy import EntropyLedger, clausius_sum, records_from_legs
     from thermokernel.gas import (GasModel, GasState, add_ideal_gas, connect, gas_T,
-                                  reservoir_contact, type2, type3)
-    from thermokernel.quasistatic import concat_families, entropy_integral
+                                  reservoir_contact)
     from thermokernel.reservoirs import add_reservoir, stir
     from thermokernel.suites import (random_friction_cycle, random_gas_state,
                                      random_reversible_legs, random_work_process,
@@ -78,15 +76,8 @@ def emit(out) -> None:
         other = random_gas_state(rng, 0.25, 4.0)
         line(f"connect {i}", _process(connect(gas, start, other)))
 
-        # a knotted family, sliced whole and across and beside its knot
-        res = add_reservoir(world, gas_T(gas.model, start))
-        f = type3(gas, res, start, start.V * math.exp(rng.uniform(-0.6, 0.6)))
-        mid = f.state_at(1.0)[gas.atom]
-        both = concat_families(f, type2(gas, mid, mid.V * math.exp(rng.uniform(-0.6, 0.6))))
-        lo, hi = sorted((rng.random(), rng.random()))
-        for a, b in ((0.0, 1.0), (lo, hi), (0.0, 0.5), (0.5, hi if hi > 0.5 else 1.0)):
-            line(f"concat {i} [{a!r}, {b!r}]", _process(both.slice(a, b)))
-        line(f"entropy-integral {i}", repr(entropy_integral(both, None, res.theta)))
+        # four spare draws, so that the lines below keep their seeded inputs
+        rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.random(), rng.random()
 
         cyc_world = World()
         cyc_gas = add_ideal_gas(cyc_world)
@@ -127,7 +118,7 @@ def emit(out) -> None:
                      f"S={entropy.atom_entropy(grid_gas.atom, s)!r}")
 
     # friction-degraded cycles, irreversible contacts and stirring; every
-    # contact reservoir keeps the default energy 0
+    # reservoir starts at energy 0.0
     rng = random.Random(SEED + 2)
     for i in range(ROUNDS):
         run_world = World()
@@ -149,8 +140,8 @@ def emit(out) -> None:
         line(f"contact {i} out", _process(reservoir_contact(contact_gas, start, hot_bath, give)))
         line(f"contact {i} in", _process(reservoir_contact(contact_gas, start, cold_bath, take)))
 
-        stirred = add_reservoir(contact_world, t, rng.uniform(-5.0, 5.0))
-        line(f"stir {i}", _process(stir(stirred, rng.uniform(0.0, 3.0))))
+        rng.uniform(-5.0, 5.0)  # a spare draw: the stirring work keeps its seeded value
+        line(f"stir {i}", _process(stir(add_reservoir(contact_world, t), rng.uniform(0.0, 3.0))))
 
     for seed in range(8):
         for k, text in enumerate(suite_scaling(seed=SEED + seed, samples=2 + seed).lines()):
