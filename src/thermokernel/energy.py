@@ -165,9 +165,6 @@ class FirstLawReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {"pairs_checked": self.pairs_checked, "violations": self.violations}
-
 
 def check_first_law(
     planner: GasPlanner, pairs: Sequence[tuple[GasState, GasState]]

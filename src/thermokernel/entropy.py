@@ -39,13 +39,7 @@ from .processes import (
     is_work_process,
     values_close,
 )
-from .reservoirs import (
-    NATURAL_SCALE,
-    RESERVOIR_KIND,
-    ReservoirModel,
-    TemperatureScale,
-    detached_reservoir,
-)
+from .reservoirs import RESERVOIR_KIND, ReservoirModel, detached_reservoir
 from .systems import AtomId, System, World, are_disjoint, atoms_of, compose
 
 
@@ -86,7 +80,6 @@ def assign_heat_temperature(
     s1: System,
     s2: System,
     p: Process,
-    scale: TemperatureScale = NATURAL_SCALE,
 ) -> TemperatureInterval:
     """Temperatures at which the heat into ``s2`` can be said to flow.
 
@@ -125,20 +118,20 @@ def assign_heat_temperature(
             raise NoTemperature(
                 "isothermal legs at different reservoir temperatures do not mix"
             )
-        t = scale.absolute(reservoir_thetas()[0])
+        t = reservoir_thetas()[0]
         return TemperatureInterval(t, t)
     if "conduction" in p.tags:
         temps = sorted(gas_temps_initial())
         if len(temps) != 2:
             raise NoTemperature("conduction needs exactly two gases")
-        return TemperatureInterval(scale.absolute(temps[0]), scale.absolute(temps[1]))
+        return TemperatureInterval(temps[0], temps[1])
     if "reservoir-contact" in p.tags:
         thetas = reservoir_thetas()
         temps = gas_temps_initial()
         if len(thetas) != 1 or len(temps) != 1:
             raise NoTemperature("contact needs one gas and one reservoir")
         lo, hi = sorted((thetas[0], temps[0]))
-        return TemperatureInterval(scale.absolute(lo), scale.absolute(hi))
+        return TemperatureInterval(lo, hi)
     raise NoTemperature("no reservoir division exists for this process in the model")
 
 
@@ -181,7 +174,7 @@ def clausius_sum(records: Sequence[HeatFlowRecord], probe: System | None = None)
 
 @dataclass(frozen=True)
 class EntropyLedger:
-    """Entropies of the atoms of one ``World`` on one temperature scale.
+    """Entropies of the atoms of one ``World``, temperatures in the natural unit T = theta.
 
     Each query reads the atom's anchor off its model binding: a gas has
     entropy ``S0`` at its model's ``sigma0``, a reservoir has entropy 0 at
@@ -196,7 +189,6 @@ class EntropyLedger:
     """
 
     world: World
-    scale: TemperatureScale = NATURAL_SCALE
 
     def atom_entropy(self, atom: AtomId, payload: Any) -> float:
         """Entropy of one atom's state: ``atom_entropies`` of one payload."""
@@ -210,7 +202,7 @@ class EntropyLedger:
         """
         binding = self.world.binding(atom) if atom in self.world else None
         if isinstance(binding, ReservoirModel):
-            t = self.scale.absolute(binding.theta)
+            t = binding.theta
             yield from (float(payload) / t for payload in payloads)
             return
         if not isinstance(binding, GasModel):
@@ -224,7 +216,7 @@ class EntropyLedger:
             return 0.0
         theta = math.sqrt(gas_T(gas.model, start) * gas_T(gas.model, end))
         leg = isotherm_leg(gas, detached_reservoir(theta), start, end)
-        return leg.heat_between(gas.atom, 0.0, 1.0) / self.scale.absolute(theta)
+        return leg.heat_between(gas.atom, 0.0, 1.0) / theta
 
 
 def entropy(ledger: EntropyLedger, s: System, sigma: JointState) -> float:
@@ -247,10 +239,6 @@ class EntropyVerdict:
     delta_s: float
     reversible: bool
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "delta_S": self.delta_s,
-                "reversible": self.reversible}
-
 
 def check_entropy_theorem(s: System, p: Process, ledger: EntropyLedger) -> EntropyVerdict:
     """Work processes never lower entropy; reversible ones keep it constant, both to 1e-9."""
@@ -265,9 +253,8 @@ def check_entropy_theorem(s: System, p: Process, ledger: EntropyLedger) -> Entro
 def records_from_legs(legs: Iterable, gas: GasAtom) -> list[HeatFlowRecord]:
     """Build Clausius records from quasistatic legs, one slice per leg.
 
-    Isothermal legs carry their reservoir's temperature on the natural scale,
-    its ``theta``; isolated and friction legs carry zero heat and no
-    temperature.
+    Isothermal legs carry their reservoir's temperature, its ``theta``;
+    isolated and friction legs carry zero heat and no temperature.
     """
     records = []
     for fam in legs:

@@ -45,9 +45,6 @@ class AtomState:
         _set_atom(self, atom)
         _set_value(self, value)
 
-    def to_json(self) -> dict:
-        return {"atom": self.atom.to_json(), "value": value_to_json(self.value)}
-
 
 # A joint state covers exactly the atoms of some system.
 JointState = Mapping[AtomId, AtomState]

@@ -9,8 +9,9 @@ translation invariance.
 The model parameter ``theta`` is the gas-side isotherm invariant pV/(nR) at
 which the reservoir exchanges heat reversibly with an ideal gas.  Absolute
 temperature is never assumed from ``theta``; it is derived from heat-flow
-ratios of reversible engines (see the carnot module) and only the verified
-linear scale is then used elsewhere.
+ratios of reversible engines (see the carnot module), whose
+``absolute_temperature`` fixes a unit, and only the verified natural unit
+T = theta is then used elsewhere.
 """
 
 from __future__ import annotations
@@ -88,24 +89,6 @@ def reservoir_handle(world: World, atom: AtomId) -> Reservoir:
     return Reservoir(atom=atom, model=model, world=world)
 
 
-@dataclass(frozen=True)
-class TemperatureScale:
-    """Linear map from reservoir parameter to absolute temperature.
-
-    Fixing a reference reservoir and a reference temperature pins the scale;
-    the default is the natural scale T = theta.
-    """
-
-    theta_ref: float = 1.0
-    t_ref: float = 1.0
-
-    def absolute(self, theta: float) -> float:
-        return theta * self.t_ref / self.theta_ref
-
-
-NATURAL_SCALE = TemperatureScale()
-
-
 def stir(res: Reservoir, work: float) -> Process:
     """Dump work into a reservoir, raising its energy from 0.0 by the same amount.
 
@@ -125,13 +108,6 @@ class SecondLawVerdict:
     passed: bool
     work_on_machine: float
     heat_into_reservoir: float
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "W_S": self.work_on_machine,
-            "Q_R": self.heat_into_reservoir,
-        }
 
 
 def check_second_law(res: Reservoir, s: System, p: Process) -> SecondLawVerdict:

@@ -173,13 +173,6 @@ class MaxEntropyResult:
     s_max: float
     iterations: int
 
-    def to_json(self) -> dict:
-        return {
-            "split": [self.split[0].as_tuple(), self.split[1].as_tuple()],
-            "s_max": self.s_max,
-            "iterations": self.iterations,
-        }
-
 
 def max_entropy_split(base: GasModel, lam: float, total: UVState) -> MaxEntropyResult:
     """Maximize the joint entropy of a lam / (1-lam) pair over all splits.

@@ -13,10 +13,10 @@ file against them before anything runs; each op ``name`` runs as
 
 Exit codes: 0 all assertions pass; 1 an assertion failed, a NaN included;
 2 the file cannot be read or parsed, or an artifact cannot be written; 3 the
-scenario is invalid (an absolute ``save``, one with a ``..`` part, one
-that would overwrite the scenario file, and an ``expect`` key the op does
-not read included), or the engine rejected
-it: a ``ThermoError``, a model's ``ValueError``, or float arithmetic that
+scenario is invalid (a key the schema does not name, an absolute ``save``,
+one with a ``..`` part, one that would overwrite the scenario file, and an
+``expect`` key the op does not read included), or the engine rejected it: a
+``ThermoError``, a model's ``ValueError``, or float arithmetic that
 overflowed.
 """
 
@@ -91,12 +91,18 @@ def _save_path(v: Any) -> bool:
     return path is not None and not path.anchor and ".." not in path.parts
 
 
-def _segment(v: Any, gas_only: bool = False) -> bool:
+def _segment(v: Any, polyline: bool = False) -> bool:
+    """A segment spec: its ``type`` and that kind's numeric keys, and no other key.
+
+    A ``polyline`` segment is of a gas-only kind and also takes a [p, V] ``from``.
+    """
     if not isinstance(v, dict) or not isinstance(v.get("type"), str):
         return False
     kind = SEGMENT_KINDS.get(v["type"])
-    ok_kind = kind is not None and (kind.gas_only or not gas_only)
-    return ok_kind and all(_number(v.get(k)) for k in kind.keys)
+    if kind is None or polyline and not (kind.gas_only and _state(v.get("from"))):
+        return False
+    # the named keys (``type``, the kind's, ``from``) are all present, so any more is another
+    return all(_number(v.get(k)) for k in kind.keys) and len(v) == len(kind.keys) + 1 + polyline
 
 
 # A key type: what an error message calls it, and its test.
@@ -111,13 +117,13 @@ EXPECT: _Key = (
     "an object of numbers", lambda v: isinstance(v, dict) and all(map(_number, v.values()))
 )
 SEGMENTS: _Key = (
-    f"a list of segments of type {', '.join(SEGMENT_KINDS)} with their numeric keys",
+    f"a list of segments of type {', '.join(SEGMENT_KINDS)} with their numeric keys only",
     lambda v: isinstance(v, list) and all(map(_segment, v)),
 )
 GAS_SEGMENT: _Key = (
     f"a segment of type {', '.join(k for k, s in SEGMENT_KINDS.items() if s.gas_only)} "
-    "with its numeric keys and a [p, V] 'from'",
-    lambda v: _segment(v, gas_only=True) and _state(v.get("from")),
+    "with its numeric keys and a [p, V] 'from' only",
+    lambda v: _segment(v, polyline=True),
 )
 SUITE: _Key = (f"one of {', '.join(SUITES)}", lambda v: isinstance(v, str) and v in SUITES)
 
@@ -128,19 +134,19 @@ class _Schema:
 
     ``refs`` maps each key that names an atom to the kind that atom must
     have.  ``expects`` lists the keys an op's ``expect`` block may hold, its
-    ``tol`` included; an op without them takes no ``expect``.  Other keys
-    the schema does not name are ignored, unless ``sizes`` is set: it lists
-    the count keys a command may add (a ``verify`` suite's sizes), and any
-    other key is refused.
+    ``tol`` included; an op without them takes no ``expect``.  ``sizes``
+    lists the count keys a command may add (a ``verify`` suite's sizes).
+    Any other key is refused, except the ``names`` that ``check`` is given:
+    the keys that name the object itself.
     """
 
     required: dict[str, _Key] = field(default_factory=dict)
     optional: dict[str, _Key] = field(default_factory=dict)
     refs: dict[str, str] = field(default_factory=dict)
-    sizes: Callable[[dict], list[str]] | None = None
+    sizes: Callable[[dict], list[str]] = lambda obj: []
     expects: tuple[str, ...] = ()
 
-    def check(self, where: str, obj: dict, kinds: dict[str, str]) -> None:
+    def check(self, where: str, obj: dict, kinds: dict[str, str], names: tuple[str, ...]) -> None:
         for key, kind in self.refs.items():
             ref = obj.get(key)
             if not isinstance(ref, str) or ref not in kinds:
@@ -160,12 +166,11 @@ class _Schema:
             if key not in self.expects:
                 raise ValidationError(f"{where}: 'expect' takes no key {_echo(key)}, "
                                       f"only {', '.join(map(repr, self.expects))}")
-        if self.sizes is not None:
-            sizes = dict.fromkeys(self.sizes(obj), COUNT)
-            for key in obj:  # in file order, so that the first one named is the same every run
-                if key not in keys and key not in sizes and key != "op":
-                    raise ValidationError(f"{where} takes no key {_echo(key)}")
-            _check_types(where, obj, sizes)
+        sizes = dict.fromkeys(self.sizes(obj), COUNT)
+        for key in obj:  # in file order, so that the first one named is the same every run
+            if key not in keys and key not in sizes and key not in self.refs and key not in names:
+                raise ValidationError(f"{where} takes no key {_echo(key)}")
+        _check_types(where, obj, sizes)
 
 
 def _echo(value: Any) -> str:
@@ -268,7 +273,7 @@ class Scenario:
             kind = spec.get("kind")
             if not isinstance(kind, str) or kind not in ATOM_KINDS:
                 raise ValidationError(f"unknown atom kind in {_echo(spec)}")
-            ATOM_KINDS[kind][1].check(f"atom {_echo(name)}", spec, kinds)
+            ATOM_KINDS[kind][1].check(f"atom {_echo(name)}", spec, kinds, ("name", "kind"))
             kinds[name] = kind
         for cmd in self.script:
             if not isinstance(cmd, dict):
@@ -276,7 +281,7 @@ class Scenario:
             op = cmd.get("op")
             if not isinstance(op, str) or op not in OPS:
                 raise ValidationError(f"unknown op {_echo(op)}")
-            OPS[op].check(f"op {op!r}", cmd, kinds)
+            OPS[op].check(f"op {op!r}", cmd, kinds, ("op",))
 
 
 @dataclass

@@ -92,9 +92,6 @@ class System:
     def sorted_atoms(self) -> tuple[AtomId, ...]:
         return tuple(sorted(self.atoms))
 
-    def to_json(self) -> list[dict]:
-        return [a.to_json() for a in self.sorted_atoms]
-
 
 _set_atoms = System.atoms.__set__
 

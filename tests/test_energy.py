@@ -189,8 +189,7 @@ class TestFirstLawCheck:
         report = check_first_law(GasPlanner(gas), pairs)
         assert report.passed
         assert report.pairs_checked == 20
-        blob = report.to_json()
-        assert blob["violations"] == []
+        assert report.violations == []
 
     def test_corrupted_work_is_reported(self, gas):
         class Corrupted:

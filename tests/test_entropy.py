@@ -41,7 +41,7 @@ from thermokernel.gas import (
     type3,
 )
 from thermokernel.processes import AtomState, joint, make_identity, make_process, reverse_of
-from thermokernel.reservoirs import TemperatureScale, add_reservoir, detached_reservoir
+from thermokernel.reservoirs import add_reservoir, detached_reservoir
 from thermokernel.systems import AtomId, compose
 
 from conftest import grid_with_shared_columns
@@ -57,16 +57,6 @@ class TestAssignHeatTemperature:
         interval = assign_heat_temperature(world, gas.system, res.system, p)
         assert interval.is_singleton
         assert interval.lo == pytest.approx(1.5, abs=1e-12)
-
-    def test_singleton_respects_scale(self, world):
-        gas = add_ideal_gas(world)
-        res = add_reservoir(world, 1.5)
-        p = type3(gas, res, GasState(1.5, 1.0), 2.0).slice(0.0, 1.0)
-        scale = TemperatureScale(theta_ref=1.0, t_ref=273.16)
-        interval = assign_heat_temperature(
-            world, gas.system, res.system, p, scale=scale
-        )
-        assert interval.lo == pytest.approx(1.5 * 273.16, rel=1e-12)
 
     def test_conduction_gives_band(self, world):
         g1 = add_ideal_gas(world)
@@ -360,33 +350,32 @@ class TestBatchedEntropies:
     """``atom_entropies`` resolves its atom once per call; every value keeps
     the bits of a query on its own."""
 
-    @pytest.mark.parametrize("scale", [None, TemperatureScale(theta_ref=1.0, t_ref=273.16)])
     @pytest.mark.parametrize("gamma", [5.0 / 3.0, 7.0 / 5.0])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_batch_matches_one_at_a_time_to_the_bit(self, world, gamma, seed, scale):
+    def test_batch_matches_one_at_a_time_to_the_bit(self, world, gamma, seed):
         gas = add_ideal_gas(world, GasModel(gamma=gamma, sigma0=GasState(1.3, 0.8), S0=0.25))
         states = grid_with_shared_columns(random.Random(seed), gas.model.sigma0)
         up = [connect_forward(gas.model, gas.model.sigma0, s) for s in states]
         assert any(up) and not all(up)
-        ledger = EntropyLedger(world) if scale is None else EntropyLedger(world, scale)
+        ledger = EntropyLedger(world)
         batch = list(ledger.atom_entropies(gas.atom, states))
         assert [x.hex() for x in batch] == [
             ledger.atom_entropy(gas.atom, s).hex() for s in states]
-        assert [x.hex() for x in batch] == [self._unbatched(ledger, gas, s).hex() for s in states]
+        assert [x.hex() for x in batch] == [self._unbatched(gas, s).hex() for s in states]
 
     @staticmethod
-    def _unbatched(ledger, gas, s):
+    def _unbatched(gas, s):
         """``S0`` plus the heat over temperature of the one isotherm leg from ``sigma0``."""
         g = gas.model
         if s == g.sigma0:
             return g.S0 + 0.0
         theta = math.sqrt(gas_T(g, g.sigma0) * gas_T(g, s))
         leg = isotherm_leg(gas, detached_reservoir(theta), g.sigma0, s)
-        return g.S0 + leg.heat_between(gas.atom, 0.0, 1.0) / ledger.scale.absolute(theta)
+        return g.S0 + leg.heat_between(gas.atom, 0.0, 1.0) / theta
 
     def test_reservoir_atom_on_a_scale(self, world):
         res = add_reservoir(world, 1.5)
-        ledger = EntropyLedger(world, TemperatureScale(theta_ref=2.0, t_ref=300.0))
+        ledger = EntropyLedger(world)
         payloads = [0.0, -2.5, 3, 0.0, 7.25]
         batch = list(ledger.atom_entropies(res.atom, payloads))
         assert [x.hex() for x in batch] == [

@@ -485,6 +485,31 @@ def test_expect_key_the_op_does_not_read_exits_3(tmp_path, capsys, cmd, line):
     assert capsys.readouterr().out.splitlines() == [line]
 
 
+SEGMENTS_ONLY = ("op 'segments': 'segments' must be a list of segments of type type1, type2, "
+                 "type3 with their numeric keys only, got ")
+
+
+@pytest.mark.parametrize("atoms, cmd, line", [
+    pytest.param([dict(GAS, gama=1.4)], CONNECT, "atom 'g' takes no key 'gama'", id="atom"),
+    pytest.param([dict(GAS, op="connect")], CONNECT, "atom 'g' takes no key 'op'", id="atom-op"),
+    pytest.param([GAS], dict(CONNECT, sav="c.json"), "op 'connect' takes no key 'sav'", id="op"),
+    pytest.param([GAS], dict(CONNECT, name="g"), "op 'connect' takes no key 'name'", id="op-name"),
+    pytest.param([GAS], dict(SEGMENTS, segments=[{"type": "type2", "V2": 2, "p2": 5}]),
+                 SEGMENTS_ONLY + "[{'type': 'type2', 'V2': 2, 'p2': 5}]", id="segment"),
+    pytest.param([GAS], dict(SEGMENTS, segments=[{"type": "type2", "V2": 2, "from": [1, 1]}]),
+                 SEGMENTS_ONLY + "[{'type': 'type2', 'V2': 2, 'from': [1, 1]}]", id="segment-from"),
+    pytest.param([GAS], dict(POLYLINE, segment=dict(POLYLINE["segment"], p2=5)),
+                 "op 'polyline': 'segment' must be a segment of type type1, type2 with its "
+                 "numeric keys and a [p, V] 'from' only, got "
+                 "{'type': 'type2', 'from': [1, 1], 'V2': 2.0, 'p2': 5}", id="polyline-segment"),
+])
+def test_key_the_schema_does_not_name_exits_3(tmp_path, capsys, atoms, cmd, line):
+    path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [line]
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_names_its_first_unknown_key_in_file_order(tmp_path, capsys):
     keys = [f"k{i}" for i in range(8)]
     for order in (keys, keys[::-1]):

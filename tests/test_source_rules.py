@@ -91,11 +91,15 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 def test_every_import_is_used():
     unused = set()
     for modname in MODULES:
-        if modname == "__init__":
-            continue
         tree = ast.parse((PACKAGE_DIR / f"{modname}.py").read_text(encoding="utf-8"))
         unused |= {(modname, name) for name in _unused_imports(tree)}
     assert unused == set(UNUSED_IMPORTS_ALLOWED)
+
+
+def test_the_package_exports_nothing():
+    """Each name is imported from its own module: the package ``__init__`` imports nothing."""
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def _functions(tree: ast.Module):

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import json
 import pickle
 
 import pytest
@@ -137,14 +136,6 @@ def test_clone_work_footprint_invariance(world, gas):
         p_orig.work_on(gas.atom), abs=1e-15
     )
     assert p_copy.final_of(twin.atom).value == p_orig.final_of(gas.atom).value
-
-
-def test_system_serialization(world):
-    a2, a1 = make_abstract_atoms(world, 2)[::-1]
-    s = system(a2, a1)
-    payload = json.loads(json.dumps(s.to_json()))
-    assert payload == sorted(payload, key=lambda d: d["id"])
-    assert {d["kind"] for d in payload} == {"abstract"}
 
 
 # --- value semantics of the per-query handles ----------------------------------
