@@ -22,7 +22,6 @@ from .processes import (
     Process,
     classify,
     concatenate,
-    is_reversible,
     joint,
     make_identity,
     work_of,
@@ -83,7 +82,7 @@ def _assemble(
 
     q1, q2 = reservoir_heat(r1), reservoir_heat(r2)
     w = work_of(machine, process)
-    return CarnotRun(r1, r2, machine, process, q1, q2, w, is_reversible(process), segments, n)
+    return CarnotRun(r1, r2, machine, process, q1, q2, w, process.reversible, segments, n)
 
 
 def _working_gas(r1: Reservoir, r2: Reservoir, n: float) -> tuple[GasAtom, GasState, float]:

@@ -1,4 +1,4 @@
-"""First-law layer: reachability, internal energy, heat, conformance checks.
+"""First-law layer: internal energy, heat, conformance checks.
 
 Internal energy is a state function anchored at a per-atom reference: the
 energy of a state is the reference energy plus the total work of any
@@ -16,11 +16,11 @@ constant and as test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .config import fold_worst, tolerances
-from .errors import DepthExceeded, Unreachable
-from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, gas_U
+from .errors import Unreachable
+from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, connect_forward, gas_U
 from .processes import JointState, Process, work_of
 from .reservoirs import RESERVOIR_KIND, ReservoirModel
 from .systems import AtomId, System, World, atoms_of
@@ -80,55 +80,6 @@ class EnergyLedger:
             yield u0 - sum(map(work, plans[0]))
 
 
-@dataclass(frozen=True)
-class StateFunctionDelta:
-    """Change of a state function across a process: value(final) - value(initial)."""
-
-    initial: dict
-    final: dict
-    delta: float
-
-
-def state_function_delta(z, s: System, p: Process) -> StateFunctionDelta:
-    """Evaluate ``z`` (a joint-state function) on a process's endpoints on ``s``."""
-    initial = p.initial_state(s)
-    final = p.final_state(s)
-    return StateFunctionDelta(initial=initial, final=final, delta=z(final) - z(initial))
-
-
-def reaches(
-    s: System,
-    sigma1: JointState,
-    sigma2: JointState,
-    catalog: GasPlanner | Mapping[AtomId, GasPlanner],
-) -> bool:
-    """Whether a work process on ``s`` maps ``sigma1`` to ``sigma2``.
-
-    The catalog supplies per-atom planners; joint plans move every atom
-    independently.  For a single atom the answer is exact.  For composite
-    systems a negative per-atom answer is inconclusive (cross-coupling
-    processes are not searched) and raises ``DepthExceeded``.
-    """
-    atoms = sorted(atoms_of(s))
-    if isinstance(catalog, GasPlanner):
-        if len(atoms) != 1:
-            raise ValueError("a single planner only covers a single-atom system")
-        planners = {atoms[0]: catalog}
-    else:
-        planners = dict(catalog)
-    verdicts = []
-    for atom in atoms:
-        planner = planners[atom]
-        verdicts.append(planner.decide(sigma1[atom].value, sigma2[atom].value))
-    if all(verdicts):
-        return True
-    if len(atoms) == 1:
-        return False
-    raise DepthExceeded(
-        "per-atom plans exhausted on a composite system; cross-couplings not searched"
-    )
-
-
 def internal_energy(ledger: EnergyLedger, s: System, sigma: JointState) -> float:
     """Internal energy of a joint state: the sum of its atoms' energies."""
     return sum(ledger.atom_energy(a, sigma[a].value) for a in atoms_of(s))
@@ -178,11 +129,11 @@ def check_first_law(
     """
     cfg = tolerances()
     violations = []
-    atom = planner.gas.atom
+    atom, g = planner.gas.atom, planner.gas.model
     for s1, s2 in pairs:
-        if planner.decide(s1, s2):
+        if connect_forward(g, s1, s2):
             a, b = s1, s2
-        elif planner.decide(s2, s1):
+        elif connect_forward(g, s2, s1):
             a, b = s2, s1
         else:
             violations.append(

@@ -32,10 +32,8 @@ from .gas import (
     isotherm_leg,
 )
 from .processes import (
-    JointState,
     Process,
     concatenate,
-    is_reversible,
     is_work_process,
     values_close,
 )
@@ -219,15 +217,6 @@ class EntropyLedger:
         return leg.heat_between(gas.atom, 0.0, 1.0) / theta
 
 
-def entropy(ledger: EntropyLedger, s: System, sigma: JointState) -> float:
-    """Entropy of a joint state: the sum of its atoms' entropies.
-
-    Composite references align automatically, so additivity holds in
-    absolute values, not just differences.
-    """
-    return sum(ledger.atom_entropy(a, sigma[a].value) for a in atoms_of(s))
-
-
 def delta_entropy(ledger: EntropyLedger, s: System, p: Process) -> float:
     """Entropy change of ``s`` under ``p``; uninvolved atoms contribute zero."""
     return ledger_delta(ledger.atom_entropies, s, p)
@@ -245,7 +234,7 @@ def check_entropy_theorem(s: System, p: Process, ledger: EntropyLedger) -> Entro
     if not is_work_process(s, p):
         raise NotWorkProcess("the entropy monotone is stated for work processes")
     ds = delta_entropy(ledger, s, p)
-    rev = is_reversible(p)
+    rev = p.reversible
     passed = ds >= -1e-9 and (not rev or abs(ds) <= 1e-9)
     return EntropyVerdict(passed=passed, delta_s=ds, reversible=rev)
 

@@ -9,14 +9,6 @@ class DomainError(ThermoError):
     """A state value fell outside its open domain (e.g. non-positive p or V)."""
 
 
-class SizeLimit(ThermoError):
-    """Subsystem enumeration requested for a system above the size cap."""
-
-
-class NotProperSubsystem(ThermoError):
-    """The given part is not a proper subsystem of the whole."""
-
-
 class StateMismatch(ThermoError):
     """Endpoint states of two processes disagree on a shared atom."""
 
@@ -41,10 +33,6 @@ class NotWorkProcess(ThermoError):
 
 class NotCatalytic(ThermoError):
     """Catalyst elimination requires the process to be catalytic on the part."""
-
-
-class DepthExceeded(ThermoError):
-    """Reachability search was truncated; the answer is inconclusive."""
 
 
 class Unreachable(ThermoError):

@@ -575,10 +575,6 @@ class GasPlanner:
     def __init__(self, gas: GasAtom):
         _set_gas(self, gas)
 
-    def decide(self, a: GasState, b: GasState) -> bool:
-        """Whether some work process on the gas maps ``a`` to ``b``."""
-        return connect_forward(self.gas.model, a, b)
-
     def routes(
         self, a: GasState, b: GasState, count: int = 3
     ) -> list[list[QuasistaticFamily]]:

@@ -136,13 +136,6 @@ class Process:
         entry = self.entries.get(atom)
         return entry.work if entry is not None else 0.0
 
-    def initial_state(self, s: System) -> dict[AtomId, AtomState]:
-        """Initial joint state on ``s``; defined only if all atoms are involved."""
-        return {a: self.entries[a].initial for a in atoms_of(s)}
-
-    def final_state(self, s: System) -> dict[AtomId, AtomState]:
-        return {a: self.entries[a].final for a in atoms_of(s)}
-
     def same_footprint(self, other: "Process") -> bool:
         if self.involved != other.involved:
             return False
@@ -277,10 +270,6 @@ def reverse_of(p: Process) -> Process:
         raise NoReverseWitness(f"process tagged {sorted(p.tags)} is not reversible")
     return Process({a: ProcessEntry(e.final, e.initial, 0.0 - e.work)
                     for a, e in p.entries.items()}, True, p.tags)
-
-
-def is_reversible(p: Process) -> bool:
-    return p.reversible
 
 
 def join(p1: Process, p2: Process) -> Process:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import fold_worst
 from .errors import IncompatibleBases, NonPositiveScale, OptimizerFailed
-from .gas import GasModel, GasState, add_ideal_gas, gas_S, gas_U
+from .gas import GasModel, GasState, add_ideal_gas, gas_S
 from .processes import Process, make_process
 from .systems import World
 
@@ -107,10 +107,6 @@ def uv_to_gas(model: GasModel, s: UVState) -> GasState:
     """Convert (U, V) to (p, V); requires U above the model's offset."""
     p = (s.U - model.U0) / (model.cv_R * s.V)
     return GasState(p, s.V)
-
-
-def gas_to_uv(model: GasModel, s: GasState) -> UVState:
-    return UVState(gas_U(model, s), s.V)
 
 
 def entropy_uv(model: GasModel, U: float, V: float) -> float:

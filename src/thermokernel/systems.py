@@ -10,12 +10,7 @@ allocation in the ``World`` is the single mutation point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any, Iterable, Iterator
-
-from .errors import NotProperSubsystem, SizeLimit
-
-SUBSYSTEM_ENUM_LIMIT = 16
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -151,28 +146,6 @@ def atoms_of(s: System) -> frozenset[AtomId]:
 
 def is_subsystem(part: System, whole: System) -> bool:
     return part.atoms <= whole.atoms
-
-
-def subsystems(s: System) -> set[System]:
-    """All nonempty subsets of ``s``, capped at 16 atoms (2^n blowup)."""
-    if len(s) > SUBSYSTEM_ENUM_LIMIT:
-        raise SizeLimit(
-            f"refusing to enumerate subsystems of {len(s)} atoms; "
-            f"use is_subsystem for membership tests"
-        )
-    atoms = s.sorted_atoms
-    out: set[System] = set()
-    for r in range(1, len(atoms) + 1):
-        for combo in combinations(atoms, r):
-            out.add(System(frozenset(combo)))
-    return out
-
-
-def disjoint_complement(whole: System, part: System) -> System:
-    """The unique system with ``part | result == whole`` and no overlap."""
-    if not is_subsystem(part, whole) or part.atoms == whole.atoms:
-        raise NotProperSubsystem(f"{part} is not a proper subsystem of {whole}")
-    return System(whole.atoms - part.atoms)
 
 
 def clone_system(world: World, s: System) -> tuple[System, dict[AtomId, AtomId]]:

@@ -10,16 +10,15 @@ from thermokernel.energy import (
     delta_u,
     heat_of,
     internal_energy,
-    reaches,
-    state_function_delta,
 )
 from thermokernel.entropy import assign_heat_temperature
-from thermokernel.errors import DepthExceeded, DomainError
+from thermokernel.errors import DomainError
 from thermokernel.gas import (
     GasModel,
     GasPlanner,
     GasState,
     add_ideal_gas,
+    connect_forward,
     gas_U,
     type1,
     type2,
@@ -44,40 +43,23 @@ def jstate(gas, s):
 
 
 class TestReaches:
+    """Single-gas reachability is decided by the planner's ``routes``."""
+
     def test_friction_raises_pressure(self, gas):
         planner = GasPlanner(gas)
-        assert reaches(gas.system, jstate(gas, GasState(1, 1)), jstate(gas, GasState(2, 1)), planner)
+        assert planner.routes(GasState(1, 1), GasState(2, 1))
 
     def test_friction_cannot_lower_pressure(self, gas):
         planner = GasPlanner(gas)
-        assert not reaches(
-            gas.system, jstate(gas, GasState(2, 1)), jstate(gas, GasState(1, 1)), planner
-        )
+        assert planner.routes(GasState(2, 1), GasState(1, 1)) == []
 
     def test_reflexive(self, gas):
         planner = GasPlanner(gas)
-        sigma = jstate(gas, GasState(1.3, 0.9))
-        assert reaches(gas.system, sigma, sigma, planner)
-
-    def test_composite_joint_reachability(self, world):
-        g1 = add_ideal_gas(world)
-        g2 = add_ideal_gas(world)
-        catalog = {g1.atom: GasPlanner(g1), g2.atom: GasPlanner(g2)}
-        both = compose(g1.system, g2.system)
-        start = joint(
-            AtomState(g1.atom, GasState(1, 1)), AtomState(g2.atom, GasState(1, 1))
-        )
-        up = joint(
-            AtomState(g1.atom, GasState(2, 1)), AtomState(g2.atom, GasState(3, 1))
-        )
-        assert reaches(both, start, up, catalog)
-        # one part would have to lower its invariant: no joint plan exists,
-        # and cross-coupled processes are not searched, so inconclusive.
-        mixed = joint(
-            AtomState(g1.atom, GasState(2, 1)), AtomState(g2.atom, GasState(0.5, 1))
-        )
-        with pytest.raises(DepthExceeded):
-            reaches(both, start, mixed, catalog)
+        sigma = GasState(1.3, 0.9)
+        ((leg,),) = planner.routes(sigma, sigma, count=1)
+        p = leg.slice(0.0, 1.0)
+        assert p.initial_of(gas.atom).value == sigma
+        assert p.final_of(gas.atom).value == sigma
 
 
 class TestInternalEnergy:
@@ -137,17 +119,20 @@ class TestInternalEnergy:
 def test_state_function_delta_matches_ledger(world, gas):
     ledger = EnergyLedger(world)
     p = type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
-    record = state_function_delta(
-        lambda sigma: internal_energy(ledger, gas.system, sigma), gas.system, p
+    initial = joint(p.initial_of(gas.atom))
+    final = joint(p.final_of(gas.atom))
+    delta = internal_energy(ledger, gas.system, final) - internal_energy(
+        ledger, gas.system, initial
     )
-    assert record.delta == pytest.approx(p.work_on(gas.atom), abs=1e-9)
-    assert record.initial[gas.atom].value == GasState(1, 1)
+    assert delta == pytest.approx(p.work_on(gas.atom), abs=1e-9)
+    assert initial[gas.atom].value == GasState(1, 1)
 
 
 class TestHeat:
     def test_work_process_has_zero_heat(self, world, gas):
         ledger = EnergyLedger(world)
         p = type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
+        assert delta_u(ledger, gas.system, p) == pytest.approx(p.work_on(gas.atom), abs=1e-9)
         assert heat_of(ledger, gas.system, p) == pytest.approx(0.0, abs=1e-9)
 
     def test_isothermal_heat(self, world, gas, unit_reservoir):
@@ -196,9 +181,6 @@ class TestFirstLawCheck:
             def __init__(self, inner):
                 self.inner = inner
                 self.gas = inner.gas
-
-            def decide(self, a, b):
-                return self.inner.decide(a, b)
 
             def routes(self, a, b, count=3):
                 plans = self.inner.routes(a, b, count)
@@ -298,7 +280,7 @@ class TestBatchedEnergies:
     def test_batch_matches_one_at_a_time_to_the_bit(self, world, gamma, seed):
         gas = add_ideal_gas(world, GasModel(gamma=gamma, sigma0=GasState(1.3, 0.8)))
         states = grid_with_shared_columns(random.Random(seed), gas.model.sigma0)
-        up = [GasPlanner(gas).decide(gas.model.sigma0, s) for s in states]
+        up = [connect_forward(gas.model, gas.model.sigma0, s) for s in states]
         assert any(up) and not all(up)
         ledger = EnergyLedger(world)
         batch = list(ledger.atom_energies(gas.atom, states))

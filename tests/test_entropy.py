@@ -13,7 +13,6 @@ from thermokernel.entropy import (
     check_entropy_theorem,
     clausius_sum,
     delta_entropy,
-    entropy,
     records_from_legs,
 )
 from thermokernel.errors import (
@@ -40,7 +39,7 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import AtomState, joint, make_identity, make_process, reverse_of
+from thermokernel.processes import AtomState, join, joint, make_identity, make_process, reverse_of
 from thermokernel.reservoirs import add_reservoir, detached_reservoir
 from thermokernel.systems import AtomId, compose
 
@@ -154,9 +153,9 @@ class TestEntropyFunction:
     def test_reference_and_worked_value(self, world):
         gas = add_ideal_gas(world)
         ledger = EntropyLedger(world)
-        s0 = entropy(ledger, gas.system, joint(AtomState(gas.atom, GasState(1, 1))))
+        s0 = ledger.atom_entropy(gas.atom, GasState(1, 1))
         assert s0 == pytest.approx(0.0, abs=1e-12)
-        got = entropy(ledger, gas.system, joint(AtomState(gas.atom, GasState(1, 2))))
+        got = ledger.atom_entropy(gas.atom, GasState(1, 2))
         assert got == pytest.approx(2.5 * LN2, abs=1e-9)
 
     def test_path_independence_three_routes(self, world):
@@ -174,23 +173,21 @@ class TestEntropyFunction:
             assert max(sums) - min(sums) < 1e-8
 
     def test_joint_state_is_additive(self, world):
+        """A joint process changes the entropy of the whole by the sum over its parts."""
         g1 = add_ideal_gas(world)
         g2 = add_ideal_gas(world)
         ledger = EntropyLedger(world)
-        s1, s2 = GasState(2, 1), GasState(0.5, 3)
+        p1 = type1(g1, GasState(2, 1), 3.0).slice(0.0, 1.0)
+        p2 = type1(g2, GasState(0.5, 3), 1.0).slice(0.0, 1.0)
         both = compose(g1.system, g2.system)
-        sigma = joint(AtomState(g1.atom, s1), AtomState(g2.atom, s2))
-        total = entropy(ledger, both, sigma)
-        parts = entropy(ledger, g1.system, joint(AtomState(g1.atom, s1))) + entropy(
-            ledger, g2.system, joint(AtomState(g2.atom, s2))
-        )
+        total = delta_entropy(ledger, both, join(p1, p2))
+        parts = delta_entropy(ledger, g1.system, p1) + delta_entropy(ledger, g2.system, p2)
         assert total == pytest.approx(parts, abs=1e-9)
 
     def test_reservoir_entropy(self, world):
         res = add_reservoir(world, 2.0)
         ledger = EntropyLedger(world)
-        sigma = joint(AtomState(res.atom, 3.0))
-        assert entropy(ledger, res.system, sigma) == pytest.approx(1.5, abs=1e-12)
+        assert ledger.atom_entropy(res.atom, 3.0) == pytest.approx(1.5, abs=1e-12)
 
 
 class TestEntropyTheorem:

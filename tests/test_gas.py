@@ -38,7 +38,7 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import classify, is_reversible, values_close, work_of
+from thermokernel.processes import classify, values_close, work_of
 from thermokernel.quasistatic import QuasistaticFamily, identity_family
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import AtomId, World
@@ -169,7 +169,7 @@ def test_type1_work_and_errors(gas):
     fam = type1(gas, GasState(1, 1), 2.0)
     p = fam.slice(0.0, 1.0)
     assert p.work_on(gas.atom) == pytest.approx(1.5, abs=1e-12)
-    assert not is_reversible(p)
+    assert not p.reversible
     ident = type1(gas, GasState(1, 1), 1.0).slice(0.0, 1.0)
     assert ident.work_on(gas.atom) == 0.0
     with pytest.raises(PressureDecrease):
@@ -226,7 +226,7 @@ def test_connect_degenerate_cases(gas):
     # both states on one isolated curve: single reversible leg
     end = type2(gas, GasState(1, 1), 2.0).state_at(1.0)[gas.atom]
     p = connect(gas, GasState(1, 1), end)
-    assert is_reversible(p)
+    assert p.reversible
     assert p.tags == frozenset({"type2"})
 
 
@@ -316,8 +316,14 @@ def test_run_segments(gas):
 class TestGasPlanner:
     def test_full_catalog_decides_by_invariant(self, gas):
         planner = GasPlanner(gas)
-        assert planner.decide(GasState(1, 1), GasState(3, 0.9))
-        assert not planner.decide(GasState(3, 0.9), GasState(1, 1))
+        assert planner.routes(GasState(1, 1), GasState(3, 0.9))
+        assert planner.routes(GasState(3, 0.9), GasState(1, 1)) == []
+        # friction raises the pressure at fixed volume and cannot lower it
+        assert planner.routes(GasState(1, 1), GasState(2, 1))
+        assert planner.routes(GasState(2, 1), GasState(1, 1)) == []
+        # every state reaches itself by one identity plan
+        (ident,) = planner.routes(GasState(1.3, 0.9), GasState(1.3, 0.9))
+        assert ident[0].slice(0.0, 1.0).work_on(gas.atom) == 0.0
 
     def test_routes_share_endpoints_and_work(self, gas):
         planner = GasPlanner(gas)
@@ -371,7 +377,7 @@ def test_planner_decides_by_connect_forward(log_p, log_v, log_v2, log_rel, sign)
     inv_b = adiabat_invariant(g, a) * (1.0 + sign * 10.0**log_rel)
     b = GasState(inv_b * v2**-g.gamma, v2)
     assume(not values_close(a, b))
-    assert GasPlanner(gas).decide(a, b) == connect_forward(g, a, b)
+    assert bool(GasPlanner(gas).routes(a, b, count=1)) == connect_forward(g, a, b)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

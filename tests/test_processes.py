@@ -24,7 +24,6 @@ from thermokernel.processes import (
     classify,
     concatenate,
     eliminate_catalyst,
-    is_reversible,
     is_work_process,
     join,
     joint,
@@ -128,7 +127,7 @@ def test_identity_process(world, gas):
     assert work_of(gas.system, ident) == 0.0
     again = concatenate(ident, ident)
     assert again.same_footprint(ident)
-    assert is_reversible(ident)
+    assert ident.reversible
     assert reverse_of(ident).same_footprint(ident)
 
 
@@ -190,7 +189,7 @@ def test_reverse_negates_work_and_swaps_states(world, gas):
 
 def _assert_exact_reverse(p):
     r = reverse_of(p)
-    assert r.involved == p.involved and r.tags == p.tags and is_reversible(r)
+    assert r.involved == p.involved and r.tags == p.tags and r.reversible
     for atom, e in p.entries.items():
         assert r.initial_of(atom) == e.final and r.final_of(atom) == e.initial
         assert r.work_on(atom) == -e.work
@@ -227,7 +226,7 @@ def test_reverse_is_exact_on_seeded_footprints():
 
 def test_friction_is_irreversible(world, gas):
     p = type1(gas, GasState(1.0, 1.0), 2.0).slice(0.0, 1.0)
-    assert not is_reversible(p)
+    assert not p.reversible
     with pytest.raises(NoReverseWitness, match=r"tagged \['type1'\]"):
         reverse_of(p)
 
@@ -241,10 +240,10 @@ def test_reversibility_propagates_through_concatenation(world, gas):
     mid = ad1.state_at(1.0)[gas.atom]
     ad2 = type2(gas, mid, 1.3)
     both = concatenate(ad1.slice(0.0, 1.0), ad2.slice(0.0, 1.0))
-    assert is_reversible(both)
+    assert both.reversible
     fr = type1(gas, ad2.state_at(1.0)[gas.atom], 5.0)
     chain = concatenate(both, fr.slice(0.0, 1.0))
-    assert not is_reversible(chain)
+    assert not chain.reversible
 
 
 def test_join_disjoint_and_overlap(world):

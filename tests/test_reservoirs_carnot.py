@@ -20,7 +20,6 @@ from thermokernel.processes import (
     classify,
     concatenate,
     eliminate_catalyst,
-    is_reversible,
     make_process,
     reverse_of,
 )
@@ -129,7 +128,7 @@ class TestBuildCarnot:
         del world, run
         gc.collect()
         assert ref() is None
-        assert is_reversible(process)
+        assert process.reversible
         assert reverse_of(process).involved == process.involved
 
     def test_same_reservoir_rejected(self, world):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thermokernel.errors import NotProperSubsystem, SizeLimit
 from thermokernel.gas import GasAtom, GasModel, GasPlanner, GasState, gas_handle, type2
 from thermokernel.reservoirs import Reservoir, ReservoirModel
 from thermokernel.systems import (
@@ -17,10 +16,8 @@ from thermokernel.systems import (
     atoms_of,
     clone_system,
     compose,
-    disjoint_complement,
     intersect,
     is_subsystem,
-    subsystems,
     system,
 )
 
@@ -62,39 +59,12 @@ def test_atoms_of_and_recomposition(world):
     assert rebuilt == s
 
 
-def test_subsystems_enumeration(world):
-    a1, a2 = make_abstract_atoms(world, 2)
-    s = system(a1, a2)
-    subs = subsystems(s)
-    assert subs == {system(a1), system(a2), s}
-    assert s in subs  # a system is its own subsystem
-
-
-def test_subsystems_size_cap(world):
-    atoms = make_abstract_atoms(world, 17)
-    with pytest.raises(SizeLimit):
-        subsystems(system(*atoms))
-    # the lazy predicate still works above the cap
-    assert is_subsystem(system(atoms[0]), system(*atoms))
-
-
-def test_disjoint_complement(world):
-    a1, a2, a3 = make_abstract_atoms(world, 3)
-    whole = system(a1, a2, a3)
-    part = system(a2)
-    rest = disjoint_complement(whole, part)
-    assert rest == system(a1, a3)
-    assert compose(part, rest) == whole
-    assert intersect(part, rest) is Disjoint
-
-
-def test_disjoint_complement_rejects_whole_and_outsiders(world):
+def test_is_subsystem(world):
     a1, a2, a3 = make_abstract_atoms(world, 3)
     s = system(a1, a2)
-    with pytest.raises(NotProperSubsystem):
-        disjoint_complement(s, s)
-    with pytest.raises(NotProperSubsystem):
-        disjoint_complement(s, system(a3))
+    assert is_subsystem(system(a1), s) and is_subsystem(system(a2), s)
+    assert is_subsystem(s, s)  # a system is its own subsystem
+    assert not is_subsystem(system(a3), s) and not is_subsystem(system(a1, a3), s)
 
 
 @given(st.data())

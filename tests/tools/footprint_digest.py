@@ -30,15 +30,13 @@ ROUNDS = 40
 
 
 def _process(p) -> str:
-    from thermokernel.processes import is_reversible  # the checkout's, once on ``sys.path``
-
     parts = []
     for atom, e in sorted(p.entries.items()):
         ini, fin = e.initial.value, e.final.value
         ini = ini.as_tuple() if hasattr(ini, "as_tuple") else ini
         fin = fin.as_tuple() if hasattr(fin, "as_tuple") else fin
         parts.append(f"{atom.id}:{atom.kind} {ini!r} -> {fin!r} w={e.work!r}")
-    return f"[{'; '.join(parts)}] tags={sorted(p.tags)} rev={is_reversible(p)}"
+    return f"[{'; '.join(parts)}] tags={sorted(p.tags)} rev={p.reversible}"
 
 
 def emit(out) -> None:
