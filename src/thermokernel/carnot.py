@@ -18,11 +18,9 @@ from .config import tolerances
 from .errors import SameReservoir
 from .gas import GasAtom, GasModel, GasState, add_ideal_gas, type1, type2, type3
 from .processes import (
-    AtomState,
     Process,
     classify,
     concatenate,
-    joint,
     make_identity,
     work_of,
 )
@@ -78,7 +76,7 @@ def _assemble(
 
     def reservoir_heat(res: Reservoir) -> float:
         entry = process.entries[res.atom]
-        return (entry.final.value - entry.initial.value) - entry.work
+        return (entry.final - entry.initial) - entry.work
 
     q1, q2 = reservoir_heat(r1), reservoir_heat(r2)
     w = work_of(machine, process)
@@ -116,11 +114,7 @@ def build_carnot(
     if q_target == 0.0:
         # not ``_working_gas``: its hop overflows past a ratio of about 1e205
         gas = add_ideal_gas(r1.world, GasModel())
-        sigma = joint(
-            AtomState(gas.atom, GasState(gas.model.nR * th1, 1.0)),
-            AtomState(r1.atom, 0.0),
-            AtomState(r2.atom, 0.0),
-        )
+        sigma = {gas.atom: GasState(gas.model.nR * th1, 1.0), r1.atom: 0.0, r2.atom: 0.0}
         everything = compose(gas.system, compose(r1.system, r2.system))
         p = make_identity(everything, sigma)
         return CarnotRun(r1, r2, gas.system, p, 0.0, 0.0, 0.0, True, (), 1.0)

@@ -29,7 +29,7 @@ class Tolerances:
     quad_max_depth: int = 30           # bisections of one quadrature panel
     tangent_det_min: float = 1e-8      # normalized 2x2 determinant threshold
     same_temperature: float = 1e-6     # |tau - 1| bound for thermal equilibrium
-    isotherm_rtol: float = 1e-9        # "gas sits on the reservoir isotherm" check
+    isotherm_rtol: float = 1e-9        # on the isotherm: p·V within rtol·nR·θ, T within rtol·θ
     numeric_floor: float = 1e-12       # open-quadrant floor for p and V
 
 

@@ -16,12 +16,12 @@ constant and as test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import fold_worst, tolerances
 from .errors import Unreachable
 from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, connect_forward, gas_U
-from .processes import JointState, Process, work_of
+from .processes import Process, work_of
 from .reservoirs import RESERVOIR_KIND, ReservoirModel
 from .systems import AtomId, System, World, atoms_of
 
@@ -80,9 +80,9 @@ class EnergyLedger:
             yield u0 - sum(map(work, plans[0]))
 
 
-def internal_energy(ledger: EnergyLedger, s: System, sigma: JointState) -> float:
-    """Internal energy of a joint state: the sum of its atoms' energies."""
-    return sum(ledger.atom_energy(a, sigma[a].value) for a in atoms_of(s))
+def internal_energy(ledger: EnergyLedger, s: System, sigma: Mapping[AtomId, Any]) -> float:
+    """Internal energy of a joint state ``atom -> payload``: the sum of its atoms' energies."""
+    return sum(ledger.atom_energy(a, sigma[a]) for a in atoms_of(s))
 
 
 def ledger_delta(values: Callable[..., Iterator[float]], s: System, p: Process) -> float:
@@ -92,7 +92,7 @@ def ledger_delta(values: Callable[..., Iterator[float]], s: System, p: Process) 
         entry = p.entries.get(atom)
         if entry is None:
             continue
-        final, initial = values(atom, (entry.final.value, entry.initial.value))
+        final, initial = values(atom, (entry.final, entry.initial))
         total += final - initial
     return total
 

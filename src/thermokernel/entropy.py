@@ -107,7 +107,7 @@ def assign_heat_temperature(
                 continue
             model = world.binding(a)
             if isinstance(model, GasModel):
-                temps.append(gas_T(model, p.initial_of(a).value))
+                temps.append(gas_T(model, p.initial_of(a)))
         return temps
 
     if "type3" in p.tags and not ({"conduction", "reservoir-contact"} & p.tags):
@@ -133,11 +133,11 @@ def assign_heat_temperature(
     raise NoTemperature("no reservoir division exists for this process in the model")
 
 
-def clausius_sum(records: Sequence[HeatFlowRecord], probe: System | None = None) -> float:
+def clausius_sum(records: Sequence[HeatFlowRecord], probe: System) -> float:
     """Sum of heat over temperature along a closed contact sequence.
 
     The record processes must be concatenable in order and the concatenation
-    cyclic on the probe system (by default, the atoms common to every leg).
+    cyclic on the probe system.
     Non-positive for every cycle; zero for all-reversible ones.
     """
     if not records:
@@ -145,18 +145,11 @@ def clausius_sum(records: Sequence[HeatFlowRecord], probe: System | None = None)
     total = records[0].process
     for rec in records[1:]:
         total = concatenate(total, rec.process)
-    if probe is None:
-        common = set(records[0].process.involved)
-        for rec in records[1:]:
-            common &= rec.process.involved
-        if not common:
-            raise NotCyclic("no common probe system across the records")
-        probe = System(frozenset(common))
     for atom in atoms_of(probe):
         entry = total.entries.get(atom)
         if entry is None:
             raise NotCyclic(f"probe atom {atom} not involved")
-        if not values_close(entry.initial.value, entry.final.value):
+        if not values_close(entry.initial, entry.final):
             raise NotCyclic(f"probe atom {atom} does not return to its initial state")
     out = 0.0
     for rec in records:

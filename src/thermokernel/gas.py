@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .config import tolerances
 from .errors import DomainError, OffIsotherm, PreconditionNotMet, PressureDecrease
-from .processes import Process, concatenate, make_identity, make_process, joint, AtomState
+from .processes import Process, concatenate, make_identity, make_process
 from .quasistatic import ConstantRate, QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
@@ -236,7 +236,7 @@ def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float) -> Quasistat
     if not cfg.numeric_floor < V2 <= _MAX:
         raise _bad_target("type3", "V2", V2)
     c = g.nR * res.theta
-    if abs(start.p * start.V - c) > cfg.isotherm_rtol * max(1.0, abs(c)):
+    if abs(start.p * start.V - c) > cfg.isotherm_rtol * c:
         raise OffIsotherm(f"state ({start.p}, {start.V}) is not on the theta={res.theta} isotherm")
     if V2 == start.V:
         return identity_family({gas.atom: start, res.atom: 0.0}, tag="type3")
@@ -386,7 +386,7 @@ def reservoir_contact(gas: GasAtom, start: GasState, res: Reservoir, q: float) -
     g = gas.model
     final = GasState(start.p - q / (g.cv_R * start.V), start.V)
     t0, t1, theta = gas_T(g, start), gas_T(g, final), res.theta
-    slack = tolerances().isotherm_rtol * max(1.0, theta)
+    slack = tolerances().isotherm_rtol * theta
     if q > 0 and (t0 < theta - slack or t1 < theta - slack):
         raise PreconditionNotMet("gas must stay at least as hot as the reservoir")
     if q < 0 and (t0 > theta + slack or t1 > theta + slack):
@@ -503,9 +503,9 @@ def run_segments(gas: GasAtom, start: GasState, specs: Sequence[dict]) -> Proces
     for spec in specs:
         piece = segment_family(gas, state, spec).slice(0.0, 1.0)
         process = piece if process is None else concatenate(process, piece)
-        state = piece.final_of(gas.atom).value
+        state = piece.final_of(gas.atom)
     if process is None:
-        return make_identity(gas.system, joint(AtomState(gas.atom, start)))
+        return make_identity(gas.system, {gas.atom: start})
     return process
 
 

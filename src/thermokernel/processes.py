@@ -2,11 +2,14 @@
 
 A process records, for every involved atom, its initial state, final state
 and the work done on it.  Atoms not involved carry zero work by convention.
+An entry holds its atom's state payloads (a ``GasState``, or a reservoir's
+float energy) under the atom's key, so the state spaces of distinct atoms
+are disjoint by construction.
 A process is equal only to itself: two processes with identical footprints
 remain distinct values, because a footprint does not determine the procedure
 that produced it.
 
-``AtomState``, ``ProcessEntry`` and ``Process`` are frozen slotted values.
+``ProcessEntry`` and ``Process`` are frozen slotted values.
 
 A process is reversible when the process with swapped initial and final
 states and negated work also exists.  Constructors that know the reverse
@@ -28,35 +31,6 @@ from .errors import (
     StateMismatch,
 )
 from .systems import AtomId, System, atoms_of, are_disjoint, compose
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class AtomState:
-    """A state payload tagged with the atom it belongs to.
-
-    State spaces of distinct atoms are disjoint by construction: the atom
-    tag is part of the state.
-    """
-
-    atom: AtomId
-    value: Any
-
-    def __init__(self, atom: AtomId, value: Any):
-        _set_atom(self, atom)
-        _set_value(self, value)
-
-
-# A joint state covers exactly the atoms of some system.
-JointState = Mapping[AtomId, AtomState]
-
-
-def joint(*states: AtomState) -> dict[AtomId, AtomState]:
-    out: dict[AtomId, AtomState] = {}
-    for st in states:
-        if st.atom in out:
-            raise ValueError(f"duplicate atom {st.atom} in joint state")
-        out[st.atom] = st
-    return out
 
 
 def value_components(value: Any) -> tuple[float, ...]:
@@ -93,11 +67,11 @@ def values_close(a: Any, b: Any, atol: float | None = None) -> bool:
 
 @dataclass(frozen=True, slots=True, init=False)
 class ProcessEntry:
-    initial: AtomState
-    final: AtomState
+    initial: Any
+    final: Any
     work: float
 
-    def __init__(self, initial: AtomState, final: AtomState, work: float):
+    def __init__(self, initial: Any, final: Any, work: float):
         _set_initial(self, initial)
         _set_final(self, final)
         _set_work(self, work)
@@ -126,10 +100,10 @@ class Process:
     def involved(self) -> frozenset[AtomId]:
         return frozenset(self.entries)
 
-    def initial_of(self, atom: AtomId) -> AtomState:
+    def initial_of(self, atom: AtomId) -> Any:
         return self.entries[atom].initial
 
-    def final_of(self, atom: AtomId) -> AtomState:
+    def final_of(self, atom: AtomId) -> Any:
         return self.entries[atom].final
 
     def work_on(self, atom: AtomId) -> float:
@@ -141,9 +115,9 @@ class Process:
             return False
         for atom, e in self.entries.items():
             o = other.entries[atom]
-            if not values_close(e.initial.value, o.initial.value):
+            if not values_close(e.initial, o.initial):
                 return False
-            if not values_close(e.final.value, o.final.value):
+            if not values_close(e.final, o.final):
                 return False
             if not abs(e.work - o.work) <= tolerances().work_atol:
                 return False
@@ -154,8 +128,8 @@ class Process:
             "entries": [
                 {
                     "atom": atom.to_json(),
-                    "initial": value_to_json(e.initial.value),
-                    "final": value_to_json(e.final.value),
+                    "initial": value_to_json(e.initial),
+                    "final": value_to_json(e.final),
                     "work": e.work,
                 }
                 for atom, e in sorted(self.entries.items())
@@ -165,7 +139,6 @@ class Process:
         }
 
 
-_set_atom, _set_value = AtomState.atom.__set__, AtomState.value.__set__
 _set_initial, _set_final, _set_work = (
     ProcessEntry.initial.__set__, ProcessEntry.final.__set__, ProcessEntry.work.__set__)
 _set_entries, _set_reversible, _set_tags = (
@@ -178,8 +151,7 @@ def make_process(
     tags: Iterable[str] | None = None,
 ) -> Process:
     """Build a process from ``atom -> (initial_value, final_value, work)``."""
-    built = {atom: ProcessEntry(AtomState(atom, ini), AtomState(atom, fin), float(w))
-             for atom, (ini, fin, w) in entries.items()}
+    built = {atom: ProcessEntry(ini, fin, float(w)) for atom, (ini, fin, w) in entries.items()}
     return Process(built, reversible, frozenset(tags or ()))
 
 
@@ -198,8 +170,8 @@ def concatenate(p: Process, q: Process) -> Process:
         if pe is None:
             entries[atom] = qe
             continue
-        if not values_close(pe.final.value, qe.initial.value):
-            raise StateMismatch(atom, pe.final.value, qe.initial.value)
+        if not values_close(pe.final, qe.initial):
+            raise StateMismatch(atom, pe.final, qe.initial)
         entries[atom] = ProcessEntry(pe.initial, qe.final, pe.work + qe.work)
     return Process(entries, p.reversible and q.reversible, p.tags | q.tags)
 
@@ -214,12 +186,12 @@ def is_work_process(s: System, p: Process) -> bool:
     return p.involved == atoms_of(s)
 
 
-def make_identity(s: System, sigma: JointState) -> Process:
-    """Zero-work process leaving every atom of ``s`` in place; its own reverse."""
+def make_identity(s: System, sigma: Mapping[AtomId, Any]) -> Process:
+    """Zero-work process leaving each atom of ``s`` at its ``sigma`` payload; its own reverse."""
     missing = atoms_of(s) - set(sigma)
     if missing:
         raise ValueError(f"joint state does not cover atoms {missing}")
-    entries = {a: (sigma[a].value, sigma[a].value, 0.0) for a in atoms_of(s)}
+    entries = {a: (sigma[a], sigma[a], 0.0) for a in atoms_of(s)}
     return make_process(entries, reversible=True, tags=("identity",))
 
 
@@ -236,7 +208,7 @@ def classify(c: System, p: Process) -> Classification:
     must vanish.
     """
     cyclic = all(
-        values_close(e.initial.value, e.final.value)
+        values_close(e.initial, e.final)
         for atom, e in p.entries.items()
         if atom in c
     )

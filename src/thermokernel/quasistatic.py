@@ -25,7 +25,7 @@ import math
 from typing import Any, Callable, Mapping
 
 from .errors import OutOfDomain, ToleranceNotMet
-from .processes import (AtomState, Process, ProcessEntry,
+from .processes import (Process, ProcessEntry,
                         make_process)  # make_process: perfbench/tests/test_spans.py reads it
 from .quadrature import adaptive_simpson
 from .systems import AtomId
@@ -109,8 +109,7 @@ class QuasistaticFamily:
         work_rate = self.work_rate  # read once, not per ``work_between``
         entries = {}  # a loop: before Python 3.12 a comprehension is a call of its own
         for a in self.atoms:
-            entries[a] = ProcessEntry(AtomState(a, start[a]), AtomState(a, end[a]),
-                                      float(_integral(work_rate(a), lo, hi)))
+            entries[a] = ProcessEntry(start[a], end[a], float(_integral(work_rate(a), lo, hi)))
         return Process(entries, self.reversible, _tag_set(self.tag))
 
 

@@ -124,6 +124,6 @@ def check_second_law(res: Reservoir, s: System, p: Process) -> SecondLawVerdict:
         raise PreconditionNotMet("process must be cyclic on the machine")
     w_s = work_of(s, p)
     entry = p.entries[res.atom]
-    q_r = (entry.final.value - entry.initial.value) - entry.work
+    q_r = (entry.final - entry.initial) - entry.work
     return SecondLawVerdict(passed=w_s >= -tolerances().work_atol, work_on_machine=w_s,
                             heat_into_reservoir=q_r)

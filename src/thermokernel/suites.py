@@ -169,7 +169,7 @@ def random_work_process(
             fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.6, 0.6)))
         piece = fam.slice(0.0, 1.0)
         process = piece if process is None else concatenate(process, piece)
-        state = piece.final_of(gas.atom).value
+        state = piece.final_of(gas.atom)
     return process
 
 
@@ -181,7 +181,7 @@ def random_reversible_work_process(gas: GasAtom, rng: random.Random, start: GasS
         fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.6, 0.6)))
         piece = fam.slice(0.0, 1.0)
         process = piece if process is None else concatenate(process, piece)
-        state = piece.final_of(gas.atom).value
+        state = piece.final_of(gas.atom)
     return process
 
 
@@ -233,7 +233,7 @@ def suite_second_law(seed: int = 42, n: int = 25) -> SuiteReport:
         res = add_reservoir(world, gas_T(gas.model, start))
         heated = type1(gas, start, start.p * (1.0 + rng.uniform(0.1, 1.5)))
         p1 = heated.slice(0.0, 1.0)
-        hot = p1.final_of(gas.atom).value
+        hot = p1.final_of(gas.atom)
         q = gas.model.cv_R * hot.V * (hot.p - start.p)
         p2 = reservoir_contact(gas, hot, res, q)
         cycle = concatenate(p1, p2)

@@ -24,9 +24,7 @@ from thermokernel.gas import (
     type3,
 )
 from thermokernel.processes import (
-    AtomState,
     concatenate,
-    joint,
     make_process,
     reverse_of,
     work_of,
@@ -61,7 +59,7 @@ def test_01_internal_energy_grid():
     for p in GRID:
         for v in GRID:
             s = GasState(p, v)
-            got = internal_energy(ledger, gas.system, joint(AtomState(gas.atom, s)))
+            got = internal_energy(ledger, gas.system, {gas.atom: s})
             want = gas_U(gas.model, s)
             worst = max(worst, abs(got - want) / abs(want))
     criterion(1, "internal energy via constructed paths", worst <= 1e-6,
@@ -278,7 +276,7 @@ def test_10_algebra_laws():
         if abs(lhs - (work_of(s1, r) + work_of(s2, r))) > 1e-12:
             ok, detail = False, "composition additivity broke"
         # concatenation state rule: solo atoms keep their own endpoint states
-        if r.initial_of(atoms[3]).value != 7.0 or r.final_of(atoms[0]).value != 1.0:
+        if r.initial_of(atoms[3]) != 7.0 or r.final_of(atoms[0]) != 1.0:
             ok, detail = False, "concatenation state rule broke"
     # reverse negation on constructors flagged reversible
     world2 = World()

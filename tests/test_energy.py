@@ -24,22 +24,13 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import (
-    AtomState,
-    joint,
-    make_identity,
-    reverse_of,
-)
+from thermokernel.processes import make_identity, reverse_of
 from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.systems import compose
 
 from conftest import grid_with_shared_columns
 
 LN2 = math.log(2.0)
-
-
-def jstate(gas, s):
-    return joint(AtomState(gas.atom, s))
 
 
 class TestReaches:
@@ -58,19 +49,19 @@ class TestReaches:
         sigma = GasState(1.3, 0.9)
         ((leg,),) = planner.routes(sigma, sigma, count=1)
         p = leg.slice(0.0, 1.0)
-        assert p.initial_of(gas.atom).value == sigma
-        assert p.final_of(gas.atom).value == sigma
+        assert p.initial_of(gas.atom) == sigma
+        assert p.final_of(gas.atom) == sigma
 
 
 class TestInternalEnergy:
     def test_reference_value(self, world, gas):
         ledger = EnergyLedger(world)
-        u0 = internal_energy(ledger, gas.system, jstate(gas, gas.model.sigma0))
+        u0 = internal_energy(ledger, gas.system, {gas.atom: gas.model.sigma0})
         assert u0 == pytest.approx(1.5, abs=1e-12)
 
     def test_worked_example(self, world, gas):
         ledger = EnergyLedger(world)
-        got = internal_energy(ledger, gas.system, jstate(gas, GasState(2, 3)))
+        got = internal_energy(ledger, gas.system, {gas.atom: GasState(2, 3)})
         assert got == pytest.approx(9.0, rel=1e-9)
 
     def test_backward_direction(self, world, gas):
@@ -78,7 +69,7 @@ class TestInternalEnergy:
         # to the reference, with the sign flipped
         ledger = EnergyLedger(world)
         s = GasState(0.5, 1.0)
-        got = internal_energy(ledger, gas.system, jstate(gas, s))
+        got = internal_energy(ledger, gas.system, {gas.atom: s})
         assert got == pytest.approx(gas_U(gas.model, s), rel=1e-9)
 
     def test_grid_against_closed_form(self, world, gas):
@@ -88,7 +79,7 @@ class TestInternalEnergy:
             s = GasState(
                 0.25 * 16 ** rng.random(), 0.25 * 16 ** rng.random()
             )
-            got = internal_energy(ledger, gas.system, jstate(gas, s))
+            got = internal_energy(ledger, gas.system, {gas.atom: s})
             assert got == pytest.approx(gas_U(gas.model, s), rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -99,7 +90,7 @@ class TestInternalEnergy:
         # adiabat lies on another one, in the planner as in ``connect_forward``
         gas = add_ideal_gas(world, GasModel(sigma0=GasState(1e-3, 1e-3)))
         s = GasState(1e-3 * factor, 1e-3)
-        got = internal_energy(EnergyLedger(world), gas.system, jstate(gas, s))
+        got = internal_energy(EnergyLedger(world), gas.system, {gas.atom: s})
         assert got == pytest.approx(gas_U(gas.model, s), rel=1e-12, abs=0.0)
 
     def test_additive_over_disjoint_gases(self, world):
@@ -107,25 +98,25 @@ class TestInternalEnergy:
         g2 = add_ideal_gas(world)
         ledger = EnergyLedger(world)
         s1, s2 = GasState(2, 1), GasState(0.5, 3)
-        sigma = joint(AtomState(g1.atom, s1), AtomState(g2.atom, s2))
+        sigma = {g1.atom: s1, g2.atom: s2}
         both = compose(g1.system, g2.system)
         total = internal_energy(ledger, both, sigma)
-        parts = internal_energy(
-            ledger, g1.system, joint(AtomState(g1.atom, s1))
-        ) + internal_energy(ledger, g2.system, joint(AtomState(g2.atom, s2)))
+        parts = internal_energy(ledger, g1.system, {g1.atom: s1}) + internal_energy(
+            ledger, g2.system, {g2.atom: s2}
+        )
         assert total == pytest.approx(parts, rel=1e-12)
 
 
 def test_state_function_delta_matches_ledger(world, gas):
     ledger = EnergyLedger(world)
     p = type2(gas, GasState(1, 1), 2.0).slice(0.0, 1.0)
-    initial = joint(p.initial_of(gas.atom))
-    final = joint(p.final_of(gas.atom))
+    initial = {gas.atom: p.initial_of(gas.atom)}
+    final = {gas.atom: p.final_of(gas.atom)}
     delta = internal_energy(ledger, gas.system, final) - internal_energy(
         ledger, gas.system, initial
     )
     assert delta == pytest.approx(p.work_on(gas.atom), abs=1e-9)
-    assert initial[gas.atom].value == GasState(1, 1)
+    assert initial[gas.atom] == GasState(1, 1)
 
 
 class TestHeat:
@@ -142,7 +133,7 @@ class TestHeat:
 
     def test_identity_heat_zero(self, world, gas):
         ledger = EnergyLedger(world)
-        ident = make_identity(gas.system, jstate(gas, GasState(1, 1)))
+        ident = make_identity(gas.system, {gas.atom: GasState(1, 1)})
         assert heat_of(ledger, gas.system, ident) == 0.0
 
     def test_heat_sign_flips_under_reverse(self, world, gas, unit_reservoir):
@@ -226,7 +217,7 @@ class TestQueriesKeepNothing:
         friction = type1(gas, GasState(0.5, 1.5), 2.0).slice(0.0, 1.0)
         both = compose(gas.system, unit_reservoir.system)
         before = len(world.registry)
-        internal_energy(ledger, gas.system, jstate(gas, GasState(0.3, 2.0)))
+        internal_energy(ledger, gas.system, {gas.atom: GasState(0.3, 2.0)})
         for p in (contact, friction):
             delta_u(ledger, both, p)
             heat_of(ledger, gas.system, p)
@@ -241,7 +232,7 @@ class TestQueriesKeepNothing:
         def queries(n):
             for _ in range(n):
                 s = GasState(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-                assert internal_energy(ledger, gas.system, jstate(gas, s)) == pytest.approx(
+                assert internal_energy(ledger, gas.system, {gas.atom: s}) == pytest.approx(
                     gas_U(gas.model, s), rel=1e-6)
 
         tracemalloc.start()

@@ -39,7 +39,7 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import AtomState, join, joint, make_identity, make_process, reverse_of
+from thermokernel.processes import join, make_identity, make_process, reverse_of
 from thermokernel.reservoirs import add_reservoir, detached_reservoir
 from thermokernel.systems import AtomId, compose
 
@@ -77,7 +77,7 @@ class TestAssignHeatTemperature:
     def test_zero_heat_rejected(self, world):
         gas = add_ideal_gas(world)
         res = add_reservoir(world, 1.0)
-        sigma = joint(AtomState(gas.atom, GasState(1, 1)), AtomState(res.atom, 0.0))
+        sigma = {gas.atom: GasState(1, 1), res.atom: 0.0}
         ident = make_identity(compose(gas.system, res.system), sigma)
         with pytest.raises(ZeroHeat):
             assign_heat_temperature(world, gas.system, res.system, ident)
@@ -100,8 +100,8 @@ class TestAssignHeatTemperature:
 
 
 class TestClausiusSum:
-    def test_empty_is_zero(self):
-        assert clausius_sum([]) == 0.0
+    def test_empty_is_zero(self, gas):
+        assert clausius_sum([], probe=gas.system) == 0.0
 
     def test_reversible_carnot_cycle(self, world):
         from thermokernel.carnot import build_carnot

@@ -179,14 +179,14 @@ def test_type1_work_and_errors(gas):
 def test_type2_endpoint_and_work(gas):
     fam = type2(gas, GasState(1, 1), 2.0)
     p = fam.slice(0.0, 1.0)
-    end = p.final_of(gas.atom).value
+    end = p.final_of(gas.atom)
     assert end.p == pytest.approx(2.0 ** (-5.0 / 3.0), abs=1e-12)
     assert p.work_on(gas.atom) == pytest.approx(W_ADIABAT_1_TO_2, abs=1e-10)
     ident = type2(gas, GasState(1, 1), 1.0).slice(0.0, 1.0)
     assert ident.work_on(gas.atom) == 0.0
     # forward then reverse is an identity footprint
     back = type2(gas, end, 1.0).slice(0.0, 1.0)
-    assert back.initial_of(gas.atom).value == end
+    assert back.initial_of(gas.atom) == end
     from thermokernel.processes import concatenate
 
     assert classify(gas.system, concatenate(p, back)).catalytic
@@ -198,7 +198,7 @@ def test_type3_heat_and_errors(gas, unit_reservoir):
     assert p.work_on(gas.atom) == pytest.approx(-LN2, abs=1e-10)
     assert fam.heat_between(gas.atom, 0.0, 1.0) == pytest.approx(LN2, abs=1e-10)
     assert p.work_on(unit_reservoir.atom) == 0.0
-    de = p.final_of(unit_reservoir.atom).value - p.initial_of(unit_reservoir.atom).value
+    de = p.final_of(unit_reservoir.atom) - p.initial_of(unit_reservoir.atom)
     assert de == pytest.approx(-LN2, abs=1e-10)
     ident = type3(gas, unit_reservoir, GasState(1, 1), 1.0).slice(0.0, 1.0)
     assert ident.work_on(gas.atom) == 0.0
@@ -206,13 +206,24 @@ def test_type3_heat_and_errors(gas, unit_reservoir):
         type3(gas, unit_reservoir, GasState(2, 1), 2.0)
 
 
+def test_type3_isotherm_check_is_relative_at_a_small_temperature(world, gas):
+    """At θ = 1e-11 a start with p·V ten times below nR·θ is off the isotherm; one on it
+    builds a leg that starts where the caller said, up to rounding."""
+    cold = add_reservoir(world, 1e-11)
+    with pytest.raises(OffIsotherm):
+        type3(gas, cold, GasState(1e-6, 1e-6), 2e-6)
+    p = type3(gas, cold, GasState(1e-5, 1e-6), 2e-6).slice(0.0, 1.0)
+    assert p.initial_of(gas.atom).as_tuple() == pytest.approx((1e-5, 1e-6), rel=1e-15)
+    assert p.work_on(gas.atom) == pytest.approx(-1e-11 * LN2, rel=1e-9)
+
+
 def test_connect_orientation_and_work(gas):
     s1, s2 = GasState(1, 1), GasState(3, 0.5)
     p = connect(gas, s1, s2)
     # the lower-invariant state is (3, 0.5); the footprint runs from it
     assert adiabat_invariant(gas.model, s2) < adiabat_invariant(gas.model, s1)
-    assert p.initial_of(gas.atom).value == s2
-    assert p.final_of(gas.atom).value.as_tuple() == pytest.approx(
+    assert p.initial_of(gas.atom) == s2
+    assert p.final_of(gas.atom).as_tuple() == pytest.approx(
         s1.as_tuple(), abs=1e-12
     )
     assert work_of(gas.system, p) == pytest.approx(
@@ -235,8 +246,8 @@ def test_connect_between_nearby_small_states_runs_friction(gas):
     a, b = GasState(1e-3, 1e-3), GasState(1e-3 + 5e-13, 1e-3)
     p = connect(gas, a, b)
     assert p.tags == frozenset({"type1"})
-    assert p.initial_of(gas.atom).value == a
-    assert p.final_of(gas.atom).value == b
+    assert p.initial_of(gas.atom) == a
+    assert p.final_of(gas.atom) == b
     dp = b.p - a.p
     assert work_of(gas.system, p) == pytest.approx(gas.model.cv_R * a.V * dp, rel=1e-12, abs=0.0)
 
@@ -286,8 +297,8 @@ def test_conduct_interval_and_validation(world):
     hot, cold = GasState(2, 1), GasState(1, 1)
     p = conduct(g1, hot, g2, cold, 0.1)
     assert p.work_on(g1.atom) == 0.0 and p.work_on(g2.atom) == 0.0
-    assert p.final_of(g1.atom).value.p < hot.p
-    assert p.final_of(g2.atom).value.p > cold.p
+    assert p.final_of(g1.atom).p < hot.p
+    assert p.final_of(g2.atom).p > cold.p
     with pytest.raises(PreconditionNotMet):
         conduct(g1, cold, g2, hot, 0.1)  # wrong direction
     with pytest.raises(PreconditionNotMet):
@@ -299,9 +310,15 @@ def test_reservoir_contact_validation(world):
     res = add_reservoir(world, 1.0)
     hot = GasState(2, 1)
     p = reservoir_contact(gas, hot, res, q=1.5 * (2.0 - 1.0))
-    assert p.final_of(gas.atom).value.as_tuple() == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert p.final_of(gas.atom).as_tuple() == pytest.approx((1.0, 1.0), abs=1e-12)
     with pytest.raises(PreconditionNotMet):
         reservoir_contact(gas, GasState(0.5, 1), res, q=0.1)  # colder gas cannot heat the bath
+
+
+def test_reservoir_contact_slack_is_relative_at_a_small_temperature(world, gas):
+    """A gas at T = 1e-12 cannot heat a bath at θ = 1e-11."""
+    with pytest.raises(PreconditionNotMet):
+        reservoir_contact(gas, GasState(1e-6, 1e-6), add_reservoir(world, 1e-11), 1e-13)
 
 
 def test_run_segments(gas):
@@ -310,7 +327,7 @@ def test_run_segments(gas):
         GasState(1, 1),
         [{"type": "type2", "V2": 2.0}, {"type": "type1", "p2": 1.0}],
     )
-    assert p.final_of(gas.atom).value.as_tuple() == pytest.approx((1.0, 2.0), abs=1e-12)
+    assert p.final_of(gas.atom).as_tuple() == pytest.approx((1.0, 2.0), abs=1e-12)
 
 
 class TestGasPlanner:
@@ -336,10 +353,10 @@ class TestGasPlanner:
             w = 0.0
             for fam in plan:
                 piece = fam.slice(0.0, 1.0)
-                assert piece.initial_of(gas.atom).value.as_tuple() == pytest.approx(
+                assert piece.initial_of(gas.atom).as_tuple() == pytest.approx(
                     state.as_tuple(), abs=1e-9
                 )
-                state = piece.final_of(gas.atom).value
+                state = piece.final_of(gas.atom)
                 w += piece.work_on(gas.atom)
             assert state.as_tuple() == pytest.approx(b.as_tuple(), rel=1e-9)
             works.append(w)

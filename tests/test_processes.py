@@ -18,7 +18,6 @@ from thermokernel.errors import (
 from thermokernel.carnot import build_carnot
 from thermokernel.gas import GasState, add_ideal_gas, connect, gas_T, type1, type2, type3
 from thermokernel.processes import (
-    AtomState,
     Process,
     ProcessEntry,
     classify,
@@ -26,7 +25,6 @@ from thermokernel.processes import (
     eliminate_catalyst,
     is_work_process,
     join,
-    joint,
     make_identity,
     make_process,
     reverse_of,
@@ -34,7 +32,7 @@ from thermokernel.processes import (
     values_close,
     work_of,
 )
-from thermokernel.reservoirs import add_reservoir
+from thermokernel.reservoirs import add_reservoir, stir
 from thermokernel.suites import random_gas_state
 from thermokernel.systems import World, compose, system
 
@@ -55,9 +53,9 @@ def test_concatenation_state_rule_three_atoms(world):
     q = footprint((a2, 11.0, 12.0, 0.25), (a3, 20.0, 21.0, -1.0))
     r = concatenate(p, q)
     assert r.involved == {a1, a2, a3}
-    assert r.initial_of(a1).value == 0.0 and r.final_of(a1).value == 1.0
-    assert r.initial_of(a2).value == 10.0 and r.final_of(a2).value == 12.0
-    assert r.initial_of(a3).value == 20.0 and r.final_of(a3).value == 21.0
+    assert r.initial_of(a1) == 0.0 and r.final_of(a1) == 1.0
+    assert r.initial_of(a2) == 10.0 and r.final_of(a2) == 12.0
+    assert r.initial_of(a3) == 20.0 and r.final_of(a3) == 21.0
     assert r.work_on(a2) == 0.5
 
 
@@ -121,9 +119,9 @@ def test_is_work_process(world):
 
 
 def test_identity_process(world, gas):
-    sigma = joint(AtomState(gas.atom, GasState(1.0, 1.0)))
+    sigma = {gas.atom: GasState(1.0, 1.0)}
     ident = make_identity(gas.system, sigma)
-    assert ident.initial_of(gas.atom).value == ident.final_of(gas.atom).value
+    assert ident.initial_of(gas.atom) == ident.final_of(gas.atom)
     assert work_of(gas.system, ident) == 0.0
     again = concatenate(ident, ident)
     assert again.same_footprint(ident)
@@ -156,8 +154,8 @@ def test_eliminate_catalyst_projects_footprint(world):
     assert reduced.involved == {a1, a2}
     for a in (a1, a2):
         assert reduced.work_on(a) == p.work_on(a)
-        assert reduced.initial_of(a).value == p.initial_of(a).value
-        assert reduced.final_of(a).value == p.final_of(a).value
+        assert reduced.initial_of(a) == p.initial_of(a)
+        assert reduced.final_of(a) == p.final_of(a)
 
 
 def test_eliminate_catalyst_rejections(world):
@@ -175,9 +173,9 @@ def test_reverse_negates_work_and_swaps_states(world, gas):
     fam = type2(gas, GasState(1.0, 1.0), 2.0)
     p = fam.slice(0.0, 1.0)
     r = reverse_of(p)
-    assert r.initial_of(gas.atom).value == p.final_of(gas.atom).value
-    assert r.final_of(gas.atom).value.as_tuple() == pytest.approx(
-        p.initial_of(gas.atom).value.as_tuple(), abs=1e-12
+    assert r.initial_of(gas.atom) == p.final_of(gas.atom)
+    assert r.final_of(gas.atom).as_tuple() == pytest.approx(
+        p.initial_of(gas.atom).as_tuple(), abs=1e-12
     )
     assert r.work_on(gas.atom) == pytest.approx(-p.work_on(gas.atom), abs=1e-12)
     # double reverse reproduces the footprint
@@ -212,7 +210,7 @@ def test_reverse_is_exact_on_seeded_footprints():
         end = adiabat.state_at(1.0)[gas.atom]
         whole = adiabat.slice(0.0, 1.0)
         beside = type2(other, start, v2).slice(lo, hi)
-        resting = make_identity(other.system, joint(AtomState(other.atom, start)))
+        resting = make_identity(other.system, {other.atom: start})
         run_world = World()
         th1, th2 = (math.exp(rng.uniform(-1.5, 1.5)) for _ in range(2))
         run = build_carnot(add_reservoir(run_world, th1), add_reservoir(run_world, th2),
@@ -259,7 +257,7 @@ def test_join_disjoint_and_overlap(world):
 def test_join_with_identity_preserves_works(world, gas):
     other = add_ideal_gas(world)
     p = type1(gas, GasState(1.0, 1.0), 2.0).slice(0.0, 1.0)
-    ident = make_identity(other.system, joint(AtomState(other.atom, GasState(1, 1))))
+    ident = make_identity(other.system, {other.atom: GasState(1, 1)})
     j = join(p, ident)
     assert j.work_on(gas.atom) == p.work_on(gas.atom)
     assert j.work_on(other.atom) == 0.0
@@ -293,7 +291,7 @@ def test_concatenate_is_associative_on_gas_chains(legs):
         else:
             fam = type2(gas, state, state.V * math.exp(x))
         parts.append(fam.slice(0.0, 1.0))
-        state = parts[-1].final_of(gas.atom).value
+        state = parts[-1].final_of(gas.atom)
     p, q, r = parts
     left = concatenate(concatenate(p, q), r)
     right = concatenate(p, concatenate(q, r))
@@ -304,30 +302,31 @@ def test_concatenate_is_associative_on_gas_chains(legs):
 
 # --- value semantics of the footprint types -----------------------------------
 
-def test_atom_state_and_entry_are_frozen_slotted_values(world):
-    (a,) = make_abstract_atoms(world, 1)
-    ini, fin = AtomState(a, 1.0), AtomState(a, 2.0)
-    entry = ProcessEntry(ini, fin, 0.5)
-    assert repr(ini) == f"AtomState(atom={a!r}, value=1.0)"
-    assert repr(entry) == f"ProcessEntry(initial={ini!r}, final={fin!r}, work=0.5)"
-    assert ini == AtomState(a, 1) and ini != AtomState(a, 2.0) and ini != (a, 1.0)
-    assert hash(ini) == hash((a, 1.0)) == hash(AtomState(a, 1.0))
-    assert entry == ProcessEntry(AtomState(a, 1.0), AtomState(a, 2.0), 0.5)
-    assert entry != ProcessEntry(ini, fin, 0.25)
-    assert hash(entry) == hash((ini, fin, 0.5))
-    for value, field in ((ini, "value"), (entry, "work")):
-        assert not hasattr(value, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, field, 3.0)
-        assert pickle.loads(pickle.dumps(value)) == value
-        assert copy.copy(value) == value
+def test_entry_is_a_frozen_slotted_value():
+    entry = ProcessEntry(1.0, 2.0, 0.5)
+    assert repr(entry) == "ProcessEntry(initial=1.0, final=2.0, work=0.5)"
+    assert entry == ProcessEntry(1, 2, 0.5) and entry != ProcessEntry(1.0, 2.0, 0.25)
+    assert entry != (1.0, 2.0, 0.5)
+    assert hash(entry) == hash((1.0, 2.0, 0.5))
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.work = 3.0
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    assert copy.copy(entry) == entry
+
+
+def test_endpoints_are_payloads(world, gas):
+    leg = type2(gas, GasState(1.0, 1.0), 2.0).slice(0, 1)
+    assert type(leg.initial_of(gas.atom)) is GasState
+    res = add_reservoir(world, 1.0)
+    assert type(stir(res, 0.5).final_of(res.atom)) is float
 
 
 def test_process_is_a_frozen_slotted_value_equal_only_to_itself(world):
     (a,) = make_abstract_atoms(world, 1)
     p = make_process({a: (1.0, 2.0, 0.5)}, tags=("stir",))
     twin = make_process({a: (1.0, 2.0, 0.5)}, tags=("stir",))
-    entry = ProcessEntry(AtomState(a, 1.0), AtomState(a, 2.0), 0.5)
+    entry = ProcessEntry(1.0, 2.0, 0.5)
     assert repr(p) == (f"Process(entries={{{a!r}: {entry!r}}}, reversible=False, "
                        "tags=frozenset({'stir'}))")
     assert p == p and p != twin and p.same_footprint(twin)

@@ -31,14 +31,14 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def test_slice_whole_interval_matches_endpoints(gas):
     fam = type2(gas, GasState(1, 1), 2.0)
     p = fam.slice(0.0, 1.0)
-    assert p.initial_of(gas.atom).value == GasState(1, 1)
-    assert p.final_of(gas.atom).value.V == 2.0
+    assert p.initial_of(gas.atom) == GasState(1, 1)
+    assert p.final_of(gas.atom).V == 2.0
 
 
 def test_slice_point_is_identity(gas):
     fam = type2(gas, GasState(1, 1), 2.0)
     p = fam.slice(0.3, 0.3)
-    assert p.initial_of(gas.atom).value == p.final_of(gas.atom).value
+    assert p.initial_of(gas.atom) == p.final_of(gas.atom)
     assert p.work_on(gas.atom) == 0.0
 
 
@@ -235,13 +235,13 @@ def test_forms_are_process_dependent(gas):
     for i in range(1, n_steps + 1):
         v = 2.0 ** (i / n_steps)
         ad = type2(gas, state, v).slice(0.0, 1.0)
-        state = ad.final_of(gas.atom).value
+        state = ad.final_of(gas.atom)
         fr = type1(gas, state, 1.0 / v).slice(0.0, 1.0)  # back onto pV = 1
-        state = fr.final_of(gas.atom).value
+        state = fr.final_of(gas.atom)
         for piece in (ad, fr):
             chain = piece if chain is None else concatenate(chain, piece)
     assert state.as_tuple() == pytest.approx(
-        contact.final_of(gas.atom).value.as_tuple(), abs=1e-9
+        contact.final_of(gas.atom).as_tuple(), abs=1e-9
     )
     w_contact = contact.work_on(gas.atom)
     w_friction = chain.work_on(gas.atom)

@@ -41,7 +41,7 @@ class TestSecondLaw:
         start = GasState(1, 1)
         res = add_reservoir(world, gas_T(gas.model, start))
         p1 = type1(gas, start, 2.0).slice(0.0, 1.0)
-        hot = p1.final_of(gas.atom).value
+        hot = p1.final_of(gas.atom)
         q = gas.model.cv_R * hot.V * (hot.p - start.p)
         cycle = concatenate(p1, reservoir_contact(gas, hot, res, q))
         verdict = check_second_law(res, gas.system, cycle)
@@ -52,12 +52,10 @@ class TestSecondLaw:
         )
 
     def test_identity_passes_with_zero_work(self, world, gas):
-        from thermokernel.processes import AtomState, joint, make_identity
+        from thermokernel.processes import make_identity
 
         res = add_reservoir(world, 1.0)
-        sigma = joint(
-            AtomState(gas.atom, GasState(1, 1)), AtomState(res.atom, 0.0)
-        )
+        sigma = {gas.atom: GasState(1, 1), res.atom: 0.0}
         ident = make_identity(compose(gas.system, res.system), sigma)
         verdict = check_second_law(res, gas.system, ident)
         assert verdict.passed and verdict.work_on_machine == 0.0
@@ -170,14 +168,14 @@ class TestBuildCarnot:
         reduced = eliminate_catalyst(pair, run.machine, run.process)
         assert reduced.involved == pair.atoms
         assert reduced.work_on(r1.atom) == pytest.approx(0.0, abs=1e-12)
-        de1 = reduced.final_of(r1.atom).value - reduced.initial_of(r1.atom).value
-        de2 = reduced.final_of(r2.atom).value - reduced.initial_of(r2.atom).value
+        de1 = reduced.final_of(r1.atom) - reduced.initial_of(r1.atom)
+        de2 = reduced.final_of(r2.atom) - reduced.initial_of(r2.atom)
         assert de1 == pytest.approx(-0.8, abs=1e-9)
         assert de2 == pytest.approx(+0.8, abs=1e-9)
         # elimination keeps the process reversible
         back = reverse_of(reduced)
-        assert back.final_of(r1.atom).value == pytest.approx(
-            reduced.initial_of(r1.atom).value, abs=1e-9
+        assert back.final_of(r1.atom) == pytest.approx(
+            reduced.initial_of(r1.atom), abs=1e-9
         )
 
 

@@ -84,7 +84,7 @@ class TestRemoveConstraint:
         g2 = scale(BASE, Fraction(1, 2))
         p, total = remove_constraint(g1, g2, UVState(1.2, 0.8), UVState(0.8, 1.2))
         assert total == UVState(2.0, 2.0)
-        finals = [e.final.value for e in p.entries.values()]
+        finals = [e.final for e in p.entries.values()]
         for f in finals:
             assert (gas_U(g1.model, f), f.V) == pytest.approx((1.0, 1.0))
         assert all(e.work == 0.0 for e in p.entries.values())
@@ -97,7 +97,7 @@ class TestRemoveConstraint:
         p, total = remove_constraint(g1, g2, s1, s2)
         assert total == UVState(4.0, 8.0)
         for e in p.entries.values():
-            assert e.initial.value == e.final.value
+            assert e.initial == e.final
         assert p.reversible
 
     def test_reverse_of_proportional_removal_mints_nothing(self):
@@ -128,7 +128,7 @@ class TestRemoveConstraint:
             after = entropy_uv(BASE, total.U, total.V)
             assert after >= before - 1e-10
             proportional = all(
-                e.initial.value == e.final.value for e in p.entries.values()
+                e.initial == e.final for e in p.entries.values()
             )
             if not proportional:
                 assert after > before

@@ -105,7 +105,7 @@ def test_clone_work_footprint_invariance(world, gas):
     assert p_copy.work_on(twin.atom) == pytest.approx(
         p_orig.work_on(gas.atom), abs=1e-15
     )
-    assert p_copy.final_of(twin.atom).value == p_orig.final_of(gas.atom).value
+    assert p_copy.final_of(twin.atom) == p_orig.final_of(gas.atom)
 
 
 # --- value semantics of the per-query handles ----------------------------------

@@ -30,12 +30,11 @@ ROUNDS = 40
 
 
 def _process(p) -> str:
+    """One footprint, read from ``Process.to_json``: its format is the same at every checkout."""
     parts = []
-    for atom, e in sorted(p.entries.items()):
-        ini, fin = e.initial.value, e.final.value
-        ini = ini.as_tuple() if hasattr(ini, "as_tuple") else ini
-        fin = fin.as_tuple() if hasattr(fin, "as_tuple") else fin
-        parts.append(f"{atom.id}:{atom.kind} {ini!r} -> {fin!r} w={e.work!r}")
+    for e in p.to_json()["entries"]:
+        ini, fin = (tuple(v) if isinstance(v, list) else v for v in (e["initial"], e["final"]))
+        parts.append(f"{e['atom']['id']}:{e['atom']['kind']} {ini!r} -> {fin!r} w={e['work']!r}")
     return f"[{'; '.join(parts)}] tags={sorted(p.tags)} rev={p.reversible}"
 
 
@@ -66,7 +65,8 @@ def emit(out) -> None:
         start = random_gas_state(rng, 0.25, 4.0)
         p = random_work_process(gas, rng, start, segments=1 + i % 4)
         line(f"work-process {i}", _process(p))
-        end = p.final_of(gas.atom).value
+        (entry,) = p.to_json()["entries"]
+        end = GasState(*entry["final"])
         line(f"energy {i}", f"{energy.atom_energy(gas.atom, start)!r} "
                             f"{energy.atom_energy(gas.atom, end)!r}")
         line(f"entropy {i}", f"{entropy.atom_entropy(gas.atom, start)!r} "
