@@ -57,22 +57,19 @@ def main(argv: list[str] | None = None) -> int:
         for path in result.artifacts:
             print(f"wrote {path}")
         return result.exit_code
-    if args.command == "verify":
-        if args.suite != "all" and args.suite not in SUITES:
-            parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}, all")
-        try:
-            reports = run_suites(args.suite, seed=args.seed)
-        except (ThermoError, ValueError, ArithmeticError) as exc:
-            print(f"ENGINE ERROR: {type(exc).__name__}: {exc}")
-            return 3
-        ok = True
-        for report in reports:
-            for line in report.lines():
-                print(line)
-            ok = ok and report.passed
-        return 0 if ok else 1
-    parser.error("unknown command")  # pragma: no cover
-    return 2
+    if args.suite != "all" and args.suite not in SUITES:
+        parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}, all")
+    try:
+        reports = run_suites(args.suite, seed=args.seed)
+    except (ThermoError, ValueError, ArithmeticError) as exc:
+        print(f"ENGINE ERROR: {type(exc).__name__}: {exc}")
+        return 3
+    ok = True
+    for report in reports:
+        for line in report.lines():
+            print(line)
+        ok = ok and report.passed
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

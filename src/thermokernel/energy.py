@@ -23,7 +23,7 @@ from .errors import Unreachable
 from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, connect_forward, gas_U
 from .processes import Process, work_of
 from .reservoirs import RESERVOIR_KIND, ReservoirModel
-from .systems import AtomId, System, World, atoms_of
+from .systems import AtomId, System, World
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,13 @@ class EnergyLedger:
 
 def internal_energy(ledger: EnergyLedger, s: System, sigma: Mapping[AtomId, Any]) -> float:
     """Internal energy of a joint state ``atom -> payload``: the sum of its atoms' energies."""
-    return sum(ledger.atom_energy(a, sigma[a]) for a in atoms_of(s))
+    return sum(ledger.atom_energy(a, sigma[a]) for a in s.atoms)
 
 
 def ledger_delta(values: Callable[..., Iterator[float]], s: System, p: Process) -> float:
     """Change of a ledger's state function on ``s`` under ``p``: one ``values`` batch per atom."""
     total = 0.0
-    for atom in atoms_of(s):
+    for atom in s.atoms:
         entry = p.entries.get(atom)
         if entry is None:
             continue
@@ -122,25 +122,16 @@ def check_first_law(
 ) -> FirstLawReport:
     """Work totals of all discovered connecting work processes must agree.
 
-    For each sampled state pair, up to three plans are built in whichever
-    direction is reachable; a pair reachable in neither direction, or plans
-    whose total works disagree beyond the ``first_law_rtol`` and
+    Each sampled state pair is oriented as ``connect`` orients it, and up
+    to three plans are built in that direction; a pair with no plan, or
+    plans whose total works disagree beyond the ``first_law_rtol`` and
     ``first_law_atol`` tiers, are reported as violations.
     """
     cfg = tolerances()
     violations = []
     atom, g = planner.gas.atom, planner.gas.model
     for s1, s2 in pairs:
-        if connect_forward(g, s1, s2):
-            a, b = s1, s2
-        elif connect_forward(g, s2, s1):
-            a, b = s2, s1
-        else:
-            violations.append(
-                {"sigma1": s1.as_tuple(), "sigma2": s2.as_tuple(), "works": [],
-                 "reason": "unreachable in both directions"}
-            )
-            continue
+        a, b = (s1, s2) if connect_forward(g, s1, s2) else (s2, s1)
         plans = planner.routes(a, b, count=3)
         works = [sum(f.work_between(atom, 0.0, 1.0) for f in plan) for plan in plans]
         if not works:

@@ -38,7 +38,7 @@ from .processes import (
     values_close,
 )
 from .reservoirs import RESERVOIR_KIND, ReservoirModel, detached_reservoir
-from .systems import AtomId, System, World, are_disjoint, atoms_of, compose
+from .systems import AtomId, System, World, are_disjoint, compose
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,13 @@ def assign_heat_temperature(
         return temps
 
     if "type3" in p.tags and not ({"conduction", "reservoir-contact"} & p.tags):
-        thetas = set(round(t, 12) for t in reservoir_thetas())
+        # the thetas are the caller's parameters, so equal means equal
+        thetas = set(reservoir_thetas())
         if len(thetas) != 1:
             raise NoTemperature(
                 "isothermal legs at different reservoir temperatures do not mix"
             )
-        t = reservoir_thetas()[0]
+        (t,) = thetas
         return TemperatureInterval(t, t)
     if "conduction" in p.tags:
         temps = sorted(gas_temps_initial())
@@ -145,7 +146,7 @@ def clausius_sum(records: Sequence[HeatFlowRecord], probe: System) -> float:
     total = records[0].process
     for rec in records[1:]:
         total = concatenate(total, rec.process)
-    for atom in atoms_of(probe):
+    for atom in probe.atoms:
         entry = total.entries.get(atom)
         if entry is None:
             raise NotCyclic(f"probe atom {atom} not involved")

@@ -30,7 +30,7 @@ from .errors import (
     Overlap,
     StateMismatch,
 )
-from .systems import AtomId, System, atoms_of, are_disjoint, compose
+from .systems import AtomId, System, are_disjoint, compose
 
 
 def value_components(value: Any) -> tuple[float, ...]:
@@ -178,20 +178,20 @@ def concatenate(p: Process, q: Process) -> Process:
 
 def work_of(s: System, p: Process) -> float:
     """Total work done on ``s``: the sum over its atoms, zero when absent."""
-    return sum(p.work_on(a) for a in atoms_of(s))
+    return sum(p.work_on(a) for a in s.atoms)
 
 
 def is_work_process(s: System, p: Process) -> bool:
     """True iff the involved atoms are exactly the atoms of ``s``."""
-    return p.involved == atoms_of(s)
+    return p.involved == s.atoms
 
 
 def make_identity(s: System, sigma: Mapping[AtomId, Any]) -> Process:
     """Zero-work process leaving each atom of ``s`` at its ``sigma`` payload; its own reverse."""
-    missing = atoms_of(s) - set(sigma)
+    missing = s.atoms - set(sigma)
     if missing:
         raise ValueError(f"joint state does not cover atoms {missing}")
-    entries = {a: (sigma[a], sigma[a], 0.0) for a in atoms_of(s)}
+    entries = {a: (sigma[a], sigma[a], 0.0) for a in s.atoms}
     return make_process(entries, reversible=True, tags=("identity",))
 
 
@@ -229,7 +229,7 @@ def eliminate_catalyst(s: System, c: System, p: Process) -> Process:
         raise NotWorkProcess("process is not a work process on the combined system")
     if not classify(c, p).catalytic:
         raise NotCatalytic("process is not catalytic on the stated part")
-    return Process({a: p.entries[a] for a in atoms_of(s)}, p.reversible, p.tags)
+    return Process({a: p.entries[a] for a in s.atoms}, p.reversible, p.tags)
 
 
 def reverse_of(p: Process) -> Process:

@@ -1,16 +1,16 @@
 """Finite-set algebra of thermodynamic systems.
 
 Systems are finite nonempty sets of atom identifiers drawn from a ``World``.
-Composition is set union, intersection is set intersection with a
-distinguished ``Disjoint`` marker for the empty case, and every system
-decomposes uniquely into its atoms.  All values are immutable; atom
-allocation in the ``World`` is the single mutation point.
+Composition is set union and intersection is set intersection, ``None`` when
+two systems share no atom.  A system's ``atoms`` are its unique
+decomposition.  All values are immutable; atom allocation in the ``World``
+is the single mutation point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -37,30 +37,6 @@ class AtomId:
 _set_id, _set_kind = AtomId.id.__set__, AtomId.kind.__set__
 
 
-class _Disjoint:
-    """Marker returned by ``intersect`` when two systems share no atoms.
-
-    Notation only: the empty set is not a system.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Disjoint"
-
-    def __bool__(self):
-        return False
-
-
-Disjoint = _Disjoint()
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class System:
     """A finite nonempty set of atoms."""
@@ -74,18 +50,8 @@ class System:
             raise ValueError("a system must contain at least one atom")
         _set_atoms(self, atoms)
 
-    def __iter__(self) -> Iterator[AtomId]:
-        return iter(self.sorted_atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
     def __contains__(self, atom: AtomId) -> bool:
         return atom in self.atoms
-
-    @property
-    def sorted_atoms(self) -> tuple[AtomId, ...]:
-        return tuple(sorted(self.atoms))
 
 
 _set_atoms = System.atoms.__set__
@@ -127,21 +93,17 @@ def compose(a: System, b: System) -> System:
     return System(a.atoms | b.atoms)
 
 
-def intersect(a: System, b: System):
-    """Intersection of the two atom sets, or ``Disjoint`` when empty."""
+def intersect(a: System, b: System) -> System | None:
+    """Intersection of the two atom sets, or ``None`` when they share no atom.
+
+    The empty set is not a system.
+    """
     shared = a.atoms & b.atoms
-    if not shared:
-        return Disjoint
-    return System(shared)
+    return System(shared) if shared else None
 
 
 def are_disjoint(a: System, b: System) -> bool:
     return not (a.atoms & b.atoms)
-
-
-def atoms_of(s: System) -> frozenset[AtomId]:
-    """Singleton decomposition: the set of atoms making up ``s``."""
-    return s.atoms
 
 
 def is_subsystem(part: System, whole: System) -> bool:
@@ -156,7 +118,7 @@ def clone_system(world: World, s: System) -> tuple[System, dict[AtomId, AtomId]]
     the original works identically on the copy.
     """
     mapping: dict[AtomId, AtomId] = {}
-    for atom in s.sorted_atoms:
+    for atom in sorted(s.atoms):
         binding = world.binding(atom) if atom in world else None
         mapping[atom] = world.new_atom(atom.kind, binding)
     return System(frozenset(mapping.values())), mapping

@@ -39,7 +39,13 @@ from thermokernel.gas import (
     type2,
     type3,
 )
-from thermokernel.processes import join, make_identity, make_process, reverse_of
+from thermokernel.processes import (
+    concatenate,
+    join,
+    make_identity,
+    make_process,
+    reverse_of,
+)
 from thermokernel.reservoirs import add_reservoir, detached_reservoir
 from thermokernel.systems import AtomId, compose
 
@@ -73,6 +79,32 @@ class TestAssignHeatTemperature:
         interval = assign_heat_temperature(world, gas.system, res.system, p)
         assert interval.lo == pytest.approx(1.0, abs=1e-12)
         assert interval.hi == pytest.approx(2.0, abs=1e-12)
+
+    @staticmethod
+    def _two_isotherms(world, theta1, theta2):
+        """type3 on a bath at theta1, type2 to the theta2 isotherm, type3 on a bath at theta2.
+
+        n = 1e3 keeps the heat above the absolute zero-heat test at tiny thetas.
+        """
+        gas = add_ideal_gas(world, GasModel(n=1e3))
+        r1, r2 = add_reservoir(world, theta1), add_reservoir(world, theta2)
+        hop = (theta1 / theta2) ** 1.5  # T V^(2/3) is constant on the adiabat
+        p = type3(gas, r1, GasState(1e3 * theta1, 1.0), 2.0).slice(0.0, 1.0)
+        p = concatenate(p, type2(gas, p.final_of(gas.atom), 2.0 * hop).slice(0.0, 1.0))
+        p = concatenate(p, type3(gas, r2, p.final_of(gas.atom), 4.0 * hop).slice(0.0, 1.0))
+        return gas.system, compose(r1.system, r2.system), p
+
+    @pytest.mark.parametrize("theta", [1e-13, 1.0])
+    def test_isotherms_at_different_thetas_do_not_mix(self, world, theta):
+        """Two baths a factor 3 apart never share a temperature, at any scale."""
+        gas, baths, p = self._two_isotherms(world, theta, 3.0 * theta)
+        with pytest.raises(NoTemperature, match="do not mix"):
+            assign_heat_temperature(world, gas, baths, p)
+
+    def test_isotherms_on_two_baths_at_one_theta_are_singleton(self, world):
+        gas, baths, p = self._two_isotherms(world, 1.5, 1.5)
+        interval = assign_heat_temperature(world, gas, baths, p)
+        assert (interval.lo, interval.hi) == (1.5, 1.5)
 
     def test_zero_heat_rejected(self, world):
         gas = add_ideal_gas(world)

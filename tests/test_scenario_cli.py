@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermokernel
+from thermokernel import scenario
 from thermokernel.cli import _build_parser, main
+from thermokernel.scaling import ConcavityReport
 from thermokernel.scenario import Scenario, fmt, run_scenario
 from thermokernel.errors import ValidationError
+from thermokernel.suites import SUITES, SuiteReport
 
 GOOD = {
     "version": 1,
@@ -175,6 +178,48 @@ def test_verify_op_runs_suite(tmp_path):
     result = run_scenario(path, out_dir=str(tmp_path / "out"))
     assert result.exit_code == 0
     assert any("clausius" in m for m in result.messages)
+
+
+def test_segments_op_without_specs_saves_the_identity(tmp_path):
+    payload = {
+        "version": 1,
+        "atoms": [{"name": "g", "kind": "gas"}],
+        "script": [{"op": "segments", "gas": "g", "from": [1.5, 2], "save": "segs.json"}],
+    }
+    result = run_scenario(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0
+    assert result.messages[0] == "segments g: W=0"
+    blob = json.loads((tmp_path / "out" / "segs.json").read_text())
+    assert blob["tags"] == ["identity"] and blob["reversible"] is True
+    [entry] = blob["entries"]
+    assert entry["initial"] == entry["final"] == [1.5, 2.0]
+    assert entry["work"] == 0.0
+
+
+def test_verify_op_on_a_failing_suite_exits_1(tmp_path, monkeypatch):
+    def failing(seed=42):
+        report = SuiteReport("scaling")
+        report.add("forced", False)
+        return report
+
+    monkeypatch.setitem(SUITES, "scaling", failing)
+    payload = {"version": 1, "atoms": [], "script": [{"op": "verify", "suite": "scaling"}]}
+    result = run_scenario(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.messages[-1] == "ASSERTION FAILED: suite scaling failed"
+
+
+def test_concavity_report_with_a_violation_exits_1(tmp_path, monkeypatch):
+    def violated(base, pairs):
+        return ConcavityReport(checked=1, violations=[{}], min_slack=-1.0)
+
+    monkeypatch.setattr(scenario, "check_concavity", violated)
+    payload = {"version": 1, "atoms": [],
+               "script": [{"op": "concavity-report", "samples": 2, "save": "c.csv"}]}
+    result = run_scenario(write_scenario(tmp_path, payload), out_dir=str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.messages[-1] == "ASSERTION FAILED: concavity violated"
+    assert (tmp_path / "out" / "c.csv").read_text().splitlines()[1] == "1,-1,1"
 
 
 def test_expect_on_nan_fails(tmp_path):

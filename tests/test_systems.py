@@ -10,10 +10,8 @@ from thermokernel.gas import GasAtom, GasModel, GasPlanner, GasState, gas_handle
 from thermokernel.reservoirs import Reservoir, ReservoirModel
 from thermokernel.systems import (
     AtomId,
-    Disjoint,
     System,
     World,
-    atoms_of,
     clone_system,
     compose,
     intersect,
@@ -39,7 +37,7 @@ def test_compose_idempotent(world):
 def test_intersect(world):
     a1, a2, a3 = make_abstract_atoms(world, 3)
     assert intersect(system(a1, a2), system(a2, a3)) == system(a2)
-    assert intersect(system(a1), system(a2)) is Disjoint
+    assert intersect(system(a1), system(a2)) is None
     s = system(a1, a3)
     assert intersect(s, s) == s
 
@@ -49,10 +47,10 @@ def test_empty_system_rejected():
         System(frozenset())
 
 
-def test_atoms_of_and_recomposition(world):
+def test_atoms_and_recomposition(world):
     atoms = make_abstract_atoms(world, 4)
     s = system(*atoms)
-    assert atoms_of(s) == frozenset(atoms)
+    assert s.atoms == frozenset(atoms)
     rebuilt = system(atoms[0])
     for a in atoms[1:]:
         rebuilt = compose(rebuilt, system(a))
@@ -88,7 +86,7 @@ def test_world_allocates_unique_ids(world):
 
 def test_clone_preserves_kind_and_binding(world, gas):
     copy, mapping = clone_system(world, gas.system)
-    assert intersect(copy, gas.system) is Disjoint
+    assert intersect(copy, gas.system) is None
     assert set(mapping) == {gas.atom}
     clone_atom = mapping[gas.atom]
     assert clone_atom.kind == gas.atom.kind
