@@ -70,9 +70,7 @@ def _assemble(
     r1: Reservoir, r2: Reservoir, machine: System, segments: tuple[QuasistaticFamily, ...], n: float
 ) -> CarnotRun:
     """Run the legs in order and read each reservoir's heat off the footprint."""
-    process = segments[0].slice(0.0, 1.0)
-    for fam in segments[1:]:
-        process = concatenate(process, fam.slice(0.0, 1.0))
+    process = concatenate(*[fam.slice(0.0, 1.0) for fam in segments])
 
     def reservoir_heat(res: Reservoir) -> float:
         entry = process.entries[res.atom]
@@ -110,6 +108,11 @@ def build_carnot(
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
+    if n is None:
+        if not (volume_ratio > 0 and volume_ratio != 1.0):  # NaN is not positive
+            raise ValueError("volume ratio must be positive and != 1")
+    elif not n > 0:
+        raise ValueError("gas amount must be positive")
     th1 = r1.theta
     if q_target == 0.0:
         # not ``_working_gas``: its hop overflows past a ratio of about 1e205
@@ -120,13 +123,9 @@ def build_carnot(
         return CarnotRun(r1, r2, gas.system, p, 0.0, 0.0, 0.0, True, (), 1.0)
 
     if n is None:
-        if volume_ratio <= 0 or volume_ratio == 1.0:
-            raise ValueError("volume ratio must be positive and != 1")
         n = abs(q_target) / (th1 * abs(math.log(volume_ratio)))
         log_r = math.log(volume_ratio)
     else:
-        if n <= 0:
-            raise ValueError("gas amount must be positive")
         log_r = abs(q_target) / (n * th1)
     # Expansion on the first isotherm pulls heat out of r1 (q1 < 0).
     if q_target < 0:

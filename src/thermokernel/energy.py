@@ -63,7 +63,7 @@ class EnergyLedger:
         def work(leg) -> float:
             if type(leg) is not AdiabatSegment:
                 return leg.work_between(atom, 0.0, 1.0)
-            key = (leg.start, leg.end.V)
+            key = (leg.start, leg.V2)
             w = works.get(key)
             if w is None:
                 w = works[key] = leg.work_between(atom, 0.0, 1.0)

@@ -143,9 +143,7 @@ def clausius_sum(records: Sequence[HeatFlowRecord], probe: System) -> float:
     """
     if not records:
         return 0.0
-    total = records[0].process
-    for rec in records[1:]:
-        total = concatenate(total, rec.process)
+    total = concatenate(*[rec.process for rec in records])
     for atom in probe.atoms:
         entry = total.entries.get(atom)
         if entry is None:

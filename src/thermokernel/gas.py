@@ -11,8 +11,8 @@ Three segment kinds generate its processes:
 
 ``type1``, ``type2`` and ``type3`` validate a leg and build it as a slotted
 ``QuasistaticFamily`` subclass that computes states and rates in methods
-from its precomputed parameters; the friction and isotherm rates do not
-vary along the leg and are ``ConstantRate`` values, which the family
+from the precomputed parameters that it reads; the friction and isotherm
+rates do not vary along the leg and are plain floats, which the family
 integrates exactly.  ``SEGMENT_KINDS`` maps each name to its class.
 Work processes on the gas alone are finite alternating sequences of the
 first two kinds; adjacent same-kind segments merge, degenerate legs drop.
@@ -35,7 +35,7 @@ from typing import Sequence
 from .config import tolerances
 from .errors import DomainError, OffIsotherm, PreconditionNotMet, PressureDecrease
 from .processes import Process, concatenate, make_identity, make_process
-from .quasistatic import ConstantRate, QuasistaticFamily, Rate, identity_family
+from .quasistatic import QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, System, World, system
 
@@ -251,7 +251,7 @@ class _Segment(QuasistaticFamily):
     alone.  Each kind fills all its slots itself, so a leg costs no extra call.
     """
 
-    __slots__ = ("gas", "atom", "start")
+    __slots__ = ("atom", "start")
 
     def work_rate(self, atom: AtomId) -> Rate | None:
         return self._work if atom is self.atom or atom == self.atom else None
@@ -267,10 +267,10 @@ class FrictionSegment(_Segment):
     keys, gas_only, build = ("p2",), True, staticmethod(type1)
 
     def __init__(self, gas: GasAtom, start: GasState, p2: float):
-        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atom, self.start = gas.atom, start
         self.atoms, self.tag, self.reversible = (gas.atom,), "type1", False
         self.dp = p2 - start.p
-        self._work = ConstantRate(gas.model.cv_R * start.V * self.dp)
+        self._work = gas.model.cv_R * start.V * self.dp
 
     def evaluate(self, lam: float):
         return {self.atom: GasState(self.start.p + lam * self.dp, self.start.V)}
@@ -279,17 +279,17 @@ class FrictionSegment(_Segment):
 class AdiabatSegment(_Segment):
     """``type2``: the volume runs geometrically to ``V2`` at constant p V^gamma."""
 
-    __slots__ = ("end", "inv", "gamma", "log_r", "_work")
+    __slots__ = ("V2", "inv", "gamma", "log_r", "_work")
     keys, gas_only, build = ("V2",), True, staticmethod(type2)
 
     def __init__(self, gas: GasAtom, start: GasState, V2: float):
-        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atom, self.start, self.V2 = gas.atom, start, V2
         self.atoms, self.tag, self.reversible = (gas.atom,), "type2", True
         self.gamma = gas.model.gamma
         self.inv = adiabat_invariant(gas.model, start)
         self.log_r = math.log(V2 / start.V)
-        try:
-            self.end = GasState(self.inv * V2**-self.gamma, V2)
+        try:  # the target state must lie in the quadrant; ``evaluate`` builds the end
+            GasState(self.inv * V2**-self.gamma, V2)
         except OverflowError:
             raise DomainError(f"type2 leg from gas state ({start.p}, {start.V}) has no finite "
                               f"end state at V2={V2}, gamma={self.gamma}") from None
@@ -308,19 +308,18 @@ class IsothermSegment(_Segment):
     work on it and the reservoir's heat both run at the constant ``-c log r``.
     """
 
-    __slots__ = ("res", "bath", "end", "c", "log_r", "q_total", "_heat", "_work")
+    __slots__ = ("res", "bath", "c", "log_r", "q_total", "_work")
     keys, gas_only = ("theta", "V2"), False
 
     def __init__(self, gas: GasAtom, res: Reservoir, start: GasState, V2: float):
-        self.gas, self.atom, self.start = gas, gas.atom, start
+        self.atom, self.start = gas.atom, start
         self.atoms, self.tag, self.reversible = (gas.atom, res.atom), "type3", True
         self.res, self.bath = res, res.atom
         self.c = gas.model.nR * res.theta
         self.log_r = math.log(V2 / start.V)
         self.q_total = self.c * self.log_r
-        self.end = GasState(self.c / V2, V2)
-        self._heat = ConstantRate(self.q_total)
-        self._work = ConstantRate(-self.q_total)
+        GasState(self.c / V2, V2)  # the target state must lie in the quadrant
+        self._work = -self.q_total
 
     @staticmethod
     def build(gas: GasAtom, start: GasState, theta: float, V2: float) -> QuasistaticFamily:
@@ -334,7 +333,7 @@ class IsothermSegment(_Segment):
 
     def heat_rate(self, atom: AtomId) -> Rate | None:
         if atom is self.atom or atom == self.atom:
-            return self._heat
+            return self.q_total
         return self._work if atom is self.bath or atom == self.bath else None
 
 
@@ -432,11 +431,8 @@ def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     states included), get the planner's zero-work identity plan.
     """
     lo, hi = (s1, s2) if connect_forward(gas.model, s1, s2) else (s2, s1)
-    first, *rest = GasPlanner(gas).routes(lo, hi, count=1)[0]
-    process = first.slice(0.0, 1.0)
-    for leg in rest:
-        process = concatenate(process, leg.slice(0.0, 1.0))
-    return process
+    plan = GasPlanner(gas).routes(lo, hi, count=1)[0]
+    return concatenate(*[leg.slice(0.0, 1.0) for leg in plan])
 
 
 def connect_reversible(

@@ -155,25 +155,29 @@ def make_process(
     return Process(built, reversible, frozenset(tags or ()))
 
 
-def concatenate(p: Process, q: Process) -> Process:
-    """Run ``p`` then ``q``.
+def concatenate(p: Process, *rest: Process) -> Process:
+    """Run ``p``, then each process of ``rest`` in order: the nested binary fold, in one pass.
 
-    Atoms shared by both must match endpoint states (up to the model
-    tolerance); per-atom works add.  For disjoint operands the result
-    commutes with the swapped concatenation at the footprint level.
-    A shared atom's entry keeps ``p``'s initial and ``q``'s final state;
-    an atom of only one operand keeps its entry as it is.
+    An atom already involved must enter each operand in the state it last
+    left (up to the model tolerance), or ``StateMismatch`` names the two
+    states; it keeps its first initial and last final state, and its works
+    add left to right.  An atom of only one operand keeps its entry as it
+    is.  For disjoint operands the result commutes with the swapped
+    concatenation at the footprint level.
     """
     entries = dict(p.entries)
-    for atom, qe in q.entries.items():
-        pe = entries.get(atom)
-        if pe is None:
-            entries[atom] = qe
-            continue
-        if not values_close(pe.final, qe.initial):
-            raise StateMismatch(atom, pe.final, qe.initial)
-        entries[atom] = ProcessEntry(pe.initial, qe.final, pe.work + qe.work)
-    return Process(entries, p.reversible and q.reversible, p.tags | q.tags)
+    reversible, tags = p.reversible, p.tags
+    for q in rest:
+        for atom, qe in q.entries.items():
+            pe = entries.get(atom)
+            if pe is None:
+                entries[atom] = qe
+                continue
+            if not values_close(pe.final, qe.initial):
+                raise StateMismatch(atom, pe.final, qe.initial)
+            entries[atom] = ProcessEntry(pe.initial, qe.final, pe.work + qe.work)
+        reversible, tags = reversible and q.reversible, tags | q.tags
+    return Process(entries, reversible, tags)
 
 
 def work_of(s: System, p: Process) -> float:

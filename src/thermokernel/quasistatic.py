@@ -12,10 +12,10 @@ A family is a slotted ``QuasistaticFamily`` subclass that computes its
 states in ``evaluate`` and its rates in ``work_rate`` and ``heat_rate``:
 the gas segment kinds and ``identity_family``.  Every family slices and
 integrates through the code here, and a path of several legs is the
-``concatenate`` of their slices.  A rate that does not depend on the
-parameter is a ``ConstantRate`` and is integrated exactly, as its value
-times the parameter span; every other rate goes through the adaptive
-quadrature.
+``concatenate`` of their slices, in one call.  A rate that does not
+depend on the parameter is its ``float`` value and is integrated exactly,
+as that value times the parameter span; a rate that is a function goes
+through the adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -31,37 +31,22 @@ from .quadrature import adaptive_simpson
 from .systems import AtomId
 
 
-Rate = Callable[[float], float]
+Rate = float | Callable[[float], float]  # a float is a rate that does not vary
 # the tags of a slice of a family tagged ``tag``: one shared set per recent tag
 _tag_set = functools.lru_cache(maxsize=64)(lambda tag: frozenset((tag,) if tag else ()))
 
 
-class ConstantRate:
-    """A rate with the same ``value`` at every parameter.
-
-    The families integrate it exactly, as ``value * (hi - lo)``; a value
-    that is not finite raises ``ToleranceNotMet``, as the quadrature does.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def __call__(self, lam: float) -> float:
-        return self.value
-
-
 def _integral(rate: Rate | None, lo: float, hi: float) -> float:
-    """Integral of ``rate`` over ``[lo, hi]``; zero for no rate."""
+    """Integral of ``rate`` over ``[lo, hi]``: zero for no rate, exact for a float, and
+    ``ToleranceNotMet`` for a result that is not finite, as the quadrature raises."""
     if rate is None or lo == hi:
         return 0.0
-    if type(rate) is ConstantRate:
-        out = rate.value * (hi - lo)
-        if not math.isfinite(out):
-            raise ToleranceNotMet(f"constant rate {rate.value} on [{lo}, {hi}] is not finite")
-        return out
-    return adaptive_simpson(rate, lo, hi)
+    if callable(rate):
+        return adaptive_simpson(rate, lo, hi)
+    out = rate * (hi - lo)
+    if not math.isfinite(out):
+        raise ToleranceNotMet(f"constant rate {rate} on [{lo}, {hi}] is not finite")
+    return out
 
 
 class QuasistaticFamily:

@@ -14,10 +14,10 @@ file against them before anything runs; each op ``name`` runs as
 Exit codes: 0 all assertions pass; 1 an assertion failed, a NaN included;
 2 the file cannot be read or parsed, or an artifact cannot be written; 3 the
 scenario is invalid (a key the schema does not name, an absolute ``save``,
-one with a ``..`` part, one that would overwrite the scenario file, and an
-``expect`` key the op does not read included), or the engine rejected it: a
-``ThermoError``, a model's ``ValueError``, or float arithmetic that
-overflowed.
+one with a ``..`` part, one that would overwrite the scenario file, an
+``expect`` key the op does not read, and a ``tol`` below 0 or NaN included),
+or the engine rejected it: a ``ThermoError``, a model's ``ValueError``, or
+float arithmetic that overflowed.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class _Schema:
 
     ``refs`` maps each key that names an atom to the kind that atom must
     have.  ``expects`` lists the keys an op's ``expect`` block may hold, its
-    ``tol`` included; an op without them takes no ``expect``.  ``sizes``
-    lists the count keys a command may add (a ``verify`` suite's sizes).
+    ``tol`` (at least 0) included; an op without them takes no ``expect``.
+    ``sizes`` lists the count keys a command may add (a ``verify`` suite's sizes).
     Any other key is refused, except the ``names`` that ``check`` is given:
     the keys that name the object itself.
     """
@@ -166,6 +166,9 @@ class _Schema:
             if key not in self.expects:
                 raise ValidationError(f"{where}: 'expect' takes no key {_echo(key)}, "
                                       f"only {', '.join(map(repr, self.expects))}")
+        tol = obj.get("expect", {}).get("tol", 0.0)
+        if not tol >= 0:  # NaN too: no result is within a negative or NaN tolerance
+            raise ValidationError(f"{where}: 'expect' key 'tol' must be >= 0, got {_echo(tol)}")
         sizes = dict.fromkeys(self.sizes(obj), COUNT)
         for key in obj:  # in file order, so that the first one named is the same every run
             if key not in keys and key not in sizes and key not in self.refs and key not in names:

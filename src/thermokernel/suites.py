@@ -161,28 +161,25 @@ def random_work_process(
 ) -> Process:
     """Random alternating friction/isolated sequence: a work process on the gas."""
     state = start
-    process: Process | None = None
+    pieces = []
     for i in range(segments):
         if i % 2 == 0 and rng.random() < 0.7:
             fam = type1(gas, state, state.p * (1.0 + rng.uniform(0.05, 0.8)))
         else:
             fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.6, 0.6)))
-        piece = fam.slice(0.0, 1.0)
-        process = piece if process is None else concatenate(process, piece)
-        state = piece.final_of(gas.atom)
-    return process
+        pieces.append(fam.slice(0.0, 1.0))
+        state = pieces[-1].final_of(gas.atom)
+    return concatenate(*pieces)
 
 
 def random_reversible_work_process(gas: GasAtom, rng: random.Random, start: GasState) -> Process:
     """Two random isolated legs in a row: a reversible work process on the gas."""
     state = start
-    process: Process | None = None
+    pieces = []
     for _ in range(2):
-        fam = type2(gas, state, state.V * math.exp(rng.uniform(-0.6, 0.6)))
-        piece = fam.slice(0.0, 1.0)
-        process = piece if process is None else concatenate(process, piece)
-        state = piece.final_of(gas.atom)
-    return process
+        pieces.append(type2(gas, state, state.V * math.exp(rng.uniform(-0.6, 0.6))).slice(0.0, 1.0))
+        state = pieces[-1].final_of(gas.atom)
+    return concatenate(*pieces)
 
 
 def random_splits(rng: random.Random, n: int) -> Iterator[tuple[float, UVState]]:
@@ -490,6 +487,4 @@ def run_suites(selector: str, seed: int = 42, **sizes) -> list[SuiteReport]:
     """Run one named suite, or all of them for the selector ``all``."""
     if selector == "all":
         return [fn(seed=seed) for fn in SUITES.values()]
-    if selector not in SUITES:
-        raise KeyError(selector)
     return [SUITES[selector](seed=seed, **sizes)]

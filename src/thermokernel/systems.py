@@ -68,12 +68,10 @@ class World:
     """
 
     def __init__(self):
-        self._next = 0
         self._bindings: dict[AtomId, Any] = {}
 
     def new_atom(self, kind: str, binding: Any = None) -> AtomId:
-        atom = AtomId(self._next, kind)
-        self._next += 1
+        atom = AtomId(len(self._bindings), kind)  # no binding is ever removed
         self._bindings[atom] = binding
         return atom
 

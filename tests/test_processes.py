@@ -300,6 +300,61 @@ def test_concatenate_is_associative_on_gas_chains(legs):
     assert left.work_on(atom) == (p.work_on(atom) + q.work_on(atom)) + r.work_on(atom)
 
 
+def _seeded_path(rng, legs):
+    """``legs`` consecutive gas slices of random kind; each isotherm runs on a bath of its own."""
+    world = World()
+    gas = add_ideal_gas(world)
+    state = random_gas_state(rng)
+    pieces = []
+    for _ in range(legs):
+        kind = rng.choice(("type1", "type2", "type3"))
+        if kind == "type1":
+            fam = type1(gas, state, state.p * rng.uniform(1.05, 2.0))
+        elif kind == "type2":
+            fam = type2(gas, state, state.V * rng.uniform(0.5, 2.0))
+        else:
+            bath = add_reservoir(world, gas_T(gas.model, state))
+            fam = type3(gas, bath, state, state.V * rng.uniform(0.5, 2.0))
+        pieces.append(fam.slice(0.0, 1.0))
+        state = pieces[-1].final_of(gas.atom)
+    return pieces
+
+
+@pytest.mark.parametrize("legs", [2, 3, 4, 5])
+def test_concatenate_of_a_path_is_the_nested_fold_bit_for_bit(legs):
+    rng = random.Random(legs)
+    baths = 0
+    for _ in range(30):
+        pieces = _seeded_path(rng, legs)
+        nested = pieces[0]
+        for piece in pieces[1:]:
+            nested = concatenate(nested, piece)
+        whole = concatenate(*pieces)
+        assert whole.entries == nested.entries
+        assert repr(whole.entries) == repr(nested.entries)  # works and states to the last bit
+        assert (whole.reversible, whole.tags) == (nested.reversible, nested.tags)
+        baths += len(whole.entries) - 1
+    assert baths > 0
+
+
+def test_concatenate_of_one_process_is_an_equal_footprint(world):
+    a, b = make_abstract_atoms(world, 2)
+    p = make_process({a: (0.0, 1.0, 2.0), b: (3.0, 3.0, -0.5)}, reversible=True, tags=("x",))
+    one = concatenate(p)
+    assert one.entries == p.entries
+    assert (one.reversible, one.tags) == (True, frozenset({"x"}))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_concatenate_names_the_mismatched_junction(world, k):
+    (a,) = make_abstract_atoms(world, 1)
+    pieces = [footprint((a, float(i), float(i + 1), 0.0)) for i in range(4)]
+    pieces[k] = footprint((a, k + 0.5, k + 1.0, 0.0))
+    with pytest.raises(StateMismatch) as err:
+        concatenate(*pieces)
+    assert (err.value.atom, err.value.left, err.value.right) == (a, float(k), k + 0.5)
+
+
 # --- value semantics of the footprint types -----------------------------------
 
 def test_entry_is_a_frozen_slotted_value():

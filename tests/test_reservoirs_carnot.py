@@ -111,6 +111,19 @@ class TestBuildCarnot:
         run = build_carnot(hot, cold, q_target=0.0)
         assert run.trivial and run.w == 0.0 and run.reversible
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"volume_ratio": -5.0}, "volume ratio must be positive and != 1"),
+        ({"volume_ratio": 1.0}, "volume ratio must be positive and != 1"),
+        ({"volume_ratio": math.nan}, "volume ratio must be positive and != 1"),
+        ({"n": -1.0}, "gas amount must be positive"),
+        ({"n": math.nan}, "gas amount must be positive"),
+    ])
+    def test_zero_heat_checks_its_arguments(self, world, kwargs, message):
+        hot, cold = add_reservoir(world, 2.0), add_reservoir(world, 1.0)
+        with pytest.raises(ValueError, match=message):
+            build_carnot(hot, cold, 0.0, **kwargs)
+        assert world.registry == {hot.atom, cold.atom}  # refused before a gas is minted
+
     def test_equivalent_reservoirs(self, world):
         r1 = add_reservoir(world, 1.7)
         r2 = add_reservoir(world, 1.7)

@@ -530,6 +530,33 @@ def test_expect_key_the_op_does_not_read_exits_3(tmp_path, capsys, cmd, line):
     assert capsys.readouterr().out.splitlines() == [line]
 
 
+@pytest.mark.parametrize("tol", [-1, -1e-300, math.nan])
+def test_expect_tol_below_zero_or_nan_exits_3(tmp_path, capsys, tol):
+    cmd = dict(CONNECT, to=[2, 1], expect={"delta_u": 1.5, "tol": tol})
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"op 'connect': 'expect' key 'tol' must be >= 0, got {tol!r}"]
+
+
+@pytest.mark.parametrize("tol, code", [(0, 1), (1e-9, 0), (math.inf, 0)])
+def test_expect_tol_of_zero_or_more_runs_the_op(tmp_path, capsys, tol, code):
+    """dU is 1.5 up to rounding: a zero ``tol`` is valid, and the assertion then fails."""
+    cmd = dict(CONNECT, to=[2, 1], expect={"delta_u": 1.5, "tol": tol})
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().out.splitlines()[0] == "connect g: dU=1.5 (forward)"
+
+
+def test_zero_heat_carnot_with_a_bad_volume_ratio_exits_3(tmp_path, capsys):
+    cmd = dict(CARNOT, cold="cold", q_hot=0, volume_ratio=-5)
+    atoms = [HOT, dict(HOT, name="cold", theta=1.0)]
+    path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "ENGINE ERROR: ValueError: volume ratio must be positive and != 1"]
+
+
 SEGMENTS_ONLY = ("op 'segments': 'segments' must be a list of segments of type type1, type2, "
                  "type3 with their numeric keys only, got ")
 

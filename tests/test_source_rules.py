@@ -22,7 +22,6 @@ TAKES_THRESHOLD = {"processes.values_close", "quadrature.adaptive_simpson"}
 # (module, function, parameter) -> why the body never reads it: each is a
 # protocol method whose callers pass what other implementations need
 UNREAD_PARAMETERS_ALLOWED = {
-    ("quasistatic", "ConstantRate.__call__", "lam"): "a constant rate does not vary along a leg",
     ("quasistatic", "QuasistaticFamily.work_rate", "atom"): "the base family does no work",
     ("quasistatic", "QuasistaticFamily.heat_rate", "atom"): "the base family takes up no heat",
     ("quasistatic", "_Identity.evaluate", "lam"): "an identity family is constant",
