@@ -46,9 +46,12 @@ class EnergyLedger:
     def atom_energies(self, atom: AtomId, payloads: Iterable[Any]) -> Iterator[float]:
         """Energies of one atom's states, one per payload, in order, as they are pulled.
 
-        One call resolves the binding, anchor and planner once and integrates
-        each isolated leg, keyed by its start and target volume, once: the
-        routes from the anchor to one volume share it.  Nothing outlives the call.
+        One call resolves the binding, anchor and planner once, orients each
+        payload once by ``connect_forward``, as ``connect`` does, and asks for
+        one route in that direction.  It memoizes only the isolated legs that
+        leave the anchor, keyed by their target volume: the routes from the
+        anchor to one volume share that leg.  Every other leg is integrated
+        where it is met.  Nothing outlives the call.
         """
         binding = self.world.binding(atom) if atom in self.world else None
         if atom.kind == RESERVOIR_KIND or isinstance(binding, ReservoirModel):
@@ -58,26 +61,21 @@ class EnergyLedger:
             raise Unreachable(f"no energy reference registered for {atom}")
         sigma0, u0 = binding.sigma0, gas_U(binding, binding.sigma0)
         planner = GasPlanner(GasAtom(atom, binding, self.world))
-        works: dict[tuple[GasState, float], float] = {}
+        works: dict[float, float] = {}
 
         def work(leg) -> float:
-            if type(leg) is not AdiabatSegment:
+            if type(leg) is not AdiabatSegment or leg.start is not sigma0:
                 return leg.work_between(atom, 0.0, 1.0)
-            key = (leg.start, leg.V2)
-            w = works.get(key)
+            w = works.get(leg.V2)
             if w is None:
-                w = works[key] = leg.work_between(atom, 0.0, 1.0)
+                w = works[leg.V2] = leg.work_between(atom, 0.0, 1.0)
             return w
 
         for payload in payloads:
-            plans = planner.routes(sigma0, payload, count=1)
-            if plans:
-                yield u0 + sum(map(work, plans[0]))
-                continue
-            plans = planner.routes(payload, sigma0, count=1)
-            if not plans:  # pragma: no cover - the full gas vocabulary always connects
-                raise Unreachable(f"no work process connects {sigma0} and {payload}")
-            yield u0 - sum(map(work, plans[0]))
+            if connect_forward(binding, sigma0, payload):
+                yield u0 + sum(map(work, planner.routes(sigma0, payload, count=1)[0]))
+            else:
+                yield u0 - sum(map(work, planner.routes(payload, sigma0, count=1)[0]))
 
 
 def internal_energy(ledger: EnergyLedger, s: System, sigma: Mapping[AtomId, Any]) -> float:

@@ -26,7 +26,6 @@ from .errors import (
 from .gas import (
     GasAtom,
     GasModel,
-    GasState,
     IsothermSegment,
     gas_T,
     isotherm_leg,
@@ -37,7 +36,7 @@ from .processes import (
     is_work_process,
     values_close,
 )
-from .reservoirs import RESERVOIR_KIND, ReservoirModel, detached_reservoir
+from .reservoirs import RESERVOIR_KIND, Reservoir, ReservoirModel
 from .systems import AtomId, System, World, are_disjoint, compose
 
 
@@ -171,11 +170,13 @@ class EntropyLedger:
     energy 0.  A gas entropy difference is the heat of one reversible
     isotherm leg over its temperature: the leg runs from the adiabat of the
     reference state to the adiabat of the queried state, at the geometric
-    mean of their gas temperatures, on a reservoir handle that no ``World``
-    holds.  It is the middle leg of the ``connect_reversible`` template; the
-    two isolated legs around it carry no heat, so they are not built.  The
-    ledger keeps nothing between queries and a query adds no atom to its
-    world.
+    mean of their gas temperatures.  It is the middle leg of the
+    ``connect_reversible`` template; the two isolated legs around it carry
+    no heat, so they are not built.  Its reservoir is detached: one batch
+    makes one bath atom, with id -1, which no ``World`` hands out, in one
+    empty world that no caller holds, and each leg binds it to its own
+    theta.  The ledger keeps nothing between queries and a query adds no
+    atom to its world.
     """
 
     world: World
@@ -187,8 +188,9 @@ class EntropyLedger:
     def atom_entropies(self, atom: AtomId, payloads: Iterable[Any]) -> Iterator[float]:
         """Entropies of one atom's states, one per payload, in order, as they are pulled.
 
-        The binding, anchor and ``GasAtom`` are resolved once per call;
-        nothing outlives the call.
+        The binding, anchor, its gas temperature, the ``GasAtom`` and the
+        detached bath are resolved once per call; each payload builds only
+        its own reservoir and isotherm leg.  Nothing outlives the call.
         """
         binding = self.world.binding(atom) if atom in self.world else None
         if isinstance(binding, ReservoirModel):
@@ -198,15 +200,15 @@ class EntropyLedger:
         if not isinstance(binding, GasModel):
             raise NotWorkProcess(f"no entropy reference for {atom}")
         gas, s0, sigma0 = GasAtom(atom, binding, self.world), binding.S0, binding.sigma0
+        t0, bath, detached = gas_T(binding, sigma0), AtomId(-1, RESERVOIR_KIND), World()
         for payload in payloads:
-            yield s0 + self._gas_delta(gas, sigma0, payload)
-
-    def _gas_delta(self, gas: GasAtom, start: GasState, end: GasState) -> float:
-        if start == end:
-            return 0.0
-        theta = math.sqrt(gas_T(gas.model, start) * gas_T(gas.model, end))
-        leg = isotherm_leg(gas, detached_reservoir(theta), start, end)
-        return leg.heat_between(gas.atom, 0.0, 1.0) / theta
+            if payload == sigma0:
+                yield s0 + 0.0
+                continue
+            theta = math.sqrt(t0 * gas_T(binding, payload))
+            leg = isotherm_leg(gas, Reservoir(bath, ReservoirModel(theta), detached),
+                               sigma0, payload)
+            yield s0 + leg.heat_between(atom, 0.0, 1.0) / theta
 
 
 def delta_entropy(ledger: EntropyLedger, s: System, p: Process) -> float:

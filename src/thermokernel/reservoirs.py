@@ -73,15 +73,6 @@ def add_reservoir(world: World, theta: float) -> Reservoir:
     return Reservoir(atom=atom, model=model, world=world)
 
 
-def detached_reservoir(theta: float) -> Reservoir:
-    """A reservoir at ``theta`` that belongs to no caller's world.
-
-    Read-only queries build legs on it so that they mint nothing.  Its atom
-    has id -1, which no ``World`` hands out, and its world is empty.
-    """
-    return Reservoir(atom=AtomId(-1, RESERVOIR_KIND), model=ReservoirModel(theta), world=World())
-
-
 def reservoir_handle(world: World, atom: AtomId) -> Reservoir:
     model = world.binding(atom)
     if not isinstance(model, ReservoirModel):

@@ -52,12 +52,17 @@ SCENARIO_VERSION = 1
 
 
 def fmt(x: float) -> str:
-    """Nine significant digits, the fixed numeric CSV format."""
+    """Nine significant digits, the fixed numeric CSV format; ``_csv_row`` writes it too."""
     return f"{x:.9g}"
 
 
 def _csv_row(*values: float) -> str:
-    return ",".join(fmt(x) for x in values)
+    """One CSV row of ``fmt`` values, written as one ``%.9g`` format of the whole row.
+
+    ``%.9g`` writes every float and int as ``fmt`` does, nan, infinities and
+    -0.0 included; ``test_csv_row_writes_each_value_as_fmt_does`` pins it.
+    """
+    return ("%.9g," * len(values))[:-1] % values
 
 
 # --- schema -------------------------------------------------------------------
@@ -250,6 +255,8 @@ class Scenario:
             raw = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
             raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # valid JSON nested deeper than the parser goes
+            raise ParseError(f"scenario nests too deeply to parse: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError("scenario top level must be an object")
         if raw.get("version") != SCENARIO_VERSION:
@@ -463,7 +470,7 @@ def run_scenario(path: str, out_dir: str | None = None, seed: int | None = None)
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
             source = os.fstat(fh.fileno())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return ScenarioResult(exit_code=2, messages=[f"cannot read {path}: {exc}"])
     try:
         scenario = Scenario.parse(text)

@@ -1,6 +1,6 @@
 import pytest
 
-from thermokernel.gas import GasModel, GasState, add_ideal_gas
+from thermokernel.gas import GasModel, GasState, add_ideal_gas, adiabat_invariant
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import World
 
@@ -34,3 +34,20 @@ def grid_with_shared_columns(rng, sigma0):
     vs = [sigma0.V * 10 ** rng.uniform(-1.0, 1.0) for _ in range(4)]
     states = [GasState(p, v) for p in ps for v in vs]
     return states[:7] + [sigma0, states[3]] + states[7:] + [states[3], sigma0, states[0]]
+
+
+def orientation_edges(model):
+    """States at the edges of a batch's orientation, around ``model.sigma0``.
+
+    The anchor itself and an equal copy of it; a state on the anchor's
+    adiabat at another volume, which runs forward either way; states at the
+    anchor's volume above and below it; and a V-column that straddles the
+    adiabat, one state on it.
+    """
+    s0, gamma = model.sigma0, model.gamma
+    inv0 = adiabat_invariant(model, s0)
+    v_on, v_col = 0.8 * s0.V, 1.25 * s0.V
+    p_col = inv0 * v_col**-gamma  # the adiabat's pressure in the column
+    return ([s0, GasState(s0.p, s0.V), GasState(inv0 * v_on**-gamma, v_on),
+             GasState(2.0 * s0.p, s0.V), GasState(0.5 * s0.p, s0.V)]
+            + [GasState(p_col * f, v_col) for f in (0.25, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0)])

@@ -28,7 +28,7 @@ from thermokernel.processes import make_identity, reverse_of
 from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.systems import compose
 
-from conftest import grid_with_shared_columns
+from conftest import grid_with_shared_columns, orientation_edges
 
 LN2 = math.log(2.0)
 
@@ -278,6 +278,32 @@ class TestBatchedEnergies:
         assert _hexes(batch) == _hexes(ledger.atom_energy(gas.atom, s) for s in states)
         assert _hexes(batch) == _hexes(self._unshared(gas, s) for s in states)
 
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 7.0 / 5.0])
+    def test_orientation_edges_match_one_at_a_time_to_the_bit(self, world, gamma, monkeypatch):
+        gas = add_ideal_gas(world, GasModel(gamma=gamma, sigma0=GasState(1.3, 0.8)))
+        g = gas.model
+        states = orientation_edges(g)
+        up = [connect_forward(g, g.sigma0, s) for s in states]
+        down = [connect_forward(g, s, g.sigma0) for s in states]
+        assert up[:4] + down[:3] == [True] * 7 and not up[4] and any(up[5:]) and not all(up[5:])
+        calls, routes = [], GasPlanner.routes
+
+        def spy(planner, a, b, count=3):
+            calls.append((a, b, count))
+            return routes(planner, a, b, count)
+
+        ledger = EnergyLedger(world)
+        with monkeypatch.context() as m:
+            m.setattr(GasPlanner, "routes", spy)
+            batch = list(ledger.atom_energies(gas.atom, states))
+        # one route per payload, from the anchor whenever that way is forward
+        assert calls == [(g.sigma0, s, 1) if u else (s, g.sigma0, 1) for s, u in zip(states, up)]
+        assert _hexes(batch) == _hexes(ledger.atom_energy(gas.atom, s) for s in states)
+        assert _hexes(batch) == _hexes(self._unshared(gas, s) for s in states)
+        u0 = gas_U(g, g.sigma0)
+        assert batch[0] == batch[1] == u0
+        assert batch[2] == u0 + type2(gas, g.sigma0, states[2].V).work_between(gas.atom, 0.0, 1.0)
+
     def test_reservoir_atom(self, world, unit_reservoir):
         ledger = EnergyLedger(world)
         payloads = [0.0, -2.5, 3, 0.0, 1e300]
@@ -290,28 +316,30 @@ class TestBatchedEnergies:
 
     def test_values_are_computed_as_they_are_pulled(self, world):
         stiff = add_ideal_gas(world, GasModel(gamma=50.0))
-        good = [GasState(1.0, 1.0), GasState(2.0, 1.1), GasState(0.5, 0.9)]
+        # the orientation edges come first
+        good = orientation_edges(stiff.model) + [GasState(2.0, 1.1), GasState(0.5, 0.9)]
         bad = GasState(1.0, 1e7)  # p V^50 overflows
         pulled = []
 
         def payloads():
-            for s in good[:2] + [bad] + good[2:]:
+            for s in good[:-1] + [bad] + good[-1:]:
                 pulled.append(s)
                 yield s
 
         values = EnergyLedger(world).atom_energies(stiff.atom, payloads())
         assert pulled == []
         assert next(values) == EnergyLedger(world).atom_energy(stiff.atom, good[0])
-        next(values)
-        assert pulled == good[:2]
+        for _ in good[1:-1]:
+            next(values)
+        assert pulled == good[:-1]
         with pytest.raises(DomainError, match=r"gamma=50\.0"):
             next(values)
-        assert pulled == good[:2] + [bad]
+        assert pulled == good[:-1] + [bad]
 
     def test_batch_adds_no_atom_to_the_world(self, world, gas, unit_reservoir):
         ledger = EnergyLedger(world)
         before = len(world.registry)
         states = grid_with_shared_columns(random.Random(5), gas.model.sigma0)
-        list(ledger.atom_energies(gas.atom, states))
+        list(ledger.atom_energies(gas.atom, states + orientation_edges(gas.model)))
         list(ledger.atom_energies(unit_reservoir.atom, [1.0, 2.0]))
         assert len(world.registry) == before

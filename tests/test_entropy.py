@@ -46,10 +46,10 @@ from thermokernel.processes import (
     make_process,
     reverse_of,
 )
-from thermokernel.reservoirs import add_reservoir, detached_reservoir
-from thermokernel.systems import AtomId, compose
+from thermokernel.reservoirs import RESERVOIR_KIND, Reservoir, ReservoirModel, add_reservoir
+from thermokernel.systems import AtomId, World, compose
 
-from conftest import grid_with_shared_columns
+from conftest import grid_with_shared_columns, orientation_edges
 
 LN2 = math.log(2.0)
 
@@ -394,13 +394,26 @@ class TestBatchedEntropies:
 
     @staticmethod
     def _unbatched(gas, s):
-        """``S0`` plus the heat over temperature of the one isotherm leg from ``sigma0``."""
+        """``S0`` plus the heat over temperature of the one isotherm leg from ``sigma0``,
+        on a bath of its own in a world of its own."""
         g = gas.model
         if s == g.sigma0:
             return g.S0 + 0.0
         theta = math.sqrt(gas_T(g, g.sigma0) * gas_T(g, s))
-        leg = isotherm_leg(gas, detached_reservoir(theta), g.sigma0, s)
+        bath = Reservoir(AtomId(-1, RESERVOIR_KIND), ReservoirModel(theta), World())
+        leg = isotherm_leg(gas, bath, g.sigma0, s)
         return g.S0 + leg.heat_between(gas.atom, 0.0, 1.0) / theta
+
+    @pytest.mark.parametrize("gamma", [5.0 / 3.0, 7.0 / 5.0])
+    def test_orientation_edges_match_one_at_a_time_to_the_bit(self, world, gamma):
+        gas = add_ideal_gas(world, GasModel(gamma=gamma, sigma0=GasState(1.3, 0.8), S0=0.25))
+        states = orientation_edges(gas.model)
+        ledger = EntropyLedger(world)
+        batch = list(ledger.atom_entropies(gas.atom, states))
+        assert [x.hex() for x in batch] == [
+            ledger.atom_entropy(gas.atom, s).hex() for s in states]
+        assert [x.hex() for x in batch] == [self._unbatched(gas, s).hex() for s in states]
+        assert batch[0] == batch[1] == 0.25
 
     def test_reservoir_atom_on_a_scale(self, world):
         res = add_reservoir(world, 1.5)
@@ -416,23 +429,25 @@ class TestBatchedEntropies:
 
     def test_values_are_computed_as_they_are_pulled(self, world):
         stiff = add_ideal_gas(world, GasModel(gamma=50.0))
-        good = [GasState(1.0, 1.0), GasState(2.0, 1.1), GasState(0.5, 0.9)]
+        # the orientation edges come first
+        good = orientation_edges(stiff.model) + [GasState(2.0, 1.1), GasState(0.5, 0.9)]
         bad = GasState(1.0, 1e7)  # p V^50 overflows
         pulled = []
 
         def payloads():
-            for s in good[:2] + [bad] + good[2:]:
+            for s in good[:-1] + [bad] + good[-1:]:
                 pulled.append(s)
                 yield s
 
         values = EntropyLedger(world).atom_entropies(stiff.atom, payloads())
         assert pulled == []
         assert next(values) == EntropyLedger(world).atom_entropy(stiff.atom, good[0])
-        next(values)
-        assert pulled == good[:2]
+        for _ in good[1:-1]:
+            next(values)
+        assert pulled == good[:-1]
         with pytest.raises(DomainError, match=r"gamma=50\.0"):
             next(values)
-        assert pulled == good[:2] + [bad]
+        assert pulled == good[:-1] + [bad]
 
     def test_batch_adds_no_atom_to_the_world(self, world):
         gas = add_ideal_gas(world)
@@ -440,6 +455,6 @@ class TestBatchedEntropies:
         ledger = EntropyLedger(world)
         before = len(world.registry)
         states = grid_with_shared_columns(random.Random(5), gas.model.sigma0)
-        list(ledger.atom_entropies(gas.atom, states))
+        list(ledger.atom_entropies(gas.atom, states + orientation_edges(gas.model)))
         list(ledger.atom_entropies(res.atom, [1.0, 2.0]))
         assert len(world.registry) == before

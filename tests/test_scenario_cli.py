@@ -90,6 +90,42 @@ def test_missing_file_exits_2(tmp_path):
     assert run_scenario(str(tmp_path / "absent.json")).exit_code == 2
 
 
+def _cli_run(tmp_path, path):
+    """``thermokernel run`` in a fresh interpreter: its exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thermokernel.__file__)))
+    done = subprocess.run([sys.executable, "-m", "thermokernel.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_file_that_is_not_utf8_exits_2_in_one_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"version": 1}')
+    code, out, err = _cli_run(tmp_path, path)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                                "in position 0: invalid start byte"]
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_json_nested_past_the_parser_exits_2_in_one_line(tmp_path, opener):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 100000)
+    code, out, err = _cli_run(tmp_path, path)
+    assert (code, err) == (2, "")
+    (line,) = out.splitlines()
+    assert line.startswith("scenario nests too deeply to parse: maximum recursion depth exceeded")
+
+
+def test_nested_json_that_parses_exits_3_with_a_cut_echo(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "script": [' + "[" * 960 + "]" * 960 + "]}")
+    code, out, err = _cli_run(tmp_path, path)
+    assert (code, err) == (3, "")
+    assert out.splitlines() == ["script command must be an object: " + "[" * 80
+                                + "... (1920 characters, cut)"]
+
+
 def test_unknown_atom_exits_3(tmp_path):
     bad = dict(GOOD, script=[{"op": "connect", "gas": "nope", "from": [1, 1], "to": [2, 2]}])
     path = write_scenario(tmp_path, bad)
@@ -616,6 +652,15 @@ def test_scenario_parse_validates_types():
 def test_fmt_nine_significant_digits():
     assert fmt(math_pi := 3.14159265358979) == "3.14159265"
     assert fmt(2.0) == "2"
+
+
+CSV_EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(), st.integers(), CSV_EDGES), min_size=1, max_size=7))
+def test_csv_row_writes_each_value_as_fmt_does(xs):
+    assert scenario._csv_row(*xs) == ",".join(fmt(x) for x in xs)
 
 
 class TestCli:

@@ -7,7 +7,8 @@ and ``PYTHONHASHSEED=0`` and writes one line per value, every float as its
 ``repr``: footprints of seeded ``random_work_process`` runs and of
 ``connect``; ``records_from_legs`` and ``clausius_sum`` of reversible and
 friction cycles; ``build_carnot`` runs and ``temperature_ratio``; energy
-and entropy ledger values; ledger values over p x V grids at four exponents;
+and entropy ledger values; ledger values over p x V grids at four exponents,
+one cell at a time and as one ``atom_energies`` and ``atom_entropies`` batch;
 ``build_degraded_carnot`` runs, ``reservoir_contact`` and ``stir``
 footprints, and the ``classify_variable`` verdicts that ``suite_scaling``
 reports.  The suite lines of ``verify`` print three digits, so a last-bit
@@ -114,6 +115,13 @@ def emit(out) -> None:
                 line(f"grid {gamma!r} {s.as_tuple()!r}",
                      f"U={energy.atom_energy(grid_gas.atom, s)!r} "
                      f"S={entropy.atom_entropy(grid_gas.atom, s)!r}")
+        # the same grid and its anchor as one batch of each ledger, as an
+        # ``entropy-table`` asks: the isolated legs that leave the anchor are shared
+        states = [GasState(p, v) for p in ps for v in vs] + [sigma0]
+        batch = zip(states, energy.atom_energies(grid_gas.atom, states),
+                    entropy.atom_entropies(grid_gas.atom, states))
+        for s, u, s_val in batch:
+            line(f"grid-batch {gamma!r} {s.as_tuple()!r}", f"U={u!r} S={s_val!r}")
 
     # friction-degraded cycles, irreversible contacts and stirring; every
     # reservoir starts at energy 0.0
