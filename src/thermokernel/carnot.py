@@ -45,7 +45,6 @@ class CarnotRun:
     q1: float
     q2: float
     w: float
-    reversible: bool
     segments: tuple[QuasistaticFamily, ...]
     n: float
 
@@ -60,7 +59,7 @@ class CarnotRun:
             "q1": self.q1,
             "q2": self.q2,
             "w": self.w,
-            "reversible": self.reversible,
+            "reversible": self.process.reversible,
             "segments": [f.tag for f in self.segments],
             "n": self.n,
         }
@@ -78,7 +77,7 @@ def _assemble(
 
     q1, q2 = reservoir_heat(r1), reservoir_heat(r2)
     w = work_of(machine, process)
-    return CarnotRun(r1, r2, machine, process, q1, q2, w, process.reversible, segments, n)
+    return CarnotRun(r1, r2, machine, process, q1, q2, w, segments, n)
 
 
 def _working_gas(r1: Reservoir, r2: Reservoir, n: float) -> tuple[GasAtom, GasState, float]:
@@ -120,7 +119,7 @@ def build_carnot(
         sigma = {gas.atom: GasState(gas.model.nR * th1, 1.0), r1.atom: 0.0, r2.atom: 0.0}
         everything = compose(gas.system, compose(r1.system, r2.system))
         p = make_identity(everything, sigma)
-        return CarnotRun(r1, r2, gas.system, p, 0.0, 0.0, 0.0, True, (), 1.0)
+        return CarnotRun(r1, r2, gas.system, p, 0.0, 0.0, 0.0, (), 1.0)
 
     if n is None:
         n = abs(q_target) / (th1 * abs(math.log(volume_ratio)))

@@ -36,7 +36,7 @@ class NotCatalytic(ThermoError):
 
 
 class Unreachable(ThermoError):
-    """No connecting work process was found in either direction."""
+    """The energy ledger has no reference for the atom: no gas or reservoir model is bound to it."""
 
 
 class PreconditionNotMet(ThermoError):

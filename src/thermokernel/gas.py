@@ -37,7 +37,7 @@ from .errors import DomainError, OffIsotherm, PreconditionNotMet, PressureDecrea
 from .processes import Process, concatenate, make_identity, make_process
 from .quasistatic import QuasistaticFamily, Rate, identity_family
 from .reservoirs import Reservoir, add_reservoir
-from .systems import AtomId, System, World, system
+from .systems import AtomId, Handle, World
 
 GAS_KIND = "ideal-gas"
 # every ``GasState`` and leg built compares against this global; an int past it is not finite
@@ -111,26 +111,10 @@ class GasModel:
         return self.gamma / (self.gamma - 1.0)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GasAtom:
+class GasAtom(Handle):
     """Handle binding a gas atom to its model and world."""
 
-    atom: AtomId
-    model: GasModel
-    world: World
-
-    def __init__(self, atom: AtomId, model: GasModel, world: World):
-        _set_atom(self, atom)
-        _set_model(self, model)
-        _set_world(self, world)
-
-    @property
-    def system(self) -> System:
-        return system(self.atom)
-
-
-_set_atom, _set_model, _set_world = (
-    GasAtom.atom.__set__, GasAtom.model.__set__, GasAtom.world.__set__)
+    __slots__ = ()
 
 
 def add_ideal_gas(world: World, model: GasModel | None = None) -> GasAtom:

@@ -49,10 +49,9 @@ def value_to_json(value: Any):
     return comps[0] if len(comps) == 1 else list(comps)
 
 
-def values_close(a: Any, b: Any, atol: float | None = None) -> bool:
-    """Payload equality up to the model tolerance (default absolute 1e-12)."""
-    if atol is None:
-        atol = tolerances().state_atol
+def values_close(a: Any, b: Any) -> bool:
+    """Payload equality up to the absolute ``state_atol`` tier."""
+    atol = tolerances().state_atol
     if type(a) is float and type(b) is float:
         return abs(a - b) <= atol
     if type(a) is type(b) and hasattr(a, "as_tuple"):  # no ``value_components`` tuples

@@ -87,26 +87,17 @@ def _magnitude(value: float, nodes: tuple | None) -> float:
                 + WK7 * (abs(l7) + abs(r7)))
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float | None = None,
-    max_depth: int | None = None,
-) -> float:
-    """Integrate ``f`` over ``[a, b]`` by adaptive G7/K15 to an absolute ``tol``.
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate ``f`` over ``[a, b]`` by adaptive G7/K15 to the absolute ``quad_tol``.
 
     The name is historical: the rule is Gauss–Kronrod, not Simpson.  ``f``
     is never evaluated at ``a`` or ``b``.  The summed error estimates must reach
-    ``max(tol, 50 * eps * integral of |f|)``; ``ToleranceNotMet`` is raised
-    when a panel already bisected ``max_depth`` times needs splitting again,
-    or when an estimate is not finite.
+    ``max(quad_tol, 50 * eps * integral of |f|)``; ``ToleranceNotMet`` is
+    raised when a panel already bisected ``quad_max_depth`` times needs
+    splitting again, or when an estimate is not finite.
     """
     cfg = tolerances()
-    if tol is None:
-        tol = cfg.quad_tol
-    if max_depth is None:
-        max_depth = cfg.quad_max_depth
+    tol, max_depth = cfg.quad_tol, cfg.quad_max_depth
     if a == b:
         return 0.0
     sign = 1.0

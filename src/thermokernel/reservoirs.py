@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .config import tolerances
 from .errors import PreconditionNotMet
 from .processes import Process, classify, is_work_process, make_process, work_of
-from .systems import AtomId, System, World, compose, system
+from .systems import AtomId, Handle, System, World, compose
 
 RESERVOIR_KIND = "reservoir"
 
@@ -41,30 +41,14 @@ class ReservoirModel:
 _set_theta = ReservoirModel.theta.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Reservoir:
+class Reservoir(Handle):
     """Handle binding a reservoir atom to its model and world."""
 
-    atom: AtomId
-    model: ReservoirModel
-    world: World
-
-    def __init__(self, atom: AtomId, model: ReservoirModel, world: World):
-        _set_atom(self, atom)
-        _set_model(self, model)
-        _set_world(self, world)
+    __slots__ = ()
 
     @property
     def theta(self) -> float:
         return self.model.theta
-
-    @property
-    def system(self) -> System:
-        return system(self.atom)
-
-
-_set_atom, _set_model, _set_world = (
-    Reservoir.atom.__set__, Reservoir.model.__set__, Reservoir.world.__set__)
 
 
 def add_reservoir(world: World, theta: float) -> Reservoir:

@@ -183,6 +183,12 @@ def max_entropy_split(base: GasModel, lam: float, total: UVState) -> MaxEntropyR
     step is at most ``XATOL`` times max(|U|, V).  ``OptimizerFailed`` is
     raised when the Hessian is not negative definite, the line search
     stalls, or the iterations run out.
+
+    The difference steps are ``_DIFF_STEP`` times each total, not times the
+    smaller part, so the accuracy falls with m = min(lam, 1 - lam): the
+    argmax lies about 1.2e-11 / m of the totals off the proportional split
+    (1.2e-8 at m = 1e-3, against 1e-10 at m = 0.1), and from m = 1e-4 down
+    the iteration fails.  The accurate range is m >= 1e-3.
     """
     if not 0.0 < lam < 1.0:
         raise NonPositiveScale("the split fraction must lie strictly inside (0, 1)")

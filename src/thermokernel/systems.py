@@ -86,6 +86,27 @@ class World:
         return frozenset(self._bindings)
 
 
+@dataclass(frozen=True, slots=True, init=False)
+class Handle:
+    """Binds an atom to its model and world; ``GasAtom`` and ``Reservoir`` are its kinds."""
+
+    atom: AtomId
+    model: Any
+    world: World
+
+    def __init__(self, atom: AtomId, model: Any, world: World):
+        _set_atom(self, atom)
+        _set_model(self, model)
+        _set_world(self, world)
+
+    @property
+    def system(self) -> System:
+        return system(self.atom)
+
+
+_set_atom, _set_model, _set_world = Handle.atom.__set__, Handle.model.__set__, Handle.world.__set__
+
+
 def compose(a: System, b: System) -> System:
     """Union of the two atom sets; commutative, associative, idempotent."""
     return System(a.atoms | b.atoms)

@@ -1,5 +1,9 @@
+import contextlib
+import dataclasses
+
 import pytest
 
+from thermokernel.config import Tolerances
 from thermokernel.gas import GasModel, GasState, add_ideal_gas, adiabat_invariant
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import World
@@ -19,6 +23,22 @@ def gas(world):
 @pytest.fixture
 def unit_reservoir(world):
     return add_reservoir(world, 1.0)
+
+
+@contextlib.contextmanager
+def tiers(module, **overrides):
+    """``module.tolerances()`` returns the default tiers with ``overrides``, inside the block.
+
+    The values are not checked as ``THERMOKERNEL_TOL`` checks them, so a test
+    can take a primitive to a threshold of 0.0 or infinity.  Yields the tiers.
+    """
+    patched = dataclasses.replace(Tolerances(), **overrides)
+    saved = module.tolerances
+    module.tolerances = lambda: patched
+    try:
+        yield patched
+    finally:
+        module.tolerances = saved
 
 
 def make_abstract_atoms(world, n):

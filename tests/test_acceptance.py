@@ -199,7 +199,7 @@ def test_07_heat_flow_signs():
         world = World()
         r1, r2 = add_reservoir(world, th1), add_reservoir(world, th2)
         run = build_carnot(r1, r2, q_target=rng.choice([-1.0, 0.6]))
-        if run.reversible and not run.trivial and not run.q1 * run.q2 < 0:
+        if run.process.reversible and not run.trivial and not run.q1 * run.q2 < 0:
             ok = False
             detail = f"thetas ({th1}, {th2}) gave q1={run.q1}, q2={run.q2}"
             break

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -126,6 +127,35 @@ class TestAssignHeatTemperature:
         with pytest.raises(NoTemperature):
             assign_heat_temperature(world, g1.system, g2.system, synthetic)
 
+    def test_parts_must_be_disjoint(self, world):
+        gas, res = add_ideal_gas(world), add_reservoir(world, 1.0)
+        p = reservoir_contact(gas, GasState(2, 1), res, q=0.5)
+        with pytest.raises(NotWorkProcess, match="^the two parts must be disjoint$"):
+            assign_heat_temperature(world, compose(gas.system, res.system), res.system, p)
+
+    def test_process_must_be_a_work_process_on_the_parts(self, world):
+        gas, res = add_ideal_gas(world), add_reservoir(world, 1.0)
+        other = add_ideal_gas(world)
+        p = reservoir_contact(gas, GasState(2, 1), res, q=0.5)
+        with pytest.raises(NotWorkProcess,
+                           match="^process must be a work process on the two parts$"):
+            assign_heat_temperature(world, other.system, res.system, p)
+
+    def test_conduction_with_a_third_gas_has_no_temperature(self, world):
+        g1, g2, g3 = add_ideal_gas(world), add_ideal_gas(world), add_ideal_gas(world)
+        p = join(conduct(g1, GasState(2, 1), g2, GasState(1, 1), 0.05),
+                 make_identity(g3.system, {g3.atom: GasState(3, 1)}))
+        with pytest.raises(NoTemperature, match="^conduction needs exactly two gases$"):
+            assign_heat_temperature(world, compose(g1.system, g3.system), g2.system, p)
+
+    def test_contact_with_a_second_gas_has_no_temperature(self, world):
+        gas, res = add_ideal_gas(world), add_reservoir(world, 1.0)
+        other = add_ideal_gas(world)
+        p = join(reservoir_contact(gas, GasState(2, 1), res, q=0.5),
+                 make_identity(other.system, {other.atom: GasState(3, 1)}))
+        with pytest.raises(NoTemperature, match="^contact needs one gas and one reservoir$"):
+            assign_heat_temperature(world, compose(gas.system, other.system), res.system, p)
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             TemperatureInterval(2.0, 1.0)
@@ -166,6 +196,13 @@ class TestClausiusSum:
         records = records_from_legs(legs, gas)
         with pytest.raises(NotCyclic):
             clausius_sum(records, probe=gas.system)
+
+    def test_probe_must_be_involved(self, world):
+        gas, other = add_ideal_gas(world), add_ideal_gas(world)
+        records = records_from_legs([type2(gas, GasState(1, 1), 2.0)], gas)
+        with pytest.raises(NotCyclic, match=f"^probe atom {re.escape(repr(other.atom))} "
+                                            f"not involved$"):
+            clausius_sum(records, probe=other.system)
 
     def test_unassigned_temperature_rejected(self, world):
         gas = add_ideal_gas(world)

@@ -315,6 +315,44 @@ def test_reservoir_contact_validation(world):
         reservoir_contact(gas, GasState(0.5, 1), res, q=0.1)  # colder gas cannot heat the bath
 
 
+@pytest.mark.parametrize("q, message", [
+    (0.0, "conduction transfers a positive amount of heat"),
+    (-0.1, "conduction transfers a positive amount of heat"),
+    (math.nan, "conduction transfers a positive amount of heat"),
+])
+def test_conduct_needs_a_positive_heat(world, q, message):
+    g1, g2 = add_ideal_gas(world), add_ideal_gas(world)
+    with pytest.raises(PreconditionNotMet, match=f"^{message}$"):
+        conduct(g1, GasState(2, 1), g2, GasState(1, 1), q)
+
+
+def test_conduct_needs_two_distinct_gases(world, gas):
+    with pytest.raises(PreconditionNotMet, match="^conduction needs two distinct gases$"):
+        conduct(gas, GasState(2, 1), gas, GasState(1, 1), 0.1)
+
+
+def test_reservoir_contact_needs_a_non_zero_heat(world, gas):
+    with pytest.raises(PreconditionNotMet, match="^contact must exchange a non-zero heat$"):
+        reservoir_contact(gas, GasState(2, 1), add_reservoir(world, 1.0), 0.0)
+
+
+def test_reservoir_contact_heats_a_gas_only_from_a_hotter_bath(world, gas):
+    """q < 0 takes heat into the gas, which must stay at most as hot as the bath."""
+    res = add_reservoir(world, 1.0)
+    with pytest.raises(PreconditionNotMet, match="^gas must stay at most as hot as the reservoir$"):
+        reservoir_contact(gas, GasState(2, 1), res, q=-0.1)  # already hotter
+    with pytest.raises(PreconditionNotMet, match="^gas must stay at most as hot as the reservoir$"):
+        reservoir_contact(gas, GasState(0.5, 1), res, q=-1.5)  # ends past the bath
+    p = reservoir_contact(gas, GasState(0.5, 1), res, q=-0.75)  # ends on the bath's isotherm
+    assert p.final_of(gas.atom).as_tuple() == pytest.approx((1.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan])
+def test_connect_reversible_needs_a_positive_isotherm(gas, theta):
+    with pytest.raises(DomainError, match="^isotherm parameter must be positive$"):
+        connect_reversible(gas, GasState(1, 1), GasState(1, 2), theta)
+
+
 def test_reservoir_contact_slack_is_relative_at_a_small_temperature(world, gas):
     """A gas at T = 1e-12 cannot heat a bath at θ = 1e-11."""
     with pytest.raises(PreconditionNotMet):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermokernel import processes
 from thermokernel.errors import (
     NoReverseWitness,
     NotCatalytic,
@@ -16,6 +17,7 @@ from thermokernel.errors import (
     StateMismatch,
 )
 from thermokernel.carnot import build_carnot
+from thermokernel.config import tolerances
 from thermokernel.gas import GasState, add_ideal_gas, connect, gas_T, type1, type2, type3
 from thermokernel.processes import (
     Process,
@@ -36,7 +38,7 @@ from thermokernel.reservoirs import add_reservoir, stir
 from thermokernel.suites import random_gas_state
 from thermokernel.systems import World, compose, system
 
-from conftest import make_abstract_atoms
+from conftest import make_abstract_atoms, tiers
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
 
@@ -129,6 +131,12 @@ def test_identity_process(world, gas):
     assert reverse_of(ident).same_footprint(ident)
 
 
+def test_identity_needs_a_payload_for_every_atom(world):
+    a1, a2 = make_abstract_atoms(world, 2)
+    with pytest.raises(ValueError, match="^joint state does not cover atoms "):
+        make_identity(system(a1, a2), {a1: 0.0})
+
+
 def test_classify_cyclic_and_catalytic(world):
     a1, a2 = make_abstract_atoms(world, 2)
     c = system(a1, a2)
@@ -167,6 +175,9 @@ def test_eliminate_catalyst_rejections(world):
     not_wp = footprint((a1, 0.0, 1.0, 0.0))
     with pytest.raises(NotWorkProcess):
         eliminate_catalyst(s, c, not_wp)
+    overlap = footprint((a1, 0.0, 1.0, 0.0), (c1, 7.0, 7.0, 0.0))
+    with pytest.raises(NotWorkProcess, match="^catalyst elimination needs disjoint parts$"):
+        eliminate_catalyst(compose(s, c), c, overlap)
 
 
 def test_reverse_negates_work_and_swaps_states(world, gas):
@@ -405,6 +416,19 @@ def test_same_footprint_rejects_a_nan_work(world):
     assert not nan_work.same_footprint(nan_work)
 
 
+@pytest.mark.parametrize("payload", [float, lambda x: GasState(1.0, x)], ids=["float", "gas-state"])
+def test_same_footprint_compares_atoms_and_both_states(world, payload):
+    """Each comparison rejects on its own; a state within ``state_atol`` is the same."""
+    a, b = make_abstract_atoms(world, 2)
+    atol = tolerances().state_atol
+    p = make_process({a: (payload(1.0), payload(2.0), 0.5)})
+    assert not p.same_footprint(make_process({b: (payload(1.0), payload(2.0), 0.5)}))
+    assert not p.same_footprint(make_process({a: (payload(1.0 + 10 * atol), payload(2.0), 0.5)}))
+    assert not p.same_footprint(make_process({a: (payload(1.0), payload(2.0 + 10 * atol), 0.5)}))
+    assert p.same_footprint(make_process({a: (payload(1.0 + 0.5 * atol),
+                                              payload(2.0 - 0.5 * atol), 0.5)}))
+
+
 def _componentwise_close(a, b, atol):
     """The rule ``values_close`` keeps: flatten both payloads, compare each pair."""
     ca, cb = value_components(a), value_components(b)
@@ -442,8 +466,9 @@ def _payload_pairs(draw):
 def test_values_close_is_the_componentwise_rule(pair, atol):
     a, b = pair
     want = _componentwise_close(a, b, atol)
-    assert values_close(a, b, atol) is want
-    assert values_close(b, a, atol) is _componentwise_close(b, a, atol)
+    with tiers(processes, state_atol=atol):
+        assert values_close(a, b) is want
+        assert values_close(b, a) is _componentwise_close(b, a, atol)
     if atol == 1e-12:
         assert values_close(a, b) is want
 
@@ -480,7 +505,8 @@ def test_values_close_on_gas_states_is_the_componentwise_rule(a, b):
     for x, y in ((a, b), (b, a)):
         assert values_close(x, y) is _componentwise_close(x, y, atol)
         for t in (atol, math.nextafter(atol, 1.0), math.nextafter(atol, 0.0), 0.0, math.inf):
-            assert values_close(x, y, t) is _componentwise_close(x, y, t)
+            with tiers(processes, state_atol=t):
+                assert values_close(x, y) is _componentwise_close(x, y, t)
 
 
 def test_values_close_on_gas_states_at_the_ulps_around_state_atol():
@@ -488,7 +514,9 @@ def test_values_close_on_gas_states_at_the_ulps_around_state_atol():
     a = GasState(1.0, 1.0)
     d = math.nextafter(1.0 + atol, 1.0) - 1.0  # an exact difference at state_atol
     b = GasState(1.0, 1.0 + d)
-    assert values_close(a, b, d) and values_close(b, a, d)
-    assert not values_close(a, b, math.nextafter(d, 0.0))
-    assert not values_close(b, a, math.nextafter(d, 0.0))
-    assert values_close(a, b, math.nextafter(d, 1.0))
+    with tiers(processes, state_atol=d):
+        assert values_close(a, b) and values_close(b, a)
+    with tiers(processes, state_atol=math.nextafter(d, 0.0)):
+        assert not values_close(a, b) and not values_close(b, a)
+    with tiers(processes, state_atol=math.nextafter(d, 1.0)):
+        assert values_close(a, b)

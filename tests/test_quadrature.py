@@ -4,6 +4,7 @@ from typing import Callable, Sequence
 
 import pytest
 
+from thermokernel import quadrature
 from thermokernel.config import tolerances
 from thermokernel.errors import ToleranceNotMet
 from thermokernel.gas import GasState, add_ideal_gas, type2
@@ -11,6 +12,8 @@ from thermokernel.quadrature import (ROUNDING, WG0, WG2, WG4, WG6, WK0, WK1, WK2
                                      WK6, WK7, XK1, XK2, XK3, XK4, XK5, XK6, XK7,
                                      adaptive_simpson)
 from thermokernel.systems import World
+
+from conftest import tiers
 
 
 def test_polynomials_exact():
@@ -20,7 +23,8 @@ def test_polynomials_exact():
 
 def test_log_integrand():
     # integral of 1/x over [1, 2] is ln 2
-    got = adaptive_simpson(lambda x: 1.0 / x, 1.0, 2.0, tol=1e-12)
+    with tiers(quadrature, quad_tol=1e-12):
+        got = adaptive_simpson(lambda x: 1.0 / x, 1.0, 2.0)
     assert got == pytest.approx(math.log(2.0), abs=1e-11)
 
 
@@ -36,8 +40,8 @@ def test_reversed_bounds_negate():
 def test_tolerance_not_met():
     # a needle the refinement cap cannot resolve at an absurd tolerance
     needle = lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2)
-    with pytest.raises(ToleranceNotMet):
-        adaptive_simpson(needle, 0.0, 1.0, tol=1e-16, max_depth=6)
+    with tiers(quadrature, quad_tol=1e-16, quad_max_depth=6), pytest.raises(ToleranceNotMet):
+        adaptive_simpson(needle, 0.0, 1.0)
 
 
 def counted(f):
@@ -81,10 +85,11 @@ def test_large_magnitudes_stop_at_rounding(f, exact):
 
 def test_max_depth_counts_bisections_of_one_panel():
     f = counted(math.sqrt)
-    with pytest.raises(ToleranceNotMet):
-        adaptive_simpson(f, 0.0, 1.0, tol=1e-12, max_depth=0)
+    with tiers(quadrature, quad_tol=1e-12, quad_max_depth=0), pytest.raises(ToleranceNotMet):
+        adaptive_simpson(f, 0.0, 1.0)
     assert len(f.calls) == 15
-    assert adaptive_simpson(math.sqrt, 0.0, 1.0, tol=1e-12) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    with tiers(quadrature, quad_tol=1e-12):
+        assert adaptive_simpson(math.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_non_finite_integrand_raises():
@@ -197,9 +202,12 @@ def bits(x: float) -> str:
     return x.hex()
 
 
-def assert_same(f, a, b, **kwargs):
-    want = reference_adaptive_simpson(f, a, b, **kwargs)
-    assert bits(adaptive_simpson(f, a, b, **kwargs)) == bits(want)
+def assert_same(f, a, b, **overrides):
+    """``adaptive_simpson`` under the tiers with ``overrides`` matches the oracle to the bit."""
+    with tiers(quadrature, **overrides) as cfg:
+        got = adaptive_simpson(f, a, b)
+    want = reference_adaptive_simpson(f, a, b, cfg.quad_tol, cfg.quad_max_depth)
+    assert bits(got) == bits(want)
     return want
 
 
@@ -226,7 +234,7 @@ def test_kinks_match_the_oracle_bitwise():
         f = lambda x, ks=ks: sum(abs(x - k) for k in ks) + math.sin(3 * x)
         a, b = rng.uniform(-1, 2), rng.uniform(-1, 2)
         assert_same(f, a, b)
-        assert_same(f, a, b, tol=1e-13)
+        assert_same(f, a, b, quad_tol=1e-13)
 
 
 @pytest.mark.parametrize("f, a, b, tol", [
@@ -238,7 +246,7 @@ def test_kinks_match_the_oracle_bitwise():
 ])
 def test_tight_tol_refines_and_matches_the_oracle_bitwise(f, a, b, tol):
     f = counted(f)
-    assert_same(f, a, b, tol=tol)
+    assert_same(f, a, b, quad_tol=tol)
     assert len(f.calls) > 2 * 15  # both integrators refined past the first panel
 
 
@@ -272,20 +280,21 @@ def test_narrow_panels_match_the_oracle_bitwise():
         for f in (math.exp, lambda x: -x, math.sqrt):
             assert_same(f, one, b)
             assert_same(f, b, one)
-            assert_same(f, one, b, tol=1e-300)
+            assert_same(f, one, b, quad_tol=1e-300)
 
 
-@pytest.mark.parametrize("f, kwargs", [
+@pytest.mark.parametrize("f, overrides", [
     pytest.param(lambda x: math.nan, {}, id="nan"),
     pytest.param(lambda x: math.inf, {}, id="inf"),
     pytest.param(lambda x: math.inf if x > 0.5 else 1.0, {}, id="inf-half"),
-    pytest.param(math.sqrt, {"tol": 1e-12, "max_depth": 0}, id="depth-0"),
-    pytest.param(lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2), {"tol": 1e-16, "max_depth": 6},
-                 id="needle-depth-6"),
+    pytest.param(math.sqrt, {"quad_tol": 1e-12, "quad_max_depth": 0}, id="depth-0"),
+    pytest.param(lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2),
+                 {"quad_tol": 1e-16, "quad_max_depth": 6}, id="needle-depth-6"),
 ])
-def test_failures_raise_as_the_oracle_does(f, kwargs):
-    with pytest.raises(ToleranceNotMet) as want:
-        reference_adaptive_simpson(f, 0.0, 1.0, **kwargs)
-    with pytest.raises(type(want.value)) as got:
-        adaptive_simpson(f, 0.0, 1.0, **kwargs)
+def test_failures_raise_as_the_oracle_does(f, overrides):
+    with tiers(quadrature, **overrides) as cfg:
+        with pytest.raises(ToleranceNotMet) as want:
+            reference_adaptive_simpson(f, 0.0, 1.0, cfg.quad_tol, cfg.quad_max_depth)
+        with pytest.raises(type(want.value)) as got:
+            adaptive_simpson(f, 0.0, 1.0)
     assert str(got.value) == str(want.value)

@@ -102,14 +102,14 @@ class TestBuildCarnot:
         assert run.q1 == pytest.approx(-2.0, abs=1e-9)
         assert run.q2 == pytest.approx(1.0, abs=1e-9)
         assert run.w == pytest.approx(-1.0, abs=1e-9)
-        assert run.reversible and machine_cyclic(run)
+        assert run.process.reversible and machine_cyclic(run)
         assert run.w == pytest.approx(run.q1 + run.q2, abs=1e-9)
 
     def test_trivial_run(self, world):
         hot = add_reservoir(world, 2.0)
         cold = add_reservoir(world, 1.0)
         run = build_carnot(hot, cold, q_target=0.0)
-        assert run.trivial and run.w == 0.0 and run.reversible
+        assert run.trivial and run.w == 0.0 and run.process.reversible
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"volume_ratio": -5.0}, "volume ratio must be positive and != 1"),
@@ -216,6 +216,12 @@ class TestTemperature:
         # a reservoir measured against itself sits at the reference value
         assert absolute_temperature(ref, ref, 273.16) == pytest.approx(273.16, rel=1e-9)
 
+    @pytest.mark.parametrize("t_ref", [0.0, -273.16, math.nan])
+    def test_absolute_temperature_needs_a_positive_reference(self, world, t_ref):
+        ref, r = add_reservoir(world, 1.0), add_reservoir(world, 2.0)
+        with pytest.raises(ValueError, match="^reference temperature must be positive$"):
+            absolute_temperature(r, ref, t_ref)
+
     def test_reference_chaining(self, world):
         ref = add_reservoir(world, 1.0)
         mid = add_reservoir(world, 1.6)
@@ -295,11 +301,23 @@ class TestSignsAndEfficiency:
             run = build_carnot(r1, r2, q_target=rng.choice([-1.0, 1.0]))
             assert run.q1 * run.q2 < 0
 
+    def test_degraded_cycle_needs_two_reservoirs(self, world):
+        r = add_reservoir(world, 2.0)
+        with pytest.raises(SameReservoir,
+                           match="^a Carnot engine needs two different reservoirs$"):
+            build_degraded_carnot(r, r)
+
+    @pytest.mark.parametrize("volume_ratio", [1.0, 0.5, -2.0, math.nan])
+    def test_degraded_cycle_needs_an_expansion(self, world, volume_ratio):
+        r1, r2 = add_reservoir(world, 2.0), add_reservoir(world, 1.0)
+        with pytest.raises(ValueError, match="^need an expansion ratio > 1$"):
+            build_degraded_carnot(r1, r2, volume_ratio=volume_ratio)
+
     def test_degraded_cycle_is_suboptimal(self, world):
         r1 = add_reservoir(world, 2.0)
         r2 = add_reservoir(world, 1.0)
         bad = build_degraded_carnot(r1, r2, volume_ratio=2.0)
-        assert not bad.reversible
+        assert not bad.process.reversible
         assert machine_cyclic(bad)
         ratio = -bad.q1 / bad.q2
         assert ratio < 2.0 - 1e-6

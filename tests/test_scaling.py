@@ -168,6 +168,13 @@ class TestMaxEntropy:
                 entropy_uv(BASE, total.U, total.V), abs=1e-8
             )
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.999])
+    def test_small_parts_reach_the_proportional_split(self, lam):
+        """The ends of the accurate range that ``max_entropy_split`` states."""
+        res = max_entropy_split(BASE, lam, UVState(1.0, 1.0))
+        assert res.split[0].as_tuple() == pytest.approx((lam, lam), abs=1e-6)
+        assert res.split[1].as_tuple() == pytest.approx((1 - lam, 1 - lam), abs=1e-6)
+
     def test_rejects_degenerate_fraction(self):
         with pytest.raises(NonPositiveScale):
             max_entropy_split(BASE, 0.0, UVState(1, 1))

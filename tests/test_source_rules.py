@@ -14,10 +14,8 @@ PACKAGE_DIR = Path(thermokernel.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)]))
 
 # Every numeric threshold comes from a tolerance tier or a literal at its one
-# point of use; only the comparison primitive and the quadrature kernel take
-# their threshold as a parameter.
+# point of use; no callable takes one as a parameter.
 THRESHOLD_PARAMS = {"tol", "atol", "rtol", "max_depth"}
-TAKES_THRESHOLD = {"processes.values_close", "quadrature.adaptive_simpson"}
 
 # (module, function, parameter) -> why the body never reads it: each is a
 # protocol method whose callers pass what other implementations need
@@ -86,10 +84,10 @@ def _public_callables():
                         yield f"{modname}.{name}.{meth_name}", meth
 
 
-def test_only_the_primitives_take_a_threshold():
+def test_no_public_callable_takes_a_threshold():
     takers = {qual for qual, fn in _public_callables()
               if THRESHOLD_PARAMS & set(inspect.signature(fn).parameters)}
-    assert takers == TAKES_THRESHOLD
+    assert takers == set()
 
 
 def test_gas_planner_holds_only_its_gas():

@@ -1,30 +1,19 @@
-"""Write a full-precision digest of seeded footprints, heats, ratios and ledger values.
+"""A full-precision digest of seeded footprints, heats, ratios and ledger values.
 
-    python tests/tools/footprint_digest.py CHECKOUT OUT_FILE
-
-Runs ``CHECKOUT/src`` in a fresh interpreter with ``THERMOKERNEL_TOL`` unset
-and ``PYTHONHASHSEED=0`` and writes one line per value, every float as its
-``repr``: footprints of seeded ``random_work_process`` runs and of
-``connect``; ``records_from_legs`` and ``clausius_sum`` of reversible and
-friction cycles; ``build_carnot`` runs and ``temperature_ratio``; energy
-and entropy ledger values; ledger values over p x V grids at four exponents,
-one cell at a time and as one ``atom_energies`` and ``atom_entropies`` batch;
+``emit`` writes one line per value, every float as its ``repr``: footprints
+of seeded ``random_work_process`` runs and of ``connect``;
+``records_from_legs`` and ``clausius_sum`` of reversible and friction
+cycles; ``build_carnot`` runs and ``temperature_ratio``; energy and entropy
+ledger values; ledger values over p x V grids at four exponents, one cell at
+a time and as one ``atom_energies`` and ``atom_entropies`` batch;
 ``build_degraded_carnot`` runs, ``reservoir_contact`` and ``stir``
 footprints, and the ``classify_variable`` verdicts that ``suite_scaling``
 reports.  The suite lines of ``verify`` print three digits, so a last-bit
-drift shows only here:
-
-    python tests/tools/footprint_digest.py BASE digest-base.txt
-    python tests/tools/footprint_digest.py . digest-head.txt
-    diff digest-base.txt digest-head.txt
+drift shows only here.  ``outputs.py`` writes it to ``OUT_DIR/digest.txt``,
+after the corpus, in the interpreter that runs the checkout.
 """
 
 from __future__ import annotations
-
-import argparse
-import os
-import subprocess
-import sys
 
 SEED = 20240601
 ROUNDS = 40
@@ -153,28 +142,3 @@ def emit(out) -> None:
         for k, text in enumerate(suite_scaling(seed=SEED + seed, samples=2 + seed).lines()):
             line(f"scaling {seed}.{k}", text)
 
-
-def main(argv: list[str] | None = None) -> int:
-    if argv is None and sys.argv[1:] == ["--emit"]:
-        emit(sys.stdout)
-        return 0
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", help="root of the checkout whose src/ is digested")
-    parser.add_argument("out_file", help="file the digest lines are written to")
-    args = parser.parse_args(argv)
-    src = os.path.join(os.path.abspath(args.checkout), "src")
-    if not os.path.isdir(os.path.join(src, "thermokernel")):
-        parser.error(f"{src} holds no thermokernel package")
-    env = {k: v for k, v in os.environ.items() if k != "THERMOKERNEL_TOL"}
-    env["PYTHONPATH"] = src
-    env["PYTHONHASHSEED"] = "0"
-    with open(args.out_file, "w", encoding="utf-8") as fh:
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--emit"],
-                       env=env, stdout=fh, check=True)
-    with open(args.out_file, encoding="utf-8") as fh:
-        print(f"{sum(1 for _ in fh)} digest lines from {src}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

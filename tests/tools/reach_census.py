@@ -2,13 +2,13 @@
 
     python tests/tools/reach_census.py [CHECKOUT]
 
-Runs every entry point through ``thermokernel.cli.main`` of ``CHECKOUT/src``
-(by default the checkout that holds this script), in this interpreter, with
-``THERMOKERNEL_TOL`` unset and a ``sys.setprofile`` hook that records each
-code object called: ``verify all --seed 42``, ``tests/data/run_all_ops.json``,
-the 128 seeded scenario files of ``perfbench/run.py --workload
-scenario-files --seed 1`` (taken as ``scenario_outputs.py`` takes them), the
-failing entropy-table grids of ``tests/data/entropy_table_edges`` and the
+Runs every entry point of ``outputs.entry_points`` through
+``thermokernel.cli.main`` of ``CHECKOUT/src`` (by default the checkout that
+holds this script), in this interpreter, with ``THERMOKERNEL_TOL`` unset and
+a ``sys.setprofile`` hook that records each code object called: ``verify all
+--seed 42``, ``tests/data/run_all_ops.json``, the 128 seeded scenario files
+of ``perfbench/run.py --workload scenario-files --seed 1``, the failing
+entropy-table grids of ``tests/data/entropy_table_edges`` and the
 ``perfbench/faults`` files.  It then prints each function or method defined
 in ``CHECKOUT/src/thermokernel`` that none of them called, with its line
 count, and a total.  The inputs always come from the checkout that holds
@@ -29,11 +29,7 @@ import os
 import sys
 import tempfile
 
-ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", ".."))
-DATA = os.path.join(ROOT, "tests", "data")
-EDGES = os.path.join(DATA, "entropy_table_edges")
-FAULTS = os.path.join(ROOT, "perfbench", "faults")
-SEED = 1
+from outputs import ROOT, entry_points
 
 
 def definitions(package: str) -> dict[tuple[str, int, str], tuple[str, int]]:
@@ -63,24 +59,6 @@ def definitions(package: str) -> dict[tuple[str, int, str], tuple[str, int]]:
     return defs
 
 
-def entry_points(tmp: str) -> list[list[str]]:
-    """The ``thermokernel`` command lines of the census, artifacts under ``tmp``."""
-    import workloads
-
-    def run(path: str, out: str) -> list[str]:
-        return ["run", path, "--out", os.path.join(tmp, out)]
-
-    items = workloads.ScenarioFiles(SEED, os.path.join(tmp, "scenarios")).items
-    edges = sorted(name for name in os.listdir(EDGES) if name.endswith(".json"))
-    return (
-        [["verify", "all", "--seed", "42"], run(os.path.join(DATA, "run_all_ops.json"), "all-ops")]
-        + [run(path, f"{k:03d}") for k, (path, _, _) in enumerate(items)]
-        + [run(os.path.join(EDGES, name), f"edges-{name[:-5]}") for name in edges]
-        + [run(path, f"fault-{os.path.basename(path)[:-5]}")
-           for path in sorted(glob.glob(os.path.join(FAULTS, "*.json")))]
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=ROOT,
@@ -106,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             from thermokernel import cli
 
-            for argv_ in entry_points(tmp):
+            for _, argv_ in entry_points(tmp):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(argv_)
                 codes[code] = codes.get(code, 0) + 1
