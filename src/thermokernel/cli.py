@@ -9,9 +9,9 @@ validation or engine error.
 ``thermokernel verify <suite> [--seed N]`` runs one of the randomized
 invariant suites (or ``all``): exit 0 when every check passes, 1 when one
 fails, 3 with one ``ENGINE ERROR: <type>: <message>`` line when the engine
-rejects a state or value.  The THERMOKERNEL_TOL environment variable
-overrides the default tolerance tiers; when it is malformed, either command
-exits 2 with one ``bad THERMOKERNEL_TOL: <reason>`` line before it runs.
+rejects a state or value.  The THERMOKERNEL_TOL environment variable is one
+number that multiplies every tolerance tier; when it is malformed, either
+command exits 2 with one ``bad THERMOKERNEL_TOL: <reason>`` line before it runs.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .errors import (
     NotCyclic,
     NotWorkProcess,
     UnassignedTemperature,
+    Unreachable,
     ZeroHeat,
 )
 from .gas import (
@@ -198,7 +199,7 @@ class EntropyLedger:
             yield from (float(payload) / t for payload in payloads)
             return
         if not isinstance(binding, GasModel):
-            raise NotWorkProcess(f"no entropy reference for {atom}")
+            raise Unreachable(f"no entropy reference for {atom}")
         gas, s0, sigma0 = GasAtom(atom, binding, self.world), binding.S0, binding.sigma0
         t0, bath, detached = gas_T(binding, sigma0), AtomId(-1, RESERVOIR_KIND), World()
         for payload in payloads:

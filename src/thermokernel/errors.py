@@ -36,7 +36,7 @@ class NotCatalytic(ThermoError):
 
 
 class Unreachable(ThermoError):
-    """The energy ledger has no reference for the atom: no gas or reservoir model is bound to it."""
+    """A ledger has no reference for the atom: no gas or reservoir model is bound to it."""
 
 
 class PreconditionNotMet(ThermoError):

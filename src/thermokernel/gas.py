@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from math import exp
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .config import tolerances
@@ -42,8 +42,9 @@ from .systems import AtomId, Handle, World
 GAS_KIND = "ideal-gas"
 # every ``GasState`` and leg built compares against this global; an int past it is not finite
 _MAX = sys.float_info.max
-# the tiers' ``numeric_floor``, read by the first ``GasState`` built, never at import
-_floor = math.inf
+# the open quadrant's edge: p and V must exceed it.  An absolute bound, not a
+# tolerance tier, so ``THERMOKERNEL_TOL`` does not move the gas's domain.
+FLOOR = 1e-12
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -54,13 +55,10 @@ class GasState:
     V: float
 
     def __init__(self, p: float, V: float):
-        global _floor
-        if not (_floor < p <= _MAX and _floor < V <= _MAX):
-            _floor = tolerances().numeric_floor  # a miss reads the tier and tests again
-            if not (_floor < p <= _MAX and _floor < V <= _MAX):
-                if not (-_MAX <= p <= _MAX and -_MAX <= V <= _MAX):
-                    raise DomainError(f"gas state ({p}, {V}) is not finite")
-                raise DomainError(f"gas state ({p}, {V}) below the positive floor")
+        if not (FLOOR < p <= _MAX and FLOOR < V <= _MAX):
+            if not (-_MAX <= p <= _MAX and -_MAX <= V <= _MAX):
+                raise DomainError(f"gas state ({p}, {V}) is not finite")
+            raise DomainError(f"gas state ({p}, {V}) below the positive floor")
         _set_p(self, p)
         _set_V(self, V)
 
@@ -85,8 +83,7 @@ class GasModel:
     n: float = 1.0
     R: float = 1.0
     gamma: float = 5.0 / 3.0
-    # built per model, so that importing the package reads no tolerance
-    sigma0: GasState = field(default_factory=lambda: GasState(1.0, 1.0))
+    sigma0: GasState = GasState(1.0, 1.0)
     U0: float = 0.0
     S0: float = 0.0
 
@@ -201,7 +198,7 @@ def type1(gas: GasAtom, start: GasState, p2: float) -> QuasistaticFamily:
 
 def type2(gas: GasAtom, start: GasState, V2: float) -> QuasistaticFamily:
     """Isolated compression/expansion along p V^gamma = const (reversible)."""
-    if not tolerances().numeric_floor < V2 <= _MAX:
+    if not FLOOR < V2 <= _MAX:
         raise _bad_target("type2", "V2", V2)
     if V2 == start.V:
         return identity_family({gas.atom: start}, tag="type2")
@@ -216,11 +213,10 @@ def type3(gas: GasAtom, res: Reservoir, start: GasState, V2: float) -> Quasistat
     gas; only the energy difference matters, so the bath starts at 0.0.
     """
     g = gas.model
-    cfg = tolerances()
-    if not cfg.numeric_floor < V2 <= _MAX:
+    if not FLOOR < V2 <= _MAX:
         raise _bad_target("type3", "V2", V2)
     c = g.nR * res.theta
-    if abs(start.p * start.V - c) > cfg.isotherm_rtol * c:
+    if abs(start.p * start.V - c) > tolerances().isotherm_rtol * c:
         raise OffIsotherm(f"state ({start.p}, {start.V}) is not on the theta={res.theta} isotherm")
     if V2 == start.V:
         return identity_family({gas.atom: start, res.atom: 0.0}, tag="type3")
@@ -341,7 +337,7 @@ def conduct(
         raise PreconditionNotMet("heat conducts from the hotter gas to the colder one")
     p_hot = hot_state.p - q / (gh.cv_R * hot_state.V)
     p_cold = cold_state.p + q / (gc.cv_R * cold_state.V)
-    if p_hot <= tolerances().numeric_floor or p_hot * hot_state.V / gh.nR < (
+    if p_hot <= FLOOR or p_hot * hot_state.V / gh.nR < (
         p_cold * cold_state.V / gc.nR
     ):
         raise PreconditionNotMet("transfer overshoots temperature equality")

@@ -45,6 +45,8 @@ WG6 = 0.381830050505118944950369775488975
 WG0 = 0.417959183673469387755102040816327
 
 ROUNDING = 50.0 * sys.float_info.epsilon
+# bisections of one panel; a limit on the work, not a tolerance tier
+MAX_DEPTH = 30
 
 
 def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple:
@@ -93,11 +95,10 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     The name is historical: the rule is Gauss–Kronrod, not Simpson.  ``f``
     is never evaluated at ``a`` or ``b``.  The summed error estimates must reach
     ``max(quad_tol, 50 * eps * integral of |f|)``; ``ToleranceNotMet`` is
-    raised when a panel already bisected ``quad_max_depth`` times needs
+    raised when a panel already bisected ``MAX_DEPTH`` times needs
     splitting again, or when an estimate is not finite.
     """
-    cfg = tolerances()
-    tol, max_depth = cfg.quad_tol, cfg.quad_max_depth
+    tol = tolerances().quad_tol
     if a == b:
         return 0.0
     sign = 1.0
@@ -119,7 +120,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
         if not err < math.inf:
             raise ToleranceNotMet(f"quadrature on [{a}, {b}] has a non-finite error estimate")
         neg_e, depth, lo, hi, k, m = heapq.heappop(panels)
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise ToleranceNotMet(
                 f"quadrature on [{a}, {b}] did not reach tol={tol} at max depth"
             )

@@ -206,6 +206,19 @@ class TestFirstLawCheck:
         report = check_first_law(GasPlanner(gas), [])
         assert report.passed and report.pairs_checked == 0
 
+    def test_pair_without_a_plan_is_reported(self, gas):
+        class Planless:
+            def __init__(self, gas):
+                self.gas = gas
+
+            def routes(self, a, b, count=3):
+                return []
+
+        report = check_first_law(Planless(gas), [(GasState(1, 1), GasState(2, 1.5))])
+        assert not report.passed
+        assert report.violations == [{"sigma1": (1, 1), "sigma2": (2, 1.5), "works": [],
+                                      "reason": "no plan constructed"}]
+
 
 class TestQueriesKeepNothing:
     """Energy queries read the anchor off the model binding every time: they

@@ -346,7 +346,7 @@ def test_an_atom_the_world_does_not_hold_has_no_reference(world, kind):
     add_reservoir(world, 2.0)
     stranger = AtomId(5, kind)
     payload = GasState(1.0, 1.0) if kind == "ideal-gas" else 3.0
-    with pytest.raises(NotWorkProcess, match=r"^no entropy reference for "):
+    with pytest.raises(Unreachable, match=r"^no entropy reference for "):
         EntropyLedger(world).atom_entropy(stranger, payload)
     energy = EnergyLedger(world)
     if kind == "reservoir":

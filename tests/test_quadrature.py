@@ -37,10 +37,11 @@ def test_reversed_bounds_negate():
     assert adaptive_simpson(math.exp, 1.0, 0.0) == pytest.approx(-fwd, abs=1e-13)
 
 
-def test_tolerance_not_met():
+def test_tolerance_not_met(monkeypatch):
     # a needle the refinement cap cannot resolve at an absurd tolerance
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 6)
     needle = lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2)
-    with tiers(quadrature, quad_tol=1e-16, quad_max_depth=6), pytest.raises(ToleranceNotMet):
+    with tiers(quadrature, quad_tol=1e-16), pytest.raises(ToleranceNotMet):
         adaptive_simpson(needle, 0.0, 1.0)
 
 
@@ -83,11 +84,13 @@ def test_large_magnitudes_stop_at_rounding(f, exact):
     assert len(f.calls) <= 100
 
 
-def test_max_depth_counts_bisections_of_one_panel():
+def test_max_depth_counts_bisections_of_one_panel(monkeypatch):
     f = counted(math.sqrt)
-    with tiers(quadrature, quad_tol=1e-12, quad_max_depth=0), pytest.raises(ToleranceNotMet):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 0)
+    with tiers(quadrature, quad_tol=1e-12), pytest.raises(ToleranceNotMet):
         adaptive_simpson(f, 0.0, 1.0)
     assert len(f.calls) == 15
+    monkeypatch.undo()
     with tiers(quadrature, quad_tol=1e-12):
         assert adaptive_simpson(math.sqrt, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -139,7 +142,6 @@ def reference_adaptive_simpson(
     a: float,
     b: float,
     tol: float | None = None,
-    max_depth: int | None = None,
     knots: Sequence[float] = (),
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` by adaptive G7/K15 to an absolute ``tol``.
@@ -148,14 +150,12 @@ def reference_adaptive_simpson(
     ``knots`` (where smoothness may fail) cut the interval into panels, and
     ``f`` is never evaluated at a cut.  The summed error estimates must reach
     ``max(tol, 50 * eps * integral of |f|)``; ``ToleranceNotMet`` is raised
-    when a panel already bisected ``max_depth`` times needs splitting again,
-    or when an estimate is not finite.
+    when a panel already bisected ``quadrature.MAX_DEPTH`` times needs
+    splitting again, or when an estimate is not finite.
     """
-    cfg = tolerances()
     if tol is None:
-        tol = cfg.quad_tol
-    if max_depth is None:
-        max_depth = cfg.quad_max_depth
+        tol = tolerances().quad_tol
+    max_depth = quadrature.MAX_DEPTH
     if a == b:
         return 0.0
     sign = 1.0
@@ -206,7 +206,7 @@ def assert_same(f, a, b, **overrides):
     """``adaptive_simpson`` under the tiers with ``overrides`` matches the oracle to the bit."""
     with tiers(quadrature, **overrides) as cfg:
         got = adaptive_simpson(f, a, b)
-    want = reference_adaptive_simpson(f, a, b, cfg.quad_tol, cfg.quad_max_depth)
+    want = reference_adaptive_simpson(f, a, b, cfg.quad_tol)
     assert bits(got) == bits(want)
     return want
 
@@ -283,18 +283,19 @@ def test_narrow_panels_match_the_oracle_bitwise():
             assert_same(f, one, b, quad_tol=1e-300)
 
 
-@pytest.mark.parametrize("f, overrides", [
-    pytest.param(lambda x: math.nan, {}, id="nan"),
-    pytest.param(lambda x: math.inf, {}, id="inf"),
-    pytest.param(lambda x: math.inf if x > 0.5 else 1.0, {}, id="inf-half"),
-    pytest.param(math.sqrt, {"quad_tol": 1e-12, "quad_max_depth": 0}, id="depth-0"),
+@pytest.mark.parametrize("f, overrides, depth", [
+    pytest.param(lambda x: math.nan, {}, quadrature.MAX_DEPTH, id="nan"),
+    pytest.param(lambda x: math.inf, {}, quadrature.MAX_DEPTH, id="inf"),
+    pytest.param(lambda x: math.inf if x > 0.5 else 1.0, {}, quadrature.MAX_DEPTH, id="inf-half"),
+    pytest.param(math.sqrt, {"quad_tol": 1e-12}, 0, id="depth-0"),
     pytest.param(lambda x: 1.0 / (1e-12 + (x - 0.37123) ** 2),
-                 {"quad_tol": 1e-16, "quad_max_depth": 6}, id="needle-depth-6"),
+                 {"quad_tol": 1e-16}, 6, id="needle-depth-6"),
 ])
-def test_failures_raise_as_the_oracle_does(f, overrides):
+def test_failures_raise_as_the_oracle_does(f, overrides, depth, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", depth)
     with tiers(quadrature, **overrides) as cfg:
         with pytest.raises(ToleranceNotMet) as want:
-            reference_adaptive_simpson(f, 0.0, 1.0, cfg.quad_tol, cfg.quad_max_depth)
+            reference_adaptive_simpson(f, 0.0, 1.0, cfg.quad_tol)
         with pytest.raises(type(want.value)) as got:
             adaptive_simpson(f, 0.0, 1.0)
     assert str(got.value) == str(want.value)

@@ -184,6 +184,12 @@ class TestMaxEntropy:
         res = max_entropy_split(GasModel(U0=1.0), 0.9, UVState(1.5, 2.0))
         assert res.split[0].as_tuple() == pytest.approx((1.35, 1.8), abs=1e-6)
 
+    def test_no_split_inside_the_domain_fails(self):
+        # U0 = 5: the middle of the rectangle leaves the first half below its offset
+        with pytest.raises(OptimizerFailed, match=r"^no split of UVState\(U=1, V=1\) lies inside "
+                                                  r"the domain$"):
+            max_entropy_split(GasModel(U0=5.0), 0.5, UVState(1, 1))
+
     def test_convex_objective_fails(self, monkeypatch):
         monkeypatch.setattr(scaling, "entropy_uv", lambda m, u, v: u * u + v * v)
         with pytest.raises(OptimizerFailed):

@@ -126,6 +126,14 @@ def test_nested_json_that_parses_exits_3_with_a_cut_echo(tmp_path):
                                 + "... (1920 characters, cut)"]
 
 
+def test_top_level_that_is_not_an_object_exits_3_in_one_line(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == ["scenario top level must be an object"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_atom_exits_3(tmp_path):
     bad = dict(GOOD, script=[{"op": "connect", "gas": "nope", "from": [1, 1], "to": [2, 2]}])
     path = write_scenario(tmp_path, bad)
@@ -471,6 +479,14 @@ def test_failed_write_exits_2(tmp_path, capsys):
     assert lines[-1] == f"wrote {tmp_path / 'out' / 'a.json'}"
 
 
+def test_out_under_a_regular_file_exits_2_in_one_line(tmp_path, capsys):
+    path = write_scenario(tmp_path, GOOD)
+    out = tmp_path / "scenario.json" / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"cannot write {out}: [Errno 20] Not a directory: '{out}'"]
+
+
 def test_entropy_table_just_off_a_small_reference_adiabat(tmp_path):
     """A state 1e-5 off the adiabat of a reference with invariant 1e-8 has its own U."""
     scenario = {
@@ -606,6 +622,7 @@ SEGMENTS_ONLY = ("op 'segments': 'segments' must be a list of segments of type t
                  SEGMENTS_ONLY + "[{'type': 'type2', 'V2': 2, 'p2': 5}]", id="segment"),
     pytest.param([GAS], dict(SEGMENTS, segments=[{"type": "type2", "V2": 2, "from": [1, 1]}]),
                  SEGMENTS_ONLY + "[{'type': 'type2', 'V2': 2, 'from': [1, 1]}]", id="segment-from"),
+    pytest.param([GAS], dict(SEGMENTS, segments=[5]), SEGMENTS_ONLY + "[5]", id="segment-not-object"),
     pytest.param([GAS], dict(POLYLINE, segment=dict(POLYLINE["segment"], p2=5)),
                  "op 'polyline': 'segment' must be a segment of type type1, type2 with its "
                  "numeric keys and a [p, V] 'from' only, got "

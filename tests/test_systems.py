@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermokernel.gas import GasAtom, GasModel, GasPlanner, GasState, gas_handle, type2
-from thermokernel.reservoirs import Reservoir, ReservoirModel
+from thermokernel.reservoirs import Reservoir, ReservoirModel, reservoir_handle
 from thermokernel.systems import (
     AtomId,
     System,
@@ -104,6 +104,13 @@ def test_clone_work_footprint_invariance(world, gas):
         p_orig.work_on(gas.atom), abs=1e-15
     )
     assert p_copy.final_of(twin.atom) == p_orig.final_of(gas.atom)
+
+
+def test_a_handle_of_the_other_kind_is_refused(world, gas, unit_reservoir):
+    with pytest.raises(TypeError, match=r" is not bound to a gas model$"):
+        gas_handle(world, unit_reservoir.atom)
+    with pytest.raises(TypeError, match=r" is not bound to a reservoir model$"):
+        reservoir_handle(world, gas.atom)
 
 
 # --- value semantics of the per-query handles ----------------------------------
