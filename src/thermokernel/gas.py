@@ -34,8 +34,8 @@ from typing import Sequence
 
 from .config import tolerances
 from .errors import DomainError, OffIsotherm, PreconditionNotMet, PressureDecrease
-from .processes import Process, concatenate, make_identity, make_process
-from .quasistatic import QuasistaticFamily, Rate, identity_family
+from .processes import Process, ProcessEntry, concatenate, make_identity, make_process
+from .quasistatic import QuasistaticFamily, Rate, _integral, identity_family
 from .reservoirs import Reservoir, add_reservoir
 from .systems import AtomId, Handle, World
 
@@ -229,9 +229,17 @@ class _Segment(QuasistaticFamily):
     ``keys`` are its numeric spec keys, in the order ``build`` takes them
     after ``(gas, start)``; ``gas_only`` kinds are work processes on the gas
     alone.  Each kind fills all its slots itself, so a leg costs no extra call.
+    Its gas state at ``lam`` is the one formula ``_at``; ``evaluate`` and the
+    slice entries both read it, so a slice builds no ``evaluate`` dicts.
     """
 
     __slots__ = ("atom", "start")
+
+    def evaluate(self, lam: float):
+        return {self.atom: self._at(lam)}
+
+    def _entries(self, lo: float, hi: float):
+        return {self.atom: ProcessEntry(self._at(lo), self._at(hi), _integral(self._work, lo, hi))}
 
     def work_rate(self, atom: AtomId) -> Rate | None:
         return self._work if atom is self.atom or atom == self.atom else None
@@ -252,8 +260,8 @@ class FrictionSegment(_Segment):
         self.dp = p2 - start.p
         self._work = gas.model.cv_R * start.V * self.dp
 
-    def evaluate(self, lam: float):
-        return {self.atom: GasState(self.start.p + lam * self.dp, self.start.V)}
+    def _at(self, lam: float) -> GasState:
+        return GasState(self.start.p + lam * self.dp, self.start.V)
 
 
 class AdiabatSegment(_Segment):
@@ -268,7 +276,7 @@ class AdiabatSegment(_Segment):
         self.gamma = gas.model.gamma
         self.inv = adiabat_invariant(gas.model, start)
         self.log_r = math.log(V2 / start.V)
-        try:  # the target state must lie in the quadrant; ``evaluate`` builds the end
+        try:  # the target state must lie in the quadrant; ``_at`` builds the end
             GasState(self.inv * V2**-self.gamma, V2)
         except OverflowError:
             raise DomainError(f"type2 leg from gas state ({start.p}, {start.V}) has no finite "
@@ -276,9 +284,9 @@ class AdiabatSegment(_Segment):
         v0, log_r, neg_inv, k = start.V, self.log_r, -self.inv, 1.0 - self.gamma
         self._work = lambda lam: neg_inv * (v0 * exp(lam * log_r)) ** k * log_r
 
-    def evaluate(self, lam: float):
+    def _at(self, lam: float) -> GasState:
         v = self.start.V * exp(lam * self.log_r)
-        return {self.atom: GasState(self.inv * v**-self.gamma, v)}
+        return GasState(self.inv * v**-self.gamma, v)
 
 
 class IsothermSegment(_Segment):
@@ -306,10 +314,17 @@ class IsothermSegment(_Segment):
         """The leg on a reservoir at ``theta`` minted for it."""
         return type3(gas, add_reservoir(gas.world, theta), start, V2)
 
-    def evaluate(self, lam: float):
+    def _at(self, lam: float) -> GasState:
         v = self.start.V * exp(lam * self.log_r)
-        return {self.atom: GasState(self.c / v, v),
-                self.bath: 0.0 - lam * self.q_total}
+        return GasState(self.c / v, v)
+
+    def evaluate(self, lam: float):
+        return {self.atom: self._at(lam), self.bath: 0.0 - lam * self.q_total}
+
+    def _entries(self, lo: float, hi: float):
+        entries = _Segment._entries(self, lo, hi)  # the bath does no work, and comes second
+        entries[self.bath] = ProcessEntry(0.0 - lo * self.q_total, 0.0 - hi * self.q_total, 0.0)
+        return entries
 
     def heat_rate(self, atom: AtomId) -> Rate | None:
         if atom is self.atom or atom == self.atom:

@@ -12,7 +12,10 @@ A family is a slotted ``QuasistaticFamily`` subclass that computes its
 states in ``evaluate`` and its rates in ``work_rate`` and ``heat_rate``:
 the gas segment kinds and ``identity_family``.  Every family slices and
 integrates through the code here, and a path of several legs is the
-``concatenate`` of their slices, in one call.  A rate that does not
+``concatenate`` of their slices, in one call.  A slice takes its entries
+from ``_entries``, which builds them from the ``evaluate`` dicts and the
+work rates; a gas kind overrides it to build the same entries from its
+own state formula, without the dicts.  A rate that does not
 depend on the parameter is its ``float`` value and is integrated exactly,
 as that value times the parameter span; a rate that is a function goes
 through the adaptive quadrature.
@@ -53,8 +56,8 @@ class QuasistaticFamily:
     """Two-parameter family of work processes along a curve.
 
     Subclasses compute the joint state at a parameter in ``evaluate`` and
-    may override ``work_rate`` and ``heat_rate``; never ``slice``,
-    ``work_between`` or ``heat_between``.  A rate must be smooth on the
+    may override ``work_rate``, ``heat_rate`` and ``_entries``; never
+    ``slice``, ``work_between`` or ``heat_between``.  A rate must be smooth on the
     whole curve: the quadrature refines from one panel and cuts nowhere.
     An atom without a work (heat) rate takes no work (heat).
     """
@@ -89,13 +92,19 @@ class QuasistaticFamily:
         """The member process from ``state_at(lo)`` to ``state_at(hi)``."""
         if not 0.0 <= lo <= hi <= 1.0:
             raise OutOfDomain(f"slice bounds ({lo}, {hi}) outside 0 <= lo <= hi <= 1")
+        return Process(self._entries(lo, hi), self.reversible, _tag_set(self.tag))
+
+    def _entries(self, lo: float, hi: float) -> dict[AtomId, ProcessEntry]:
+        """The footprint entries of ``slice(lo, hi)``, in ``atoms`` order, from the
+        ``evaluate`` dicts and the work rates; a kind may build them from its own
+        state formula instead, to the same values."""
         start = self.evaluate(lo)
         end = self.evaluate(hi)
         work_rate = self.work_rate  # read once, not per ``work_between``
         entries = {}  # a loop: before Python 3.12 a comprehension is a call of its own
         for a in self.atoms:
             entries[a] = ProcessEntry(start[a], end[a], float(_integral(work_rate(a), lo, hi)))
-        return Process(entries, self.reversible, _tag_set(self.tag))
+        return entries
 
 
 class _Identity(QuasistaticFamily):

@@ -90,9 +90,9 @@ def classify_variable(
             v0 = probe(base, s)
             v1 = probe(scaled.model, scaled_state(s, lam))
             tol = 1e-9 * max(1.0, abs(v0), abs(v1))
-            if abs(v1 - f * v0) > tol:
+            if not abs(v1 - f * v0) <= tol:  # a NaN or infinite probe scales neither way
                 extensive = False
-            if abs(v1 - v0) > tol:
+            if not abs(v1 - v0) <= tol:
                 intensive = False
     if extensive and not intensive:
         return "extensive"

@@ -87,7 +87,9 @@ def _state(v: Any) -> bool:
 
 
 def _grid(v: Any) -> bool:
-    return isinstance(v, list) and len(v) == 3 and _state(v[:2]) and min(v[:2]) > 0 and _count(v[2])
+    # each edge on its own: ``min`` of a NaN and a number depends on their order
+    return (isinstance(v, list) and len(v) == 3 and _state(v[:2]) and all(x > 0 for x in v[:2])
+            and _count(v[2]))
 
 
 def _save_path(v: Any) -> bool:

@@ -453,10 +453,11 @@ def suite_scaling(seed: int = 42, samples: int = 12) -> SuiteReport:
     factors = [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3)]
     for lam in factors:
         f = float(lam)
+        scaled = scale(base, lam).model
         for s in states[:6]:
             world = World()
             gas0 = add_ideal_gas(world, base)
-            gas1 = add_ideal_gas(world, scale(base, lam).model)
+            gas1 = add_ideal_gas(world, scaled)
             w0 = type2(gas0, s, s.V * 1.7).slice(0.0, 1.0).work_on(gas0.atom)
             w1 = (
                 type2(gas1, scaled_state(s, lam), s.V * 1.7 * f)

@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermokernel.energy import EnergyLedger
@@ -487,6 +487,32 @@ def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reserv
         assert not hasattr(fam, "__dict__")
         for name in ("slice", "work_between", "heat_between"):
             assert getattr(type(fam), name) is getattr(QuasistaticFamily, name)
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2", "type3"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(log_p=st.floats(-3, 3), log_v=st.floats(-3, 3), log_r=st.floats(-2, 2),
+       lo=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0))
+@example(log_p=0.0, log_v=0.0, log_r=0.5, lo=0.0, hi=1.0)
+@example(log_p=0.0, log_v=0.0, log_r=0.5, lo=0.375, hi=0.375)
+def test_segment_entries_are_the_family_entries_to_the_bit(kind, log_p, log_v, log_r, lo, hi):
+    """A kind's own slice entries equal the ones that the base family builds from
+    ``evaluate`` and ``work_rate``: same atoms in the same order, same bits."""
+    world = World()
+    gas = add_ideal_gas(world)
+    start = GasState(10.0**log_p, 10.0**log_v)
+    lo, hi = min(lo, hi), max(lo, hi)
+    fam = {
+        "type1": lambda: type1(gas, start, start.p * 10.0**abs(log_r)),
+        "type2": lambda: type2(gas, start, start.V * 10.0**log_r),
+        "type3": lambda: type3(gas, add_reservoir(world, gas_T(gas.model, start)), start,
+                               start.V * 10.0**log_r),
+    }[kind]()
+    assume(type(fam) is SEGMENT_KINDS[kind])  # log_r == 0 gives an identity leg
+    got, ref = fam.slice(lo, hi).entries, QuasistaticFamily._entries(fam, lo, hi)
+    assert list(got) == list(ref) == list(fam.atoms)
+    assert list(got.values()) == list(ref.values())
+    assert repr(got) == repr(ref)  # tells -0.0 from 0.0, which ``==`` does not
 
 
 def test_leg_rates_answer_an_equal_atom_not_only_the_same_object(gas, unit_reservoir):

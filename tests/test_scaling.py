@@ -71,6 +71,12 @@ def test_classify_variables():
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_probe_classifies_neither(value):
+    """No tolerance holds a NaN or infinite difference, so such a probe scales neither way."""
+    assert classify_variable(lambda m, s: value, GasModel(), [GasState(1.0, 1.0)]) == "neither"
+
+
 def test_uv_conversions_roundtrip():
     for s in STATES:
         uv = UVState(gas_U(BASE, s), s.V)

@@ -817,3 +817,17 @@ def test_mutated_scenarios_exit_cleanly_and_repeatably(scenario):
     if code in (2, 3):
         failures = [line for line in out.splitlines() if not line.startswith(PROGRESS)]
         assert len(failures) == 1, out
+
+
+@pytest.mark.parametrize("p", [[math.nan, 2, 3], [2, math.nan, 3]], ids=["lower", "upper"])
+def test_nan_grid_edge_fails_validation_before_any_op_runs(tmp_path, capsys, p):
+    """Each edge of a grid is checked on its own: a NaN upper edge is refused
+    like a NaN lower one, before the ``connect`` ahead of it writes ``c.json``."""
+    table = {"op": "entropy-table", "gas": "g", "p": p, "V": [0.5, 2.0, 3], "save": "t.csv"}
+    script = [dict(CONNECT, save="c.json"), table]
+    path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": script})
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("op 'entropy-table': 'p' must be")
+    assert not out.exists() or not any(out.iterdir())
