@@ -25,7 +25,7 @@ from .processes import (
     work_of,
 )
 from .quasistatic import QuasistaticFamily
-from .reservoirs import Reservoir, add_reservoir
+from .reservoirs import Reservoir, add_reservoir, heat_into
 from .systems import System, World, compose
 
 
@@ -70,14 +70,8 @@ def _assemble(
 ) -> CarnotRun:
     """Run the legs in order and read each reservoir's heat off the footprint."""
     process = concatenate(*[fam.slice(0.0, 1.0) for fam in segments])
-
-    def reservoir_heat(res: Reservoir) -> float:
-        entry = process.entries[res.atom]
-        return (entry.final - entry.initial) - entry.work
-
-    q1, q2 = reservoir_heat(r1), reservoir_heat(r2)
-    w = work_of(machine, process)
-    return CarnotRun(r1, r2, machine, process, q1, q2, w, segments, n)
+    q1, q2 = heat_into(r1, process), heat_into(r2, process)
+    return CarnotRun(r1, r2, machine, process, q1, q2, work_of(machine, process), segments, n)
 
 
 def _working_gas(r1: Reservoir, r2: Reservoir, n: float) -> tuple[GasAtom, GasState, float]:
@@ -127,10 +121,7 @@ def build_carnot(
     else:
         log_r = abs(q_target) / (n * th1)
     # Expansion on the first isotherm pulls heat out of r1 (q1 < 0).
-    if q_target < 0:
-        log_r = abs(log_r)
-    else:
-        log_r = -abs(log_r)
+    log_r = math.copysign(log_r, -q_target)
 
     gas, a, hop = _working_gas(r1, r2, n)
     v_b = math.exp(log_r)

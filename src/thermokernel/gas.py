@@ -489,15 +489,11 @@ def segment_family(gas: GasAtom, start: GasState, spec: dict) -> QuasistaticFami
 
 def run_segments(gas: GasAtom, start: GasState, specs: Sequence[dict]) -> Process:
     """Execute a declarative list of segment specs from ``start``."""
-    state = start
-    process: Process | None = None
+    pieces, state = [], start
     for spec in specs:
-        piece = segment_family(gas, state, spec).slice(0.0, 1.0)
-        process = piece if process is None else concatenate(process, piece)
-        state = piece.final_of(gas.atom)
-    if process is None:
-        return make_identity(gas.system, {gas.atom: start})
-    return process
+        pieces.append(segment_family(gas, state, spec).slice(0.0, 1.0))
+        state = pieces[-1].final_of(gas.atom)
+    return concatenate(*pieces) if pieces else make_identity(gas.system, {gas.atom: start})
 
 
 def qs_tangent_sets(g: GasModel, s: GasState):

@@ -49,18 +49,20 @@ ROUNDING = 50.0 * sys.float_info.epsilon
 MAX_DEPTH = 30
 
 
-def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple:
-    """K15 value, |K15 - G7| and the nodes that ``_magnitude`` reads on ``[lo, hi]``.
+def _kronrod(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple:
+    """K15 value, |K15 - G7| and, from the same 15 values, the K15 value of ``|f|`` on ``[lo, hi]``.
 
-    No node is an end, so ``f`` is never read at ``lo`` or ``hi``.  A panel
-    too narrow for its outer nodes to fall strictly inside is integrated by
-    its midpoint value alone, with no error estimate and no nodes.
+    The ``|f|`` value is 0.0 when the error meets ``tol``; ``tol=-1.0`` always
+    reads it.  No node is an end, so ``f`` is never read at ``lo`` or ``hi``.
+    A panel too narrow for its outer nodes to fall strictly inside is
+    integrated by its midpoint value alone, with no error estimate.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     d1 = h * XK1
     if not lo < c - d1 < c + d1 < hi:
-        return f(c) * (hi - lo), 0.0, None
+        value = f(c) * (hi - lo)
+        return value, 0.0, abs(value)
     d2, d3, d4, d5, d6, d7 = h * XK2, h * XK3, h * XK4, h * XK5, h * XK6, h * XK7
     f0 = f(c)
     l1, r1 = f(c - d1), f(c + d1)
@@ -74,19 +76,13 @@ def _kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple:
     gauss = WG0 * f0 + WG2 * s2 + WG4 * s4 + WG6 * s6
     kronrod = (WK0 * f0 + WK1 * (l1 + r1) + WK2 * s2 + WK3 * (l3 + r3) + WK4 * s4
                + WK5 * (l5 + r5) + WK6 * s6 + WK7 * (l7 + r7))
-    return h * kronrod, h * abs(kronrod - gauss), (h, f0, l1, r1, l2, r2, l3, r3, l4, r4,
-                                                   l5, r5, l6, r6, l7, r7)
-
-
-def _magnitude(value: float, nodes: tuple | None) -> float:
-    """The K15 value of ``|f|`` on a panel, from its ``_kronrod`` value and nodes."""
-    if nodes is None:  # a midpoint panel: |f(c)| (hi - lo) is |value| exactly
-        return abs(value)
-    h, f0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6, l7, r7 = nodes
-    return h * (WK0 * abs(f0) + WK1 * (abs(l1) + abs(r1)) + WK2 * (abs(l2) + abs(r2))
-                + WK3 * (abs(l3) + abs(r3)) + WK4 * (abs(l4) + abs(r4))
-                + WK5 * (abs(l5) + abs(r5)) + WK6 * (abs(l6) + abs(r6))
-                + WK7 * (abs(l7) + abs(r7)))
+    err = h * abs(kronrod - gauss)
+    if err <= tol:
+        return h * kronrod, err, 0.0
+    return h * kronrod, err, h * (WK0 * abs(f0) + WK1 * (abs(l1) + abs(r1))
+                                  + WK2 * (abs(l2) + abs(r2)) + WK3 * (abs(l3) + abs(r3))
+                                  + WK4 * (abs(l4) + abs(r4)) + WK5 * (abs(l5) + abs(r5))
+                                  + WK6 * (abs(l6) + abs(r6)) + WK7 * (abs(l7) + abs(r7)))
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
@@ -105,12 +101,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     if b < a:
         a, b = b, a
         sign = -1.0
-    k, err, nodes = _kronrod(f, a, b)
-    if err <= tol:  # the first-panel exit
+    k, err, mag = _kronrod(f, a, b, tol)
+    if err <= tol or err <= ROUNDING * mag:  # the first panel is the whole integral
         return sign * (0.0 + k)  # ``0.0 +`` turns a -0.0 into 0.0, as a sum of panels does
-    mag = _magnitude(k, nodes)
-    if err <= ROUNDING * mag:
-        return sign * (0.0 + k)
     # Imported here: loading heapq's extension module costs ~0.14 MB of
     # resident memory, and most integrals never get this far.
     import heapq
@@ -125,9 +118,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
                 f"quadrature on [{a}, {b}] did not reach tol={tol} at max depth"
             )
         mid = 0.5 * (lo + hi)
-        k1, e1, n1 = _kronrod(f, lo, mid)
-        k2, e2, n2 = _kronrod(f, mid, hi)
-        m1, m2 = _magnitude(k1, n1), _magnitude(k2, n2)
+        k1, e1, m1 = _kronrod(f, lo, mid, -1.0)
+        k2, e2, m2 = _kronrod(f, mid, hi, -1.0)
         heapq.heappush(panels, (-e1, depth + 1, lo, mid, k1, m1))
         heapq.heappush(panels, (-e2, depth + 1, mid, hi, k2, m2))
         err += e1 + e2 + neg_e

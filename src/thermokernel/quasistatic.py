@@ -83,9 +83,13 @@ class QuasistaticFamily:
         return None
 
     def work_between(self, atom: AtomId, lo: float, hi: float) -> float:
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise OutOfDomain(f"work bounds ({lo}, {hi}) outside 0 <= lo <= hi <= 1")
         return _integral(self.work_rate(atom), lo, hi)
 
     def heat_between(self, atom: AtomId, lo: float, hi: float) -> float:
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise OutOfDomain(f"heat bounds ({lo}, {hi}) outside 0 <= lo <= hi <= 1")
         return _integral(self.heat_rate(atom), lo, hi)
 
     def slice(self, lo: float, hi: float) -> Process:

@@ -1,10 +1,11 @@
 """Heat reservoirs and the Kelvin-Planck second-law check.
 
 A reservoir is an atomic system whose state is a single energy value.  Its
-internal energy function is the identity on that value (injective), no
-generated process ever extracts work from it, and every constructor depends
-only on energy differences, never on the absolute energy, which realizes
-translation invariance.
+internal energy function is the identity on that value (injective), so
+``heat_into`` reads its heat off its own footprint entry, with no ledger.
+No generated process ever extracts work from it, and every constructor
+depends only on energy differences, never on the absolute energy, which
+realizes translation invariance.
 
 The model parameter ``theta`` is the gas-side isotherm invariant pV/(nR) at
 which the reservoir exchanges heat reversibly with an ideal gas.  Absolute
@@ -78,6 +79,12 @@ def stir(res: Reservoir, work: float) -> Process:
     )
 
 
+def heat_into(res: Reservoir, p: Process) -> float:
+    """Heat into ``res`` over ``p``: its energy change minus the work done on it."""
+    entry = p.entries[res.atom]
+    return (entry.final - entry.initial) - entry.work
+
+
 @dataclass(frozen=True)
 class SecondLawVerdict:
     passed: bool
@@ -98,7 +105,5 @@ def check_second_law(res: Reservoir, s: System, p: Process) -> SecondLawVerdict:
     if not classify(s, p).cyclic:
         raise PreconditionNotMet("process must be cyclic on the machine")
     w_s = work_of(s, p)
-    entry = p.entries[res.atom]
-    q_r = (entry.final - entry.initial) - entry.work
     return SecondLawVerdict(passed=w_s >= -tolerances().work_atol, work_on_machine=w_s,
-                            heat_into_reservoir=q_r)
+                            heat_into_reservoir=heat_into(res, p))

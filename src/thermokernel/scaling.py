@@ -81,8 +81,7 @@ def classify_variable(
     at scaled states; extensive means the value scales linearly, intensive
     means it is invariant, both to 1e-9 relative.
     """
-    extensive = True
-    intensive = True
+    extensive = intensive = True
     for lam in (Fraction(1, 2), Fraction(2), Fraction(3)):
         scaled = scale(base, lam)
         f = float(lam)
@@ -94,13 +93,9 @@ def classify_variable(
                 extensive = False
             if not abs(v1 - v0) <= tol:
                 intensive = False
-    if extensive and not intensive:
+    if extensive:  # also intensive only for an identically zero probe
         return "extensive"
-    if intensive and not extensive:
-        return "intensive"
-    if extensive and intensive:
-        return "extensive"  # only possible for identically zero probes
-    return "neither"
+    return "intensive" if intensive else "neither"
 
 
 def uv_to_gas(model: GasModel, s: UVState) -> GasState:

@@ -88,8 +88,8 @@ def _state(v: Any) -> bool:
 
 def _grid(v: Any) -> bool:
     # each edge on its own: ``min`` of a NaN and a number depends on their order
-    return (isinstance(v, list) and len(v) == 3 and _state(v[:2]) and all(x > 0 for x in v[:2])
-            and _count(v[2]))
+    return (isinstance(v, list) and len(v) == 3 and _state(v[:2])
+            and all(0 < x < math.inf for x in v[:2]) and _count(v[2]))
 
 
 def _save_path(v: Any) -> bool:
@@ -119,7 +119,7 @@ NUMBER: _Key = ("a number", _number)
 COUNT: _Key = ("an integer >= 1", _count)
 SAVE: _Key = ("a relative path inside --out, without '..'", _save_path)
 STATE: _Key = ("a [p, V] pair of numbers", _state)
-GRID: _Key = ("[lo, hi, count] with lo, hi > 0", _grid)
+GRID: _Key = ("[lo, hi, count] with lo, hi finite and > 0", _grid)
 EXPECT: _Key = (
     "an object of numbers", lambda v: isinstance(v, dict) and all(map(_number, v.values()))
 )
@@ -341,10 +341,7 @@ class _Runner:
         self.handles = {spec["name"]: ATOM_KINDS[spec["kind"]][0](self.world, spec)
                         for spec in self.scenario.atoms}
         for cmd in self.scenario.script:
-            self.dispatch(cmd)
-
-    def dispatch(self, cmd: dict) -> None:
-        getattr(self, "op_" + cmd["op"].replace("-", "_"))(cmd)
+            getattr(self, "op_" + cmd["op"].replace("-", "_"))(cmd)
 
     def save_json(self, cmd: dict, to_json: Callable[[], Any]) -> None:
         """Write ``to_json()`` to the command's ``save`` path, if it has one."""

@@ -29,6 +29,7 @@ from .gas import (
     GasModel,
     GasPlanner,
     GasState,
+    IsothermSegment,
     add_ideal_gas,
     connect_reversible,
     gas_S,
@@ -37,7 +38,6 @@ from .gas import (
     reservoir_contact,
     type1,
     type2,
-    type3,
 )
 from .processes import Process, concatenate
 from .quasistatic import QuasistaticFamily
@@ -107,8 +107,7 @@ def _isolated_or_contact(
     """An isolated leg, or an isothermal contact with a fresh reservoir, to ``factor`` times V."""
     if isolated:
         return type2(gas, state, state.V * factor)
-    res = add_reservoir(gas.world, gas_T(gas.model, state))
-    return type3(gas, res, state, state.V * factor)
+    return IsothermSegment.build(gas, state, gas_T(gas.model, state), state.V * factor)
 
 
 def random_reversible_legs(

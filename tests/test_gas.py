@@ -34,11 +34,12 @@ from thermokernel.gas import (
     gas_U_sv,
     reservoir_contact,
     run_segments,
+    segment_family,
     type1,
     type2,
     type3,
 )
-from thermokernel.processes import classify, values_close, work_of
+from thermokernel.processes import classify, concatenate, make_identity, values_close, work_of
 from thermokernel.quasistatic import QuasistaticFamily, identity_family
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import AtomId, World
@@ -366,6 +367,40 @@ def test_run_segments(gas):
         [{"type": "type2", "V2": 2.0}, {"type": "type1", "p2": 1.0}],
     )
     assert p.final_of(gas.atom).as_tuple() == pytest.approx((1.0, 2.0), abs=1e-12)
+
+
+def _pairwise_run_segments(gas, start, specs):
+    """``run_segments`` as a pairwise fold of the same chained slices."""
+    state, process = start, None
+    for spec in specs:
+        piece = segment_family(gas, state, spec).slice(0.0, 1.0)
+        process = piece if process is None else concatenate(process, piece)
+        state = piece.final_of(gas.atom)
+    return make_identity(gas.system, {gas.atom: start}) if process is None else process
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(sorted(SEGMENT_KINDS)),
+                                st.floats(min_value=0.5, max_value=2.0)), max_size=6))
+def test_run_segments_equals_the_pairwise_fold(steps):
+    """One ``concatenate`` of the chained slices gives the pairwise fold's
+    entries bit for bit, -0.0 and the baths minted by ``type3`` legs included."""
+    start = GasState(1.3, 0.8)
+    scratch = add_ideal_gas(World())
+    specs, state = [], start
+    for kind, factor in steps:
+        if kind == "type1":  # friction only raises the pressure
+            spec = {"type": kind, "p2": state.p * (1.0 + factor)}
+        elif kind == "type2":
+            spec = {"type": kind, "V2": state.V * factor}
+        else:
+            spec = {"type": kind, "theta": gas_T(scratch.model, state), "V2": state.V * factor}
+        specs.append(spec)
+        state = segment_family(scratch, state, spec).state_at(1.0)[scratch.atom]
+    one = run_segments(add_ideal_gas(World()), start, specs)
+    fold = _pairwise_run_segments(add_ideal_gas(World()), start, specs)
+    assert repr(one.entries) == repr(fold.entries)
+    assert (one.reversible, one.tags) == (fold.reversible, fold.tags)
 
 
 class TestGasPlanner:

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -44,10 +45,12 @@ def test_slice_point_is_identity(gas):
 
 def test_slice_bounds_validated(gas):
     fam = type2(gas, GasState(1, 1), 2.0)
-    with pytest.raises(OutOfDomain):
-        fam.slice(0.7, 0.2)
-    with pytest.raises(OutOfDomain):
-        fam.slice(-0.1, 0.5)
+    for between in (fam.slice, partial(fam.work_between, gas.atom),
+                    partial(fam.heat_between, gas.atom)):
+        for lo, hi in ((0.7, 0.2), (-0.1, 0.5), (2.0, 5.0), (-1.0, 0.0), (0.0, 2.0),
+                       (math.nan, 0.5), (0.0, math.nan)):
+            with pytest.raises(OutOfDomain):
+                between(lo, hi)
 
 
 @settings(max_examples=30, deadline=None)

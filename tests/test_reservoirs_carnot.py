@@ -14,6 +14,7 @@ from thermokernel.carnot import (
     same_temperature,
     temperature_ratio,
 )
+from thermokernel.energy import EnergyLedger, heat_of
 from thermokernel.errors import PreconditionNotMet, SameReservoir
 from thermokernel.gas import GasState, gas_T, reservoir_contact, type1
 from thermokernel.processes import (
@@ -23,7 +24,9 @@ from thermokernel.processes import (
     make_process,
     reverse_of,
 )
-from thermokernel.reservoirs import ReservoirModel, add_reservoir, check_second_law, stir
+from thermokernel.reservoirs import (
+    ReservoirModel, add_reservoir, check_second_law, heat_into, stir,
+)
 from thermokernel.systems import World, compose
 
 LN2 = math.log(2.0)
@@ -34,6 +37,24 @@ def test_reservoir_parameter_must_be_positive_and_finite(theta):
     """An int that no float holds is not finite either."""
     with pytest.raises(ValueError, match="^reservoir parameter theta must be positive and finite"):
         ReservoirModel(theta)
+
+
+@pytest.mark.parametrize("build", [
+    lambda r1, r2, rng: build_carnot(r1, r2, q_target=rng.uniform(-1.0, 1.0)),
+    lambda r1, r2, rng: build_degraded_carnot(r1, r2, rng.uniform(1.2, 3.0)),
+], ids=["carnot", "degraded"])
+def test_heat_into_equals_the_ledger_heat(build):
+    """A reservoir's heat read off its footprint entry equals the energy
+    ledger's heat into its system, for both reservoirs of a seeded run."""
+    rng = random.Random(11)
+    for _ in range(8):
+        world = World()
+        r1 = add_reservoir(world, rng.uniform(1.5, 3.0))
+        r2 = add_reservoir(world, rng.uniform(0.4, 1.2))
+        run = build(r1, r2, rng)
+        ledger = EnergyLedger(world)
+        for r, q in ((r1, run.q1), (r2, run.q2)):
+            assert heat_into(r, run.process) == heat_of(ledger, r.system, run.process) == q
 
 
 class TestSecondLaw:

@@ -71,6 +71,11 @@ def test_classify_variables():
     )
 
 
+def test_an_identically_zero_probe_classifies_extensive():
+    """Zero both scales linearly and stays invariant; the verdict is extensive."""
+    assert classify_variable(lambda m, s: 0.0, BASE, STATES) == "extensive"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 def test_a_non_finite_probe_classifies_neither(value):
     """No tolerance holds a NaN or infinite difference, so such a probe scales neither way."""

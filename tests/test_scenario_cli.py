@@ -819,10 +819,15 @@ def test_mutated_scenarios_exit_cleanly_and_repeatably(scenario):
         assert len(failures) == 1, out
 
 
-@pytest.mark.parametrize("p", [[math.nan, 2, 3], [2, math.nan, 3]], ids=["lower", "upper"])
+@pytest.mark.parametrize(
+    "p",
+    [[math.nan, 2, 3], [2, math.nan, 3], [1, math.inf, 3], [math.inf, 2, 3]],
+    ids=["lower", "upper", "upper-inf", "lower-inf"],
+)
 def test_nan_grid_edge_fails_validation_before_any_op_runs(tmp_path, capsys, p):
-    """Each edge of a grid is checked on its own: a NaN upper edge is refused
-    like a NaN lower one, before the ``connect`` ahead of it writes ``c.json``."""
+    """Each edge of a grid is checked on its own: a NaN or infinite upper edge
+    is refused like a lower one, before the ``connect`` ahead of it writes
+    ``c.json``."""
     table = {"op": "entropy-table", "gas": "g", "p": p, "V": [0.5, 2.0, 3], "save": "t.csv"}
     script = [dict(CONNECT, save="c.json"), table]
     path = write_scenario(tmp_path, {"version": 1, "atoms": [GAS], "script": script})
