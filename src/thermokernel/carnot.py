@@ -1,12 +1,13 @@
 """Reversible engines between reservoir pairs; temperature from heat ratios.
 
-A run is a four-leg cycle on a fresh working gas: isotherm at the first
-reservoir, isolated leg, isotherm at the second reservoir, isolated leg
-back to the start.  The machine is exactly cyclic, heats are read off the
-reservoir footprints, and the heat-flow ratio -q1/q2 is universal: it
-depends on the reservoirs only, never on the working gas.  That ratio
-defines the temperature ratio and, against a fixed reference, absolute
-temperature.
+A run is a four-leg cycle on a fresh working gas, assembled in one place
+(``_cycle``): isotherm at the first reservoir, isolated leg, isotherm at
+the second reservoir, isolated leg back to the start; a friction-closed
+run differs in its last two legs.  The machine is exactly cyclic, heats
+are read off the reservoir footprints, and the heat-flow ratio -q1/q2 is
+universal: it depends on the reservoirs only, never on the working gas.
+That ratio defines the temperature ratio and, against a fixed reference,
+absolute temperature.
 """
 
 from __future__ import annotations
@@ -65,21 +66,32 @@ class CarnotRun:
         }
 
 
-def _assemble(
-    r1: Reservoir, r2: Reservoir, machine: System, segments: tuple[QuasistaticFamily, ...], n: float
-) -> CarnotRun:
-    """Run the legs in order and read each reservoir's heat off the footprint."""
+def _working_gas(r1: Reservoir, n: float) -> tuple[GasAtom, GasState]:
+    """A fresh γ = 5/3, R = 1 gas of amount ``n`` in ``r1``'s world, and its start at V = 1."""
+    gas = add_ideal_gas(r1.world, GasModel(n=n))
+    return gas, GasState(gas.model.nR * r1.theta, 1.0)
+
+
+def _cycle(r1: Reservoir, r2: Reservoir, n: float, v_b: float, *, friction: bool) -> CarnotRun:
+    """The one Carnot assembly: four legs on a fresh gas of amount ``n``, heats off the footprint.
+
+    ``r1``'s isotherm from V = 1 to ``v_b``, isolated leg to ``r2``'s isotherm, then ``r2``'s
+    isotherm to ``hop`` and an isolated leg home, or, with ``friction``, to V = 1 and a friction
+    leg up to the start.  Leg 2 targets ``hop`` times the volume where leg 1 ended, exp(log v_b):
+    for ``build_carnot``'s ``v_b``, itself an ``exp`` output, that is ``v_b`` to the bit.
+    """
+    gas, a = _working_gas(r1, n)
+    hop = (r1.theta / r2.theta) ** (1.0 / (gas.model.gamma - 1.0))
+    seg1 = type3(gas, r1, a, v_b)
+    b = seg1.state_at(1.0)[gas.atom]
+    seg2 = type2(gas, b, b.V * hop)
+    seg3 = type3(gas, r2, seg2.state_at(1.0)[gas.atom], 1.0 if friction else hop)
+    d = seg3.state_at(1.0)[gas.atom]
+    segments = (seg1, seg2, seg3, type1(gas, d, a.p) if friction else type2(gas, d, 1.0))
     process = concatenate(*[fam.slice(0.0, 1.0) for fam in segments])
     q1, q2 = heat_into(r1, process), heat_into(r2, process)
+    machine = gas.system
     return CarnotRun(r1, r2, machine, process, q1, q2, work_of(machine, process), segments, n)
-
-
-def _working_gas(r1: Reservoir, r2: Reservoir, n: float) -> tuple[GasAtom, GasState, float]:
-    """A fresh γ = 5/3, R = 1 gas of amount ``n`` in ``r1``'s world, its start at V = 1 on
-    ``r1``'s isotherm, and ``hop``, the volume factor of an isolated leg to ``r2``'s isotherm."""
-    gas = add_ideal_gas(r1.world, GasModel(n=n))
-    g = gas.model
-    return gas, GasState(g.nR * r1.theta, 1.0), (r1.theta / r2.theta) ** (1.0 / (g.gamma - 1.0))
 
 
 def build_carnot(
@@ -101,38 +113,26 @@ def build_carnot(
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
+    if not math.isfinite(q_target):
+        raise ValueError("heat target must be finite")
     if n is None:
-        if not (volume_ratio > 0 and volume_ratio != 1.0):  # NaN is not positive
-            raise ValueError("volume ratio must be positive and != 1")
-    elif not n > 0:
-        raise ValueError("gas amount must be positive")
-    th1 = r1.theta
+        if not (math.isfinite(volume_ratio) and volume_ratio > 0 and volume_ratio != 1.0):
+            raise ValueError("volume ratio must be positive and != 1, and finite")
+    elif not (math.isfinite(n) and n > 0):
+        raise ValueError("gas amount must be positive and finite")
     if q_target == 0.0:
-        # not ``_working_gas``: its hop overflows past a ratio of about 1e205
-        gas = add_ideal_gas(r1.world, GasModel())
-        sigma = {gas.atom: GasState(gas.model.nR * th1, 1.0), r1.atom: 0.0, r2.atom: 0.0}
+        gas, a = _working_gas(r1, 1.0)
         everything = compose(gas.system, compose(r1.system, r2.system))
-        p = make_identity(everything, sigma)
+        p = make_identity(everything, {gas.atom: a, r1.atom: 0.0, r2.atom: 0.0})
         return CarnotRun(r1, r2, gas.system, p, 0.0, 0.0, 0.0, (), 1.0)
 
     if n is None:
-        n = abs(q_target) / (th1 * abs(math.log(volume_ratio)))
+        n = abs(q_target) / (r1.theta * abs(math.log(volume_ratio)))
         log_r = math.log(volume_ratio)
     else:
-        log_r = abs(q_target) / (n * th1)
+        log_r = abs(q_target) / (n * r1.theta)
     # Expansion on the first isotherm pulls heat out of r1 (q1 < 0).
-    log_r = math.copysign(log_r, -q_target)
-
-    gas, a, hop = _working_gas(r1, r2, n)
-    v_b = math.exp(log_r)
-    seg1 = type3(gas, r1, a, v_b)
-    b = seg1.state_at(1.0)[gas.atom]
-    seg2 = type2(gas, b, v_b * hop)
-    c = seg2.state_at(1.0)[gas.atom]
-    seg3 = type3(gas, r2, c, hop)
-    d = seg3.state_at(1.0)[gas.atom]
-    seg4 = type2(gas, d, 1.0)
-    return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), n)
+    return _cycle(r1, r2, n, math.exp(math.copysign(log_r, -q_target)), friction=False)
 
 
 def temperature_ratio(r1: Reservoir, r2: Reservoir) -> float:
@@ -169,13 +169,13 @@ def same_temperature(r1: Reservoir, r2: Reservoir) -> bool:
 
 
 def build_degraded_carnot(r1: Reservoir, r2: Reservoir, volume_ratio: float = 2.0) -> CarnotRun:
-    """A cycle closed by a friction leg instead of the second isolated leg.
+    """The Carnot cycle closed by friction: one unit of gas, ``r1`` the hotter.
 
-    One unit of a γ = 5/3, R = 1 gas starts at V = 1 on ``r1``'s isotherm
-    and expands there by ``volume_ratio``; ``r1`` must be the hotter.  The
-    friction leg makes the cycle irreversible and strictly lowers -q1/q2
-    below the reversible ratio: some of the heat drawn from the hot side is
-    wasted re-heating the gas instead of being pumped.
+    The first two legs are ``build_carnot``'s, expanding by ``volume_ratio``
+    on ``r1``'s isotherm; ``r2``'s isotherm then runs back to V = 1 and a
+    friction leg climbs to the start pressure.  That makes the cycle
+    irreversible and strictly lowers -q1/q2 below the reversible ratio: some
+    heat drawn from the hot side re-heats the gas instead of being pumped.
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
@@ -183,15 +183,7 @@ def build_degraded_carnot(r1: Reservoir, r2: Reservoir, volume_ratio: float = 2.
         raise ValueError("the degraded cycle needs the first reservoir hotter")
     if not volume_ratio > 1.0:
         raise ValueError("need an expansion ratio > 1")
-    gas, a, hop = _working_gas(r1, r2, 1.0)
-    seg1 = type3(gas, r1, a, float(volume_ratio))
-    b = seg1.state_at(1.0)[gas.atom]
-    seg2 = type2(gas, b, b.V * hop)
-    c = seg2.state_at(1.0)[gas.atom]
-    seg3 = type3(gas, r2, c, 1.0)
-    d = seg3.state_at(1.0)[gas.atom]
-    seg4 = type1(gas, d, a.p)
-    return _assemble(r1, r2, gas.system, (seg1, seg2, seg3, seg4), 1.0)
+    return _cycle(r1, r2, 1.0, float(volume_ratio), friction=True)
 
 
 def machine_cyclic(run: CarnotRun) -> bool:

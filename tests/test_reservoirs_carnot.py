@@ -138,12 +138,25 @@ class TestBuildCarnot:
         ({"volume_ratio": math.nan}, "volume ratio must be positive and != 1"),
         ({"n": -1.0}, "gas amount must be positive"),
         ({"n": math.nan}, "gas amount must be positive"),
+        ({"volume_ratio": math.inf}, "volume ratio must be positive and != 1, and finite"),
+        ({"n": math.inf}, "gas amount must be positive and finite"),
     ])
     def test_zero_heat_checks_its_arguments(self, world, kwargs, message):
         hot, cold = add_reservoir(world, 2.0), add_reservoir(world, 1.0)
         with pytest.raises(ValueError, match=message):
             build_carnot(hot, cold, 0.0, **kwargs)
         assert world.registry == {hot.atom, cold.atom}  # refused before a gas is minted
+
+    @pytest.mark.parametrize("q_target, kwargs", [
+        (math.nan, {"n": 1.0}),
+        (math.inf, {}),
+        (-math.inf, {"volume_ratio": math.nan}),
+    ])
+    def test_non_finite_heat_target_is_named_first(self, world, q_target, kwargs):
+        hot, cold = add_reservoir(world, 2.0), add_reservoir(world, 1.0)
+        with pytest.raises(ValueError, match="^heat target must be finite$"):
+            build_carnot(hot, cold, q_target, **kwargs)
+        assert world.registry == {hot.atom, cold.atom}
 
     def test_equivalent_reservoirs(self, world):
         r1 = add_reservoir(world, 1.7)

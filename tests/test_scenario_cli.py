@@ -606,7 +606,21 @@ def test_zero_heat_carnot_with_a_bad_volume_ratio_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().out.splitlines() == [
-        "ENGINE ERROR: ValueError: volume ratio must be positive and != 1"]
+        "ENGINE ERROR: ValueError: volume ratio must be positive and != 1, and finite"]
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("q_hot", math.nan, "heat target must be finite"),
+    ("q_hot", math.inf, "heat target must be finite"),
+    ("volume_ratio", math.inf, "volume ratio must be positive and != 1, and finite"),
+])
+def test_non_finite_carnot_input_is_named_and_exits_3(tmp_path, capsys, key, value, line):
+    """The JSON reader takes NaN and Infinity; the engine names the input that holds one."""
+    atoms = [HOT, dict(HOT, name="cold", theta=1.0)]
+    cmd = dict(CARNOT, cold="cold", **{key: value})
+    path = write_scenario(tmp_path, {"version": 1, "atoms": atoms, "script": [cmd]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out.splitlines() == [f"ENGINE ERROR: ValueError: {line}"]
 
 
 SEGMENTS_ONLY = ("op 'segments': 'segments' must be a list of segments of type type1, type2, "
