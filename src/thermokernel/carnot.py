@@ -176,13 +176,16 @@ def build_degraded_carnot(r1: Reservoir, r2: Reservoir, volume_ratio: float = 2.
     friction leg climbs to the start pressure.  That makes the cycle
     irreversible and strictly lowers -q1/q2 below the reversible ratio: some
     heat drawn from the hot side re-heats the gas instead of being pumped.
+    A ratio that is not finite and > 1 is refused before the gas is minted; a
+    huge finite one (1e300) fails the first leg's state check after, as in
+    ``build_carnot``.
     """
     if r1.atom == r2.atom:
         raise SameReservoir("a Carnot engine needs two different reservoirs")
     if not r1.theta > r2.theta:
         raise ValueError("the degraded cycle needs the first reservoir hotter")
-    if not volume_ratio > 1.0:
-        raise ValueError("need an expansion ratio > 1")
+    if not 1.0 < volume_ratio < math.inf:
+        raise ValueError("need a finite volume ratio > 1")
     return _cycle(r1, r2, 1.0, float(volume_ratio), friction=True)
 
 

@@ -19,9 +19,8 @@ from typing import Callable, Iterable
 @dataclass(frozen=True)
 class Tolerances:
     state_atol: float = 1e-12          # payload equality for concatenation/cyclicity
-    work_atol: float = 1e-12           # zero-work tests (catalytic, identity)
+    work_atol: float = 1e-12           # zero work (catalytic, identity, first-law spread near 0)
     first_law_rtol: float = 1e-9       # path-independence of total work
-    first_law_atol: float = 1e-12
     quad_tol: float = 1e-10            # absolute quadrature target, floored at rounding
     tangent_det_min: float = 1e-8      # normalized 2x2 determinant threshold
     same_temperature: float = 1e-6     # |tau - 1| bound for thermal equilibrium

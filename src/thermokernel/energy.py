@@ -5,12 +5,12 @@ energy of a state is the reference energy plus the total work of any
 connecting work process (or minus, for a process arriving at the reference).
 A gas's reference is its model's ``sigma0``, so the anchor is read off the
 model binding on every query and the ledger keeps nothing between queries.
-The connecting process is the first ``GasPlanner.routes`` plan from the
-reference to the state, or from the state back to it; which way a work
-process runs is ``gas.connect_forward``'s adiabat rule, the same one
-``connect`` follows.  The engine integrates the plan's work numerically; the
-closed forms in the gas module are used only as references for the anchor
-constant and as test oracles.
+The connecting process is the first plan of one ``GasPlanner.routes`` call
+on the reference and the state, which decides whether a work process runs
+from the reference to the state or back, as it does for ``connect``.  The
+engine integrates the plan's work numerically; the closed forms in the gas
+module are used only as references for the anchor constant and as test
+oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import fold_worst, tolerances
 from .errors import Unreachable
-from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, connect_forward, gas_U
+from .gas import AdiabatSegment, GasAtom, GasModel, GasPlanner, GasState, gas_U
 from .processes import Process, work_of
 from .reservoirs import RESERVOIR_KIND, ReservoirModel
 from .systems import AtomId, System, World
@@ -33,8 +33,8 @@ class EnergyLedger:
     Each query reads the atom's anchor off its model binding: a gas is
     anchored at its model's ``sigma0`` with the closed-form energy there, and
     a reservoir's energy is its payload.  A fresh ``GasPlanner`` builds the
-    connecting work process, its first route in whichever direction one
-    exists, so a query keeps nothing and adds no atom to the world.
+    connecting work process, its first route in the direction ``routes``
+    decides, so a query keeps nothing and adds no atom to the world.
     """
 
     world: World
@@ -46,12 +46,13 @@ class EnergyLedger:
     def atom_energies(self, atom: AtomId, payloads: Iterable[Any]) -> Iterator[float]:
         """Energies of one atom's states, one per payload, in order, as they are pulled.
 
-        One call resolves the binding, anchor and planner once, orients each
-        payload once by ``connect_forward``, as ``connect`` does, and asks for
-        one route in that direction.  It memoizes only the isolated legs that
-        leave the anchor, keyed by their target volume: the routes from the
-        anchor to one volume share that leg.  Every other leg is integrated
-        where it is met.  Nothing outlives the call.
+        One call resolves the binding, anchor and planner once and makes
+        one ``routes(sigma0, payload)`` call per payload, as ``connect``
+        does, which decides the direction and plans one route that way.  It
+        memoizes only the isolated legs that leave the anchor, keyed by their
+        target volume: the routes from the anchor to one volume share that
+        leg.  Every other leg is integrated where it is met.  Nothing
+        outlives the call.
         """
         binding = self.world.binding(atom) if atom in self.world else None
         if atom.kind == RESERVOIR_KIND or isinstance(binding, ReservoirModel):
@@ -72,10 +73,9 @@ class EnergyLedger:
             return w
 
         for payload in payloads:
-            if connect_forward(binding, sigma0, payload):
-                yield u0 + sum(map(work, planner.routes(sigma0, payload, count=1)[0]))
-            else:
-                yield u0 - sum(map(work, planner.routes(payload, sigma0, count=1)[0]))
+            forward, plans = planner.routes(sigma0, payload, count=1)
+            w = sum(map(work, plans[0]))
+            yield u0 + w if forward else u0 - w
 
 
 def internal_energy(ledger: EnergyLedger, s: System, sigma: Mapping[AtomId, Any]) -> float:
@@ -120,26 +120,21 @@ def check_first_law(
 ) -> FirstLawReport:
     """Work totals of all discovered connecting work processes must agree.
 
-    Each sampled state pair is oriented as ``connect`` orients it, and up
-    to three plans are built in that direction; a pair with no plan, or
-    plans whose total works disagree beyond the ``first_law_rtol`` and
-    ``first_law_atol`` tiers, are reported as violations.
+    Each sampled state pair gets one ``routes`` call, as ``connect`` does,
+    which builds up to three plans the way a work process runs; plans whose
+    total works disagree beyond the ``first_law_rtol`` tier, or the
+    ``work_atol`` tier near zero, are reported as violations, with the pair
+    in the plans' direction.
     """
     cfg = tolerances()
     violations = []
-    atom, g = planner.gas.atom, planner.gas.model
+    atom = planner.gas.atom
     for s1, s2 in pairs:
-        a, b = (s1, s2) if connect_forward(g, s1, s2) else (s2, s1)
-        plans = planner.routes(a, b, count=3)
+        forward, plans = planner.routes(s1, s2, count=3)
+        a, b = (s1, s2) if forward else (s2, s1)
         works = [sum(f.work_between(atom, 0.0, 1.0) for f in plan) for plan in plans]
-        if not works:
-            violations.append(
-                {"sigma1": a.as_tuple(), "sigma2": b.as_tuple(), "works": [],
-                 "reason": "no plan constructed"}
-            )
-            continue
         spread = fold_worst(max, *works) - fold_worst(min, *works)
-        bound = max(cfg.first_law_atol, cfg.first_law_rtol * max(abs(w) for w in works))
+        bound = max(cfg.work_atol, cfg.first_law_rtol * max(abs(w) for w in works))
         if not spread <= bound:
             violations.append(
                 {"sigma1": a.as_tuple(), "sigma2": b.as_tuple(),

@@ -17,8 +17,9 @@ integrates exactly.  ``SEGMENT_KINDS`` maps each name to its class.
 Work processes on the gas alone are finite alternating sequences of the
 first two kinds; adjacent same-kind segments merge, degenerate legs drop.
 Isolated legs keep the adiabat invariant p V^gamma and friction raises it;
-``connect_forward`` is the one comparison of invariants, and ``connect`` and
-the energy ledger both run the first route of ``GasPlanner``.
+``connect_forward`` asks which way a work process runs, and
+``GasPlanner.routes`` answers that and plans the process in the one call
+that ``connect``, the energy ledger and the first-law check make per pair.
 The closed forms for internal energy, entropy and gas temperature are the
 oracles that the path-integrating engine is tested against; the engine never
 calls them as shortcuts.
@@ -402,9 +403,9 @@ def connect_forward(g: GasModel, s1: GasState, s2: GasState) -> bool:
     Isolated legs keep the adiabat invariant p V^gamma and friction raises
     it, so a work process runs the way the invariant does not decrease;
     invariants equal to 1e-12 relative count as equal and run either way.
-    Its ``_forward`` is the one place that compares invariants: ``connect``
-    orients its pair by it, and ``GasPlanner`` reads "raising" as
-    ``_forward(inv_a, inv_b)`` and "one adiabat" as that in both directions.
+    Its ``_forward`` is the one place that compares invariants:
+    ``GasPlanner.routes`` reads the direction as ``_forward(inv_a, inv_b)``
+    and "one adiabat" as that in both directions.
     """
     return _forward(adiabat_invariant(g, s1), adiabat_invariant(g, s2))
 
@@ -417,16 +418,15 @@ def _forward(inv1: float, inv2: float) -> bool:
 def connect(gas: GasAtom, s1: GasState, s2: GasState) -> Process:
     """A work process on the gas between the two states.
 
-    Orients the pair by ``connect_forward`` and runs the planner's first
-    route between them: an isolated leg to the target volume, then friction
+    Runs the first plan of ``GasPlanner.routes``, the way a work process
+    runs: an isolated leg to the target volume, then friction
     up to the target's adiabat (a single isolated leg when both states lie
     on one adiabat).  The returned footprint may therefore run from ``s2``
     to ``s1``; both directions determine the same energy difference.
     States at one volume and on one adiabat, both to 1e-12 relative (equal
     states included), get the planner's zero-work identity plan.
     """
-    lo, hi = (s1, s2) if connect_forward(gas.model, s1, s2) else (s2, s1)
-    plan = GasPlanner(gas).routes(lo, hi, count=1)[0]
+    plan = GasPlanner(gas).routes(s1, s2, count=1)[1][0]
     return concatenate(*[leg.slice(0.0, 1.0) for leg in plan])
 
 
@@ -552,9 +552,9 @@ class GasPlanner:
     """Plans work processes on a single gas atom from its segment vocabulary.
 
     Reachability on the gas is governed by the adiabat invariant: isolated
-    legs preserve it, friction raises it, and ``connect_forward`` is the one
-    rule that compares it.  A plan uses at most three legs: isolated,
-    friction, isolated.
+    legs preserve it, friction raises it, and ``_forward`` is the one
+    comparison of it, which ``routes`` makes itself.  A plan uses at most
+    three legs: isolated, friction, isolated.
     """
 
     gas: GasAtom
@@ -564,26 +564,28 @@ class GasPlanner:
 
     def routes(
         self, a: GasState, b: GasState, count: int = 3
-    ) -> list[list[QuasistaticFamily]]:
-        """Up to ``count`` distinct segment plans from ``a`` to ``b``.
+    ) -> tuple[bool, list[list[QuasistaticFamily]]]:
+        """``(forward, plans)``: up to ``count`` distinct plans, never none.
 
-        Empty when ``b`` is unreachable from ``a``; one identity plan when
-        the states agree in volume and adiabat to 1e-12 relative; one
-        isolated leg when they lie on one adiabat.  Otherwise plans differ
-        in the volume ``vm`` at which the friction leg runs, and an isolated
-        leg closes a plan only when ``vm`` is not ``b``'s volume; the first
-        plan runs friction at ``b``'s volume: an isolated leg there, then
-        friction up to ``b``'s adiabat.
+        ``forward`` is ``_forward`` on the two invariants; the plans run
+        from ``a`` to ``b`` when it holds and from ``b`` to ``a`` otherwise.
+        One identity plan when the states agree in volume and adiabat to
+        1e-12 relative; one isolated leg when they lie on one adiabat.
+        Otherwise plans differ in the volume ``vm`` at which the friction
+        leg runs, and an isolated leg closes a plan only when ``vm`` is not
+        the end's volume; the first plan runs friction at the end's volume:
+        an isolated leg there, then friction up to the end's adiabat.
         """
         gas = self.gas
         g = gas.model
         inv_a, inv_b = adiabat_invariant(g, a), adiabat_invariant(g, b)
-        if not _forward(inv_a, inv_b):
-            return []
-        if _forward(inv_b, inv_a):
+        forward = _forward(inv_a, inv_b)
+        if not forward:
+            a, b, inv_b = b, a, inv_a
+        elif _forward(inv_b, inv_a):
             if abs(a.V - b.V) <= 1e-12 * max(a.V, b.V):
-                return [[identity_family({gas.atom: a}, tag="identity")]]
-            return [[type2(gas, a, b.V)]]
+                return forward, [[identity_family({gas.atom: a}, tag="identity")]]
+            return forward, [[type2(gas, a, b.V)]]
         # friction-leg volumes: geometric interpolants between the endpoints
         fractions = [1.0, 0.0, 0.5, 0.25, 0.75, 0.375, 0.625]
         plans: list[list[QuasistaticFamily]] = []
@@ -601,15 +603,12 @@ class GasPlanner:
                 leg = type2(gas, state, vm)
                 plan.append(leg)
                 state = leg.state_at(1.0)[gas.atom]
-            target_p = inv_b * vm**-g.gamma
-            if target_p < state.p:
-                continue  # this interpolant would need a pressure drop
-            leg = type1(gas, state, target_p)
+            leg = type1(gas, state, inv_b * vm**-g.gamma)
             plan.append(leg)
             if vm != b.V:  # a leg's evaluated end may be an ulp off vm
                 plan.append(type2(gas, leg.state_at(1.0)[gas.atom], b.V))
             plans.append(plan)
-        return plans
+        return forward, plans
 
 
 _set_gas = GasPlanner.gas.__set__

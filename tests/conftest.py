@@ -56,6 +56,12 @@ def grid_with_shared_columns(rng, sigma0):
     return states[:7] + [sigma0, states[3]] + states[7:] + [states[3], sigma0, states[0]]
 
 
+def sliced(plans):
+    """Each plan as the ``repr`` of its legs' full slices: equal exactly when the plans
+    run the same legs to the bit (``repr`` tells -0.0 from 0.0)."""
+    return [[repr(leg.slice(0.0, 1.0).entries) for leg in plan] for plan in plans]
+
+
 def orientation_edges(model):
     """States at the edges of a batch's orientation, around ``model.sigma0``.
 

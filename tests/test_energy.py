@@ -28,7 +28,7 @@ from thermokernel.processes import make_identity, reverse_of
 from thermokernel.quasistatic import QuasistaticFamily
 from thermokernel.systems import compose
 
-from conftest import grid_with_shared_columns, orientation_edges
+from conftest import grid_with_shared_columns, orientation_edges, sliced
 
 LN2 = math.log(2.0)
 
@@ -38,16 +38,20 @@ class TestReaches:
 
     def test_friction_raises_pressure(self, gas):
         planner = GasPlanner(gas)
-        assert planner.routes(GasState(1, 1), GasState(2, 1))
+        forward, plans = planner.routes(GasState(1, 1), GasState(2, 1))
+        assert forward and plans
 
     def test_friction_cannot_lower_pressure(self, gas):
         planner = GasPlanner(gas)
-        assert planner.routes(GasState(2, 1), GasState(1, 1)) == []
+        forward, plans = planner.routes(GasState(2, 1), GasState(1, 1))
+        assert not forward
+        assert sliced(plans) == sliced(planner.routes(GasState(1, 1), GasState(2, 1))[1])
 
     def test_reflexive(self, gas):
         planner = GasPlanner(gas)
         sigma = GasState(1.3, 0.9)
-        ((leg,),) = planner.routes(sigma, sigma, count=1)
+        forward, ((leg,),) = planner.routes(sigma, sigma, count=1)
+        assert forward
         p = leg.slice(0.0, 1.0)
         assert p.initial_of(gas.atom) == sigma
         assert p.final_of(gas.atom) == sigma
@@ -174,12 +178,12 @@ class TestFirstLawCheck:
                 self.gas = inner.gas
 
             def routes(self, a, b, count=3):
-                plans = self.inner.routes(a, b, count)
+                forward, plans = self.inner.routes(a, b, count)
                 if len(plans) > 1:
                     # fault injection: damage one leg's work bookkeeping
                     bad = plans[-1][0]
                     plans[-1][0] = Damaged(bad, self.gas.atom)
-                return plans
+                return forward, plans
 
         class Damaged(QuasistaticFamily):
             """``inner``'s states with a work rate of 1e6 on ``atom``."""
@@ -205,19 +209,6 @@ class TestFirstLawCheck:
     def test_empty_sample(self, gas):
         report = check_first_law(GasPlanner(gas), [])
         assert report.passed and report.pairs_checked == 0
-
-    def test_pair_without_a_plan_is_reported(self, gas):
-        class Planless:
-            def __init__(self, gas):
-                self.gas = gas
-
-            def routes(self, a, b, count=3):
-                return []
-
-        report = check_first_law(Planless(gas), [(GasState(1, 1), GasState(2, 1.5))])
-        assert not report.passed
-        assert report.violations == [{"sigma1": (1, 1), "sigma2": (2, 1.5), "works": [],
-                                      "reason": "no plan constructed"}]
 
 
 class TestQueriesKeepNothing:
@@ -271,12 +262,19 @@ class TestBatchedEnergies:
 
     @staticmethod
     def _unshared(gas, s):
-        """The first route's energy, integrated leg by leg with nothing shared."""
+        """The first route's energy, integrated leg by leg with nothing shared.
+
+        The pair is put in a work process's order by ``connect_forward`` first,
+        so the planner is asked only forward questions.
+        """
         g = gas.model
         u0, planner = gas_U(g, g.sigma0), GasPlanner(gas)
-        for plan in planner.routes(g.sigma0, s, count=1):
+        if connect_forward(g, g.sigma0, s):
+            forward, (plan,) = planner.routes(g.sigma0, s, count=1)
+            assert forward
             return u0 + sum(f.work_between(gas.atom, 0.0, 1.0) for f in plan)
-        (plan,) = planner.routes(s, g.sigma0, count=1)
+        forward, (plan,) = planner.routes(s, g.sigma0, count=1)
+        assert forward
         return u0 - sum(f.work_between(gas.atom, 0.0, 1.0) for f in plan)
 
     @pytest.mark.parametrize("gamma", [5.0 / 3.0, 7.0 / 5.0])
@@ -309,8 +307,8 @@ class TestBatchedEnergies:
         with monkeypatch.context() as m:
             m.setattr(GasPlanner, "routes", spy)
             batch = list(ledger.atom_energies(gas.atom, states))
-        # one route per payload, from the anchor whenever that way is forward
-        assert calls == [(g.sigma0, s, 1) if u else (s, g.sigma0, 1) for s, u in zip(states, up)]
+        # one route per payload, asked from the anchor whichever way is forward
+        assert calls == [(g.sigma0, s, 1) for s in states]
         assert _hexes(batch) == _hexes(ledger.atom_energy(gas.atom, s) for s in states)
         assert _hexes(batch) == _hexes(self._unshared(gas, s) for s in states)
         u0 = gas_U(g, g.sigma0)

@@ -44,6 +44,8 @@ from thermokernel.quasistatic import QuasistaticFamily, identity_family
 from thermokernel.reservoirs import add_reservoir
 from thermokernel.systems import AtomId, World
 
+from conftest import sliced
+
 LN2 = math.log(2.0)
 # analytic: integral of -p dV along p V^(5/3) = 1 from V=1 to V=2
 W_ADIABAT_1_TO_2 = 1.5 * (2.0 ** (-2.0 / 3.0) - 1.0)
@@ -406,19 +408,24 @@ def test_run_segments_equals_the_pairwise_fold(steps):
 class TestGasPlanner:
     def test_full_catalog_decides_by_invariant(self, gas):
         planner = GasPlanner(gas)
-        assert planner.routes(GasState(1, 1), GasState(3, 0.9))
-        assert planner.routes(GasState(3, 0.9), GasState(1, 1)) == []
-        # friction raises the pressure at fixed volume and cannot lower it
-        assert planner.routes(GasState(1, 1), GasState(2, 1))
-        assert planner.routes(GasState(2, 1), GasState(1, 1)) == []
+        # a work process runs up the adiabat invariant only; at one volume,
+        # friction raises the pressure and cannot lower it
+        for a, b in [(GasState(1, 1), GasState(3, 0.9)), (GasState(1, 1), GasState(2, 1))]:
+            forward, plans = planner.routes(a, b)
+            assert forward and plans
+            backward, back_plans = planner.routes(b, a)
+            assert not backward
+            assert sliced(back_plans) == sliced(plans)
         # every state reaches itself by one identity plan
-        (ident,) = planner.routes(GasState(1.3, 0.9), GasState(1.3, 0.9))
+        forward, (ident,) = planner.routes(GasState(1.3, 0.9), GasState(1.3, 0.9))
+        assert forward
         assert ident[0].slice(0.0, 1.0).work_on(gas.atom) == 0.0
 
     def test_routes_share_endpoints_and_work(self, gas):
         planner = GasPlanner(gas)
         a, b = GasState(1, 1), GasState(2, 1.7)
-        plans = planner.routes(a, b, count=3)
+        forward, plans = planner.routes(a, b, count=3)
+        assert forward
         assert len(plans) == 3
         works = []
         for plan in plans:
@@ -443,9 +450,7 @@ def test_first_plan_has_at_most_two_legs():
         gas = add_ideal_gas(World(), GasModel(gamma=rng.choice((5.0 / 3.0, 1.4))))
         a, b = (GasState(math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
                 for _ in range(2))
-        if not connect_forward(gas.model, a, b):
-            a, b = b, a
-        plan = GasPlanner(gas).routes(a, b, count=1)[0]
+        (plan,) = GasPlanner(gas).routes(a, b, count=1)[1]
         assert len(plan) <= 2
 
 
@@ -455,7 +460,7 @@ def test_first_plan_has_at_most_two_legs():
     log_rel=st.floats(-14, -6), sign=st.sampled_from((-1.0, 1.0)),
 )
 def test_planner_decides_by_connect_forward(log_p, log_v, log_v2, log_rel, sign):
-    """The planner reads reachability off ``connect_forward`` at every scale.
+    """The planner's direction is ``connect_forward``'s at every scale.
 
     The second state's adiabat invariant differs from the first's by a
     relative 1e-14 to 1e-6, either way.
@@ -467,7 +472,9 @@ def test_planner_decides_by_connect_forward(log_p, log_v, log_v2, log_rel, sign)
     inv_b = adiabat_invariant(g, a) * (1.0 + sign * 10.0**log_rel)
     b = GasState(inv_b * v2**-g.gamma, v2)
     assume(not values_close(a, b))
-    assert bool(GasPlanner(gas).routes(a, b, count=1)) == connect_forward(g, a, b)
+    forward, plans = GasPlanner(gas).routes(a, b, count=1)
+    assert forward == connect_forward(g, a, b)
+    assert len(plans) == 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -480,7 +487,7 @@ def test_planner_decides_by_connect_forward(log_p, log_v, log_v2, log_rel, sign)
 )
 def test_routes_follow_the_adiabat_rule(log_p, log_v, log_p2, log_v2, log_rel, sign, kind,
                                         gamma):
-    """``routes`` is empty, one identity leg or one isolated leg exactly by ``connect_forward``.
+    """``routes`` runs backward, one identity leg or one isolated leg exactly by ``connect_forward``.
 
     "Close" is one volume to 1e-12 relative and one adiabat both ways.  Near
     pairs differ in adiabat invariant, or in pressure at one volume, by a
@@ -500,15 +507,71 @@ def test_routes_follow_the_adiabat_rule(log_p, log_v, log_p2, log_v2, log_rel, s
         "one-ulp-V": lambda: GasState(a.p, math.nextafter(a.V, sign * math.inf)),
         "equal": lambda: GasState(a.p, a.V),
     }[kind]()
-    plans = GasPlanner(gas).routes(a, b, count=3)
+    planner = GasPlanner(gas)
+    direction, plans = planner.routes(a, b, count=3)
     forward, backward = connect_forward(g, a, b), connect_forward(g, b, a)
     close = forward and backward and abs(a.V - b.V) <= 1e-12 * max(a.V, b.V)
-    assert (plans == []) == (not forward)
+    assert direction == forward
+    assert plans
+    if not forward:  # the plans run from b to a, as those of routes(b, a) do
+        back, back_plans = planner.routes(b, a, count=3)
+        assert back
+        assert sliced(plans) == sliced(back_plans)
     assert ([[f.tag for f in plan] for plan in plans] == [["identity"]]) == close
     if forward and backward and not close:
         assert [[type(f) for f in plan] for plan in plans] == [[AdiabatSegment]]
     if kind in ("one-ulp-p", "one-ulp-V", "equal"):
         assert close
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    log_p=st.floats(-6, 8), log_v=st.floats(-6, 8), log_p2=st.floats(-6, 8),
+    log_v2=st.floats(-6, 8), at=st.floats(0, 1), rel=st.floats(-1e-11, 1e-11),
+    near=st.booleans(), gamma=st.sampled_from((5.0 / 3.0, 1.4)),
+)
+def test_routes_plan_one_process_for_a_pair_either_way(log_p, log_v, log_p2, log_v2, at, rel,
+                                                       near, gamma):
+    """``routes(a, b)`` and ``routes(b, a)`` never come back empty and plan the same legs.
+
+    States span p, V in 10^[-6, 8]; a ``near`` second state lies within 1e-11
+    relative of the first's adiabat, at a volume (fraction ``at`` of the
+    range) that keeps its pressure in 10^[-6, 8] too.  The directions are
+    opposite unless the invariants agree to 1e-12 relative, and then each
+    plan runs from its own first state.  A pair whose plan leaves the
+    quadrant raises the same ``DomainError`` both ways.
+    """
+    gas = add_ideal_gas(World(), GasModel(gamma=gamma))
+    g = gas.model
+    a = GasState(10.0**log_p, 10.0**log_v)
+    if near:
+        lo, hi = max(-6.0, log_v - (8.0 - log_p) / gamma), min(8.0, log_v + (log_p + 6.0) / gamma)
+        v2 = 10.0 ** (lo + (hi - lo) * at)
+        b = GasState(adiabat_invariant(g, a) * (1.0 + rel) * v2**-gamma, v2)
+    else:
+        b = GasState(10.0**log_p2, 10.0**log_v2)
+    planner = GasPlanner(gas)
+    outcomes = []
+    for x, y in ((a, b), (b, a)):
+        try:
+            forward, plans = planner.routes(x, y)
+            outcomes.append((forward, plans, sliced(plans)))
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
+        assert outcomes[0] == outcomes[1]
+        return
+    (ab, plans_ab, legs_ab), (ba, plans_ba, legs_ba) = outcomes
+    assert plans_ab and plans_ba
+    inv_a, inv_b = adiabat_invariant(g, a), adiabat_invariant(g, b)
+    one_adiabat = abs(inv_a - inv_b) <= 1e-12 * max(inv_a, inv_b)
+    assert (ab and ba) == one_adiabat
+    assert ab or ba
+    if one_adiabat:  # one isolated or identity leg each, from its own first state
+        for (leg,), x in zip((*plans_ab, *plans_ba), (a, b)):
+            assert (leg.start if type(leg) is AdiabatSegment else leg.evaluate(0.0)[gas.atom]) == x
+    else:
+        assert legs_ab == legs_ba
 
 
 def test_segment_kinds_are_slotted_and_slice_through_the_family(gas, unit_reservoir):

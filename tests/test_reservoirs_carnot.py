@@ -341,11 +341,14 @@ class TestSignsAndEfficiency:
                            match="^a Carnot engine needs two different reservoirs$"):
             build_degraded_carnot(r, r)
 
-    @pytest.mark.parametrize("volume_ratio", [1.0, 0.5, -2.0, math.nan])
+    @pytest.mark.parametrize("volume_ratio", [1.0, 0.5, -2.0, math.nan, -math.inf, math.inf])
     def test_degraded_cycle_needs_an_expansion(self, world, volume_ratio):
+        """The ratio is named as the input before any gas is minted."""
         r1, r2 = add_reservoir(world, 2.0), add_reservoir(world, 1.0)
-        with pytest.raises(ValueError, match="^need an expansion ratio > 1$"):
+        before = len(world.registry)
+        with pytest.raises(ValueError, match="^need a finite volume ratio > 1$"):
             build_degraded_carnot(r1, r2, volume_ratio=volume_ratio)
+        assert len(world.registry) == before
 
     def test_degraded_cycle_is_suboptimal(self, world):
         r1 = add_reservoir(world, 2.0)
